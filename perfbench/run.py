@@ -37,8 +37,8 @@ sys.path.insert(0, ROOT)
 from perfbench import teardown  # noqa: E402
 
 WORKLOADS = ("ingest", "scan", "curate", "join")
-DEADLINE_S = 165.0      # the whole run must end within 180 s
-TERM_GRACE_S = 10.0
+DEADLINE_S = 150.0      # then stop the worker; the whole run must end within 180 s
+TERM_GRACE_S = 8.0
 # AF_UNIX socket paths are capped at 107 bytes; Ray puts its sockets at
 # <temp dir>/session_<date>_<time>_<pid>/sockets/<name>
 RAY_TMP_MAX = 40
@@ -66,7 +66,7 @@ def _sandbox(args, run_id: str) -> tuple[dict, str, str | None]:
         "RAY_USAGE_STATS_ENABLED": "0",
         teardown.RUN_ID_VAR: run_id,
         "PERFBENCH_WORK": work,
-        "PERFBENCH_RAY_TMP": ray_tmp,
+        "RAY_TMPDIR": ray_tmp,
         "PERFBENCH_RESULT": os.path.join(work, "result.json"),
         "PERFBENCH_TRACE": os.path.join(
             base, "traces", f"{args.workload}-seed{args.seed}.jsonl"),

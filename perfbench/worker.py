@@ -49,14 +49,14 @@ def host_info(cpus: int) -> dict:
     }
 
 
-def reset_peak_rss() -> bool:
-    """Reset VmHWM (Linux: writing 5 to clear_refs)."""
+def reset_peak_rss() -> None:
+    """Reset VmHWM (Linux: writing 5 to clear_refs), so the peak covers
+    only what follows; where that is refused the peak is the process's."""
     try:
         with open("/proc/self/clear_refs", "w") as f:
             f.write("5")
-        return True
     except OSError:
-        return False
+        pass
 
 
 def peak_rss_mb() -> float:
@@ -65,6 +65,13 @@ def peak_rss_mb() -> float:
             if line.startswith("VmHWM:"):
                 return int(line.split()[1]) / 1024
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def cpu_ticks() -> list[int]:
+    """The machine-wide CPU time counters (user, nice, system, idle,
+    iowait, irq, softirq, steal, ...) from /proc/stat."""
+    with open("/proc/stat") as f:
+        return [int(x) for x in f.readline().split()[1:]]
 
 
 def _interrupt(signum, frame):
@@ -92,10 +99,16 @@ def run(args, ctx: Ctx, cpus: int, ray_init_s: float, host: dict,
     with ctx.tracer.span("setup"):
         wl.setup(setup)
     marks["setup"] = time.time()
-    rss_reset = reset_peak_rss()
+    reset_peak_rss()
+    ticks0 = cpu_ticks()
     with ctx.tracer.span("loop"):
         times = measure(ctx, wl)
     rss = peak_rss_mb()
+    spent = [b - a for a, b in zip(ticks0, cpu_ticks())]
+    # during the loop: share of this machine's CPU time taken by other
+    # VMs (steal), and share not idle (this run and any other process)
+    host["steal_frac"] = spent[7] / max(1, sum(spent))
+    host["busy_frac"] = 1 - (spent[3] + spent[4]) / max(1, sum(spent))
     marks["loop"] = time.time()
     wl.finish()
     if args.trace:
@@ -119,13 +132,12 @@ def run(args, ctx: Ctx, cpus: int, ray_init_s: float, host: dict,
         "metrics": {k: {"value": v, "unit": units[k]} for k, v in metrics.items()},
         "op_s": times,
         "setup_phases": setup.phases,
-        "rss_reset": rss_reset,
     }
 
 
-def shutdown_ray(run_id: str) -> int:
-    """ray.shutdown(), then wait for the session's processes; -> how
-    many had to be killed."""
+def shutdown_ray(run_id: str) -> tuple[int, int]:
+    """ray.shutdown(), then wait for the session's processes; -> (how
+    many there were, how many had to be killed)."""
     import ray
 
     procs = teardown.run_processes(os.getpid(), run_id)
@@ -134,7 +146,7 @@ def shutdown_ray(run_id: str) -> int:
     if left:
         print(f"perfbench: killing stragglers {sorted(left)}", file=sys.stderr)
         teardown.kill(left)
-    return len(left)
+    return len(procs), len(left)
 
 
 def main() -> int:
@@ -160,15 +172,18 @@ def main() -> int:
 
     try:
         t0 = time.perf_counter()
-        ray.init(num_cpus=cpus, include_dashboard=False, log_to_driver=False,
-                 logging_level=logging.ERROR, object_store_memory=OBJECT_STORE_BYTES,
-                 _temp_dir=env["PERFBENCH_RAY_TMP"])
+        # a fresh local session even if RAY_ADDRESS names a running one
+        ray.init(address="local", num_cpus=cpus, include_dashboard=False,
+                 log_to_driver=False, logging_level=logging.ERROR,
+                 object_store_memory=OBJECT_STORE_BYTES,
+                 _temp_dir=env["RAY_TMPDIR"])
         ray_init_s = time.perf_counter() - t0
         quiet_ray_data()
         result = run(args, ctx, cpus, ray_init_s, host, marks)
     finally:
-        stragglers = shutdown_ray(run_id)
+        session_procs, stragglers = shutdown_ray(run_id)
     marks["shutdown"] = time.time()
+    host["session_procs"] = session_procs
     result.update(host=host, stragglers=stragglers, marks=marks,
                   attempted=ctx.tally.attempted, failed=ctx.tally.failed)
     if args.trace:

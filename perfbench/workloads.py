@@ -32,9 +32,9 @@ from .trace import Tracer
 
 MIN_OPS = 3
 MAX_CONSECUTIVE_ERRORS = 5
-CURATE_PLAN = 1_500   # pre-generated curate operations (more than a run uses)
+CURATE_PLAN = 600     # pre-generated curate operations, reused cyclically
 RA_IDS = 4            # row ids per random_access call
-HOT_SOURCES = 2       # equi_filter alternates a hot and a cold source
+HOT_SOURCES = 2       # equi_filter alternates these largest sources with the smaller half
 
 
 class Setup:
