@@ -9,6 +9,8 @@ result as JSON to ``$PERFBENCH_RESULT``; the launcher prints it.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import gc
 import json
 import logging
 import os
@@ -50,9 +52,14 @@ def host_info(cpus: int) -> dict:
 
 
 def reset_peak_rss() -> None:
-    """Reset VmHWM (Linux: writing 5 to clear_refs), so the peak covers
-    only what follows; where that is refused the peak is the process's."""
+    """Free what set-up left behind, then reset VmHWM (Linux: writing 5
+    to clear_refs), so the peak covers only what follows; where that is
+    refused the peak is the process's."""
+    gc.collect()
     try:
+        # hand freed heap back to the OS, or the peak would depend on
+        # how much of set-up's garbage the allocator happens to retain
+        ctypes.CDLL("libc.so.6").malloc_trim(0)
         with open("/proc/self/clear_refs", "w") as f:
             f.write("5")
     except OSError:
