@@ -86,10 +86,9 @@ def _wait(pid: int, signals: list[int]) -> int | None:
             return None if stop_at is not None else done[pid]
         now = time.monotonic()
         if stop_at is None and (signals or now > deadline):
-            why = f"signal {signals[0]}" if signals else "deadline"
-            print(f"perfbench: stopping the run ({why})", file=sys.stderr)
             os.kill(pid, signal.SIGTERM)
             stop_at = now
+            teardown.log(f"stopping the run ({f'signal {signals[0]}' if signals else 'deadline'})")
         elif stop_at is not None and now > stop_at + TERM_GRACE_S:
             os.kill(pid, signal.SIGKILL)
         time.sleep(0.05)
@@ -123,9 +122,8 @@ def main() -> int:
         # whatever of this run is still alive is a straggler
         stragglers = teardown.run_processes(os.getpid(), run_id)
         if stragglers:
-            print(f"perfbench: killing stragglers {sorted(stragglers)}",
-                  file=sys.stderr)
             teardown.kill(stragglers, reap=True)
+            teardown.log(f"killed stragglers {sorted(stragglers)}")
         teardown.reap_children()
         result_path = env["PERFBENCH_RESULT"]
         result = None
@@ -138,7 +136,7 @@ def main() -> int:
     if signals:
         return 128 + signals[0]
     if result is None:
-        print(f"perfbench: run failed (worker exit {status})", file=sys.stderr)
+        teardown.log(f"run failed (worker exit {status})")
         return 1
     # wall-clock seconds of each stage of the run, for reading the noise
     stages, last = {}, t_spawn

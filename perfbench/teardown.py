@@ -13,10 +13,20 @@ from __future__ import annotations
 import ctypes
 import os
 import signal
+import sys
 import time
 
 RUN_ID_VAR = "PERFBENCH_RUN_ID"
 _PR_SET_CHILD_SUBREAPER = 36
+
+
+def log(msg: str) -> None:
+    """Report on stderr; never fail, since clean-up must go on even
+    when whoever reads stderr is gone (a broken pipe)."""
+    try:
+        print(f"perfbench: {msg}", file=sys.stderr, flush=True)
+    except OSError:
+        pass
 
 
 def set_subreaper() -> None:

@@ -151,8 +151,8 @@ def shutdown_ray(run_id: str) -> tuple[int, int]:
     ray.shutdown()
     left = teardown.wait_gone(procs, STRAGGLER_WAIT_S)
     if left:
-        print(f"perfbench: killing stragglers {sorted(left)}", file=sys.stderr)
         teardown.kill(left)
+        teardown.log(f"killed stragglers {sorted(left)}")
     return len(procs), len(left)
 
 

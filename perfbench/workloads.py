@@ -19,7 +19,6 @@ import contextlib
 import os
 import shutil
 import statistics
-import sys
 import time
 import traceback
 
@@ -28,6 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import inputs
+from .teardown import log
 from .trace import Tracer
 
 MIN_OPS = 3
@@ -93,7 +93,7 @@ class Ctx:
         self.tally.attempted += new_op
         if not ok:
             self.tally.failed += 1
-            print(f"perfbench: wrong result: {what}", file=sys.stderr)
+            log(f"wrong result: {what}")
         return ok
 
     def error(self) -> None:
