@@ -30,10 +30,13 @@ EDGE_ROWS = 4  # generate_corpus puts its edge-case rows first
 
 def corpus_table(seed: int) -> pa.Table:
     """The seeded corpus, with its edge-case rows (a max-length list, a
-    list holding 0 and 2**31 - 1, ...) moved into the hottest source.
-    Otherwise the seed decides which partition carries those values,
-    and they change that partition's codec choice (bit-pack to dict on
-    src-000), so runs would differ by seed in the work they measure."""
+    list holding 0 and 2**31 - 1, ...) moved into the hottest source,
+    src-000, and given that source's token regime (values in [0, 256))
+    except for the fixed edge values. Otherwise the seed decides which
+    partition carries those rows and which regime fills the max-length
+    list: that changes the codec choice of the partition they land in
+    (src-000: 257 to 8450 distinct values, scan 2x slower), so runs
+    would differ by seed in the work they measure."""
     from arcade_ray.corpus import generate_corpus
 
     t = generate_corpus(CORPUS_ROWS, CORPUS_SOURCES, seed=seed)
@@ -42,8 +45,19 @@ def corpus_table(seed: int) -> pa.Table:
     for i in range(EDGE_ROWS):
         source[i] = "src-000"
         doc_id[i] = f"src-000:{i:012d}"
-    t = t.set_column(t.column_names.index("source"), "source", pa.array(source))
-    return t.set_column(t.column_names.index("doc_id"), "doc_id", pa.array(doc_id))
+    tokens = t["tokens"].combine_chunks()
+    offsets = tokens.offsets.to_numpy()
+    values = tokens.values.to_numpy().copy()
+    # rows 0 (one token) and 1 (max length) carry their original
+    # source's regime; rows 2 (all 7) and 3 ([0, 2**31 - 1]) are fixed
+    rng = np.random.default_rng([seed, 99])
+    values[offsets[0]:offsets[2]] = rng.integers(0, 256, offsets[2] - offsets[0])
+    tokens = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()),
+                                      pa.array(values, type=pa.int32()))
+    for name, col in (("source", pa.array(source)), ("doc_id", pa.array(doc_id)),
+                      ("tokens", tokens)):
+        t = t.set_column(t.column_names.index(name), name, col)
+    return t
 
 
 def write_corpus(table: pa.Table, out_dir: str) -> str:

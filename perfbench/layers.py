@@ -65,6 +65,7 @@ def _metric_table() -> dict[str, tuple[str, str]]:
     m["join.copartition.rows_out"] = ("count", "higher")
     m["join.q3.wall_s"] = ("s", "lower")
     m["trace.op_ms_p50"] = ("ms", "lower")
+    m["trace.op_cpu_ms_p50"] = ("ms", "lower")
     return m
 
 
@@ -239,9 +240,11 @@ def join_metrics(ctx, out: dict) -> None:
     out["join.q3.wall_s"] = med(r["attrs"]["q3_s"] for r in rounds)
 
 
-def collect(ctx, wl, loop_times: list[float], cpus: int) -> dict:
-    """Run the fixed probes and return every per-layer metric."""
-    out: dict = {"trace.op_ms_p50": statistics.median(loop_times) * 1e3}
+def collect(ctx, wl, loop: list[tuple[float, float]], cpus: int) -> dict:
+    """Run the fixed probes and return every per-layer metric; ``loop``
+    holds the (wall s, CPU s) of the traced loop's operations."""
+    out: dict = {"trace.op_ms_p50": statistics.median(w for w, _ in loop) * 1e3,
+                 "trace.op_cpu_ms_p50": statistics.median(c for _, c in loop) * 1e3}
     codecs_probe(ctx, out)
     format_probe(ctx, out)
 
@@ -250,7 +253,7 @@ def collect(ctx, wl, loop_times: list[float], cpus: int) -> dict:
         cur = wl
     else:
         cur = Curate(probe)
-        cur.setup(Setup())
+        cur.setup(Setup(probe.session_cpu, repeats=1))
     for _ in range(len(QUERY_OPS) * QUERY_PROBE_OPS):
         cur.op()
     digest = token_digest(inputs.corpus_table(ctx.seed)["tokens"])
@@ -265,7 +268,7 @@ def collect(ctx, wl, loop_times: list[float], cpus: int) -> dict:
     scan_metrics(ctx, out)
     query_metrics(ctx, cur, out)
     if not isinstance(wl, Join):
-        Join(probe).setup(Setup())  # its warm-up round is traced
+        Join(probe).setup(Setup(probe.session_cpu, repeats=1))  # its warm-up round is traced
     join_metrics(ctx, out)
     missing = set(METRICS) - set(out)
     if missing:

@@ -150,7 +150,8 @@ def main() -> int:
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "trace": args.trace,
         "host": result["host"], "setup_phases": result["setup_phases"],
-        "stages_s": stages, "op_s": result["op_s"], "stragglers": leaked,
+        "stages_s": stages, "wall": result["wall"],
+        "ops_wall_cpu_s": result["ops_wall_cpu_s"], "stragglers": leaked,
         "failed_ops_frac": failed / attempted,
     }))
     print(json.dumps({

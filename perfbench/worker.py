@@ -22,10 +22,13 @@ import time
 
 from . import teardown
 from .trace import Tracer
-from .workloads import WORKLOADS, Ctx, Setup, measure
+from .workloads import WORKLOADS, Ctx, Setup, Timed, measure
 
 STRAGGLER_WAIT_S = 20.0
 OBJECT_STORE_BYTES = 512 * 2**20
+# end-to-end metrics (the --trace 0 result) and their units
+END_TO_END = {"setup_s": "s", "op_cpu_ms_p50": "ms",
+              "bytes_per_raw_byte": "B/B", "driver_peak_rss_mb": "MB"}
 
 
 def nproc() -> int:
@@ -81,6 +84,38 @@ def cpu_ticks() -> list[int]:
         return [int(x) for x in f.readline().split()[1:]]
 
 
+class SessionCPU:
+    """Clock of the CPU seconds used by the Ray session's processes
+    (everything this run started but the driver): user + system time of
+    each, plus that of its children already reaped, so a worker that
+    exits mid-run still counts through its parent. The process list is
+    refreshed at most once a second; /proc counts in clock ticks
+    (10 ms)."""
+
+    def __init__(self, run_id: str):
+        self.run_id = run_id
+        self.procs: dict[int, int] = {}
+        self.listed = float("-inf")
+        self.tick = os.sysconf("SC_CLK_TCK")
+
+    def __call__(self) -> float:
+        now = time.monotonic()
+        if now - self.listed > 1.0:
+            self.procs = teardown.run_processes(os.getpid(), self.run_id)
+            self.listed = now
+        ticks = 0
+        for pid in self.procs:
+            try:
+                with open(f"/proc/{pid}/stat", "rb") as f:
+                    raw = f.read()
+            except OSError:
+                continue
+            # utime stime cutime cstime
+            ticks += sum(int(x) for x in raw[raw.rindex(b")") + 2:].split()[11:15])
+        kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return kids.ru_utime + kids.ru_stime + ticks / self.tick
+
+
 def _interrupt(signum, frame):
     raise KeyboardInterrupt(f"signal {signum}")
 
@@ -94,12 +129,12 @@ def quiet_ray_data() -> None:
     logging.getLogger("ray.data").setLevel(logging.WARNING)
 
 
-def run(args, ctx: Ctx, cpus: int, ray_init_s: float, host: dict,
+def run(args, ctx: Ctx, cpus: int, ray_init: Timed, host: dict,
         marks: dict) -> dict:
     from arcade_ray.codecs.native import get_lib
 
-    setup = Setup()
-    setup.phases["ray_init"] = ray_init_s
+    setup = Setup(ctx.session_cpu)
+    setup.add("ray_init", ray_init.wall, ray_init.cpu)
     with setup.phase("kernel_build"):
         host["native_fsst"] = get_lib() is not None
     wl = WORKLOADS[args.workload](ctx)
@@ -125,20 +160,21 @@ def run(args, ctx: Ctx, cpus: int, ray_init_s: float, host: dict,
         units = {k: u for k, (u, _) in layers.METRICS.items()}
     else:
         metrics = {
-            "setup_s": setup.total(),
-            "op_ms_p50": statistics.median(times) * 1e3,
-            "ops_per_s": len(times) / sum(times),
+            "setup_s": setup.cpu_total(),
+            "op_cpu_ms_p50": statistics.median(c for _, c in times) * 1e3,
             "bytes_per_raw_byte": wl.bytes_per_raw_byte(),
             "driver_peak_rss_mb": rss,
         }
-        units = {"setup_s": "s", "op_ms_p50": "ms", "ops_per_s": "1/s",
-                 "bytes_per_raw_byte": "B/B", "driver_peak_rss_mb": "MB"}
+        units = END_TO_END
+    wall = [w for w, _ in times]
     host["loadavg_end"] = os.getloadavg()
     marks["checks"] = time.time()
     return {
         "metrics": {k: {"value": v, "unit": units[k]} for k, v in metrics.items()},
-        "op_s": times,
-        "setup_phases": setup.phases,
+        "ops_wall_cpu_s": times,
+        "wall": {"op_ms_p50": statistics.median(wall) * 1e3,
+                 "ops_per_s": len(wall) / sum(wall)},
+        "setup_phases": {"wall_s": setup.wall, "cpu_s": setup.cpu},
     }
 
 
@@ -171,22 +207,21 @@ def main() -> int:
     run_id, work = env[teardown.RUN_ID_VAR], env["PERFBENCH_WORK"]
     tracer = Tracer(bool(args.trace))
     ctx = Ctx(args.workload, args.seed, args.seconds, tracer, work,
-              env.get("PERFBENCH_INJECT", ""))
+              SessionCPU(run_id), env.get("PERFBENCH_INJECT", ""))
     cpus = nproc()
     host = host_info(cpus)
 
     import ray
 
     try:
-        t0 = time.perf_counter()
-        # a fresh local session even if RAY_ADDRESS names a running one
-        ray.init(address="local", num_cpus=cpus, include_dashboard=False,
-                 log_to_driver=False, logging_level=logging.ERROR,
-                 object_store_memory=OBJECT_STORE_BYTES,
-                 _temp_dir=env["RAY_TMPDIR"])
-        ray_init_s = time.perf_counter() - t0
+        with Timed(ctx.session_cpu) as ray_init:
+            # a fresh local session even if RAY_ADDRESS names a running one
+            ray.init(address="local", num_cpus=cpus, include_dashboard=False,
+                     log_to_driver=False, logging_level=logging.ERROR,
+                     object_store_memory=OBJECT_STORE_BYTES,
+                     _temp_dir=env["RAY_TMPDIR"])
         quiet_ray_data()
-        result = run(args, ctx, cpus, ray_init_s, host, marks)
+        result = run(args, ctx, cpus, ray_init, host, marks)
     finally:
         session_procs, stragglers = shutdown_ray(run_id)
     marks["shutdown"] = time.time()

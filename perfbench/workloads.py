@@ -6,7 +6,9 @@ numpy or DuckDB), outside the timed region; an operation that fails or
 returns a wrong or empty result is counted as failed and its time is
 not used.
 
-Workload operations (the unit of ``op_ms_p50`` and ``ops_per_s``):
+Every operation is timed twice: wall-clock seconds, and CPU seconds of
+the driver plus the Ray session's processes (``Timed``). Workload
+operations (the unit of ``op_cpu_ms_p50`` and the wall-clock figures):
   ingest  one ``encode_parquet`` of the corpus into a fresh directory
   scan    one full decode pass over the encoded corpus (``scan``)
   curate  one ``lookup``, ``equi_filter`` or ``random_access`` call
@@ -37,30 +39,60 @@ RA_IDS = 4            # row ids per random_access call
 HOT_SOURCES = 2       # equi_filter alternates these largest sources with the smaller half
 
 
-class Setup:
-    """Named set-up phases; ``repeat`` runs a phase several times and
-    keeps the median."""
+class Timed:
+    """Wall and CPU seconds of a block, ``with Timed(ctx.session_cpu) as
+    t: ...``, then ``t.wall`` and ``t.cpu``: the driver's CPU time plus
+    that of the session whose clock is given (see ``Ctx``). The session
+    clock is read outside the wall and the driver's CPU intervals, so
+    reading it counts in neither."""
 
-    def __init__(self):
-        self.phases: dict[str, float] = {}
+    def __init__(self, session_cpu):
+        self.session_cpu = session_cpu
+
+    def __enter__(self):
+        self.s0 = self.session_cpu()
+        self.d0 = time.process_time()
+        self.t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc):
+        self.wall = time.perf_counter() - self.t0
+        driver = time.process_time() - self.d0
+        self.cpu = driver + self.session_cpu() - self.s0
+
+
+class Setup:
+    """Named set-up phases, each timed as wall and CPU seconds (see
+    ``Timed``); ``repeat`` runs a phase ``repeats`` times and keeps the
+    medians."""
+
+    def __init__(self, session_cpu, repeats: int = 3):
+        self.session_cpu, self.repeats = session_cpu, repeats
+        self.wall: dict[str, float] = {}
+        self.cpu: dict[str, float] = {}
+
+    def add(self, name: str, wall: float, cpu: float) -> None:
+        self.wall[name] = self.wall.get(name, 0.0) + wall
+        self.cpu[name] = self.cpu.get(name, 0.0) + cpu
 
     @contextlib.contextmanager
     def phase(self, name: str):
-        t0 = time.perf_counter()
-        yield
-        self.phases[name] = self.phases.get(name, 0.0) + time.perf_counter() - t0
+        with Timed(self.session_cpu) as t:
+            yield
+        self.add(name, t.wall, t.cpu)
 
-    def repeat(self, name: str, fn, times: int = 3):
+    def repeat(self, name: str, fn):
         took, out = [], None
-        for _ in range(times):
-            t0 = time.perf_counter()
-            out = fn()
-            took.append(time.perf_counter() - t0)
-        self.phases[name] = statistics.median(took)
+        for _ in range(self.repeats):
+            with Timed(self.session_cpu) as t:
+                out = fn()
+            took.append(t)
+        self.add(name, statistics.median(t.wall for t in took),
+                 statistics.median(t.cpu for t in took))
         return out
 
-    def total(self) -> float:
-        return sum(self.phases.values())
+    def cpu_total(self) -> float:
+        return sum(self.cpu.values())
 
 
 class Tally:
@@ -72,12 +104,17 @@ class Tally:
 
 
 class Ctx:
+    """One run's settings and shared state. ``session_cpu`` is a clock
+    of the CPU seconds used by the Ray session's processes, the driver
+    excluded."""
+
     def __init__(self, workload: str, seed: int, seconds: float,
-                 tracer: Tracer, work: str, inject: str = "",
+                 tracer: Tracer, work: str, session_cpu, inject: str = "",
                  tally: Tally | None = None):
         self.workload, self.seed, self.seconds = workload, seed, seconds
         self.tracer, self.work, self.inject = tracer, work, inject
         self.tally = tally or Tally()
+        self.session_cpu = session_cpu
 
     def path(self, *parts: str) -> str:
         return os.path.join(self.work, *parts)
@@ -85,7 +122,7 @@ class Ctx:
     def sub(self, name: str) -> "Ctx":
         """Same run, tracer and tally; its own scratch directory."""
         return Ctx(self.workload, self.seed, self.seconds, self.tracer,
-                   self.path(name), self.inject, self.tally)
+                   self.path(name), self.session_cpu, self.inject, self.tally)
 
     def check(self, ok: bool, what: str, new_op: bool = True) -> bool:
         """Count one checked operation (or, with ``new_op=False``, a
@@ -149,8 +186,8 @@ def ds_operators(ds) -> list[dict]:
 
 
 class Workload:
-    """Base: subclasses fill ``setup``, ``op`` (-> [(seconds, result
-    correct)]) and ``finish`` (checks that need the whole run)."""
+    """Base: subclasses fill ``setup``, ``op`` (-> [(wall s, CPU s,
+    result correct)]) and ``finish`` (checks that need the whole run)."""
 
     raw_bytes = 0
     enc_dirs: list[str] = []
@@ -162,7 +199,7 @@ class Workload:
     def setup(self, setup: Setup) -> None:
         raise NotImplementedError
 
-    def op(self) -> list[tuple[float, bool]]:
+    def op(self) -> list[tuple[float, float, bool]]:
         raise NotImplementedError
 
     def finish(self) -> None:
@@ -214,10 +251,9 @@ class Ingest(Workload):
         from arcade_ray.pipeline.encode import encode_parquet
 
         shutil.rmtree(self.enc, ignore_errors=True)  # a rerun would resume
-        with self.tr.span("pipeline.encode.encode_parquet") as a:
-            t0 = time.perf_counter()
+        with Timed(self.ctx.session_cpu) as t, \
+                self.tr.span("pipeline.encode.encode_parquet") as a:
             m = encode_parquet(self.corpus_dir, self.enc)
-            dt = time.perf_counter() - t0
         a["manifest"] = m.select(["rows", "raw_bytes", "encode_s"]).to_pydict()
         # every encode must commit the same partitions; the last one is
         # checked end to end in finish()
@@ -228,7 +264,7 @@ class Ingest(Workload):
             sum(m["rows"].to_pylist()) == self.rows and layout == self.first
             and all(b > 0 for b in m["enc_bytes"].to_pylist()),
             "encode_parquet manifest")
-        return [(dt, ok)]
+        return [(t.wall, t.cpu, ok)]
 
     def finish(self):
         from arcade_ray.collect import collect_arrow
@@ -258,12 +294,10 @@ class Scan(Workload):
     def op(self):
         from arcade_ray.pipeline.query import scan
 
-        with self.tr.span("pipeline.query.scan") as a:
-            t0 = time.perf_counter()
+        with Timed(self.ctx.session_cpu) as t, self.tr.span("pipeline.query.scan") as a:
             ds = scan(self.enc, columns=["tokens"])
             batches = list(ds.iter_batches(batch_format="pyarrow",
                                            batch_size=None))
-            dt = time.perf_counter() - t0
         if self.tr.enabled:
             a["operators"] = ds_operators(ds)
         got = token_digest(pa.chunked_array(
@@ -271,7 +305,7 @@ class Scan(Workload):
             type=pa.list_(pa.int32())))
         ok = self.ctx.check(got == self.expect and got[0] > 0,
                             f"scan digest {got} != {self.expect}")
-        return [(dt, ok)]
+        return [(t.wall, t.cpu, ok)]
 
 
 class Curate(Workload):
@@ -333,12 +367,11 @@ class Curate(Workload):
                 self.op()
 
     def run_one(self, kind, arg):
-        """-> (seconds, result table)."""
+        """-> (Timed, result table)."""
         from arcade_ray.collect import collect_arrow
         from arcade_ray.pipeline.query import equi_filter, lookup, random_access
 
-        with self.tr.span(f"curate.{kind}") as a:
-            t0 = time.perf_counter()
+        with Timed(self.ctx.session_cpu) as t, self.tr.span(f"curate.{kind}") as a:
             if kind == "lookup":
                 with self.tr.span("pipeline.query.lookup"):
                     ds = lookup(self.enc, "doc_id", [arg],
@@ -354,7 +387,6 @@ class Curate(Workload):
             if ds is not None:
                 with self.tr.span("collect.collect_arrow"):
                     out = collect_arrow(ds)
-            dt = time.perf_counter() - t0
         if self.tr.enabled:
             a["rows_out"] = out.num_rows
             if ds is None:
@@ -364,7 +396,7 @@ class Curate(Workload):
                 a["operators"] = ops = ds_operators(ds)
                 a["partitions"] = sum(o["rows_out"] for o in ops
                                       if o["name"].startswith("FromItems"))
-        return dt, out
+        return t, out
 
     def verify(self, kind, arg, expect, out) -> bool:
         if kind == "lookup":
@@ -383,9 +415,9 @@ class Curate(Workload):
     def op(self):
         kind, arg, expect = self.plan[self.i % len(self.plan)]
         self.i += 1
-        dt, out = self.run_one(kind, arg)
-        return [(dt, self.ctx.check(self.verify(kind, arg, expect, out),
-                                    f"{kind}({arg})"))]
+        t, out = self.run_one(kind, arg)
+        return [(t.wall, t.cpu, self.ctx.check(self.verify(kind, arg, expect, out),
+                                               f"{kind}({arg})"))]
 
 
 # Q3-style top-20 revenue; ranks by the unrounded sum, ties on l_orderkey
@@ -449,7 +481,7 @@ class Join(Workload):
         from arcade_ray.collect import collect_arrow
         from arcade_ray.pipeline.join import copartition_join
 
-        with self.tr.span("join.round") as a:
+        with Timed(self.ctx.session_cpu) as t, self.tr.span("join.round") as a:
             t0 = time.perf_counter()
             with self.tr.span("pipeline.join.copartition_join"):
                 ds = copartition_join(self.lineitem, self.orders, left_key="l_orderkey",
@@ -461,8 +493,8 @@ class Join(Workload):
             t1 = time.perf_counter()
             with self.tr.span("entry_queries.q_q3_revenue_topk"):
                 top = eq.q_q3_revenue_topk(self.sf)
-            dt = time.perf_counter() - t0
-            a.update(join_s=t1 - t0, q3_s=dt - (t1 - t0), rows_out=joined.num_rows)
+            a.update(join_s=t1 - t0, q3_s=time.perf_counter() - t1,
+                     rows_out=joined.num_rows)
         if self.tr.enabled:
             a["operators"] = ds_operators(ds)
         (n, ksum, qsum), by_prio, q3 = self.expect
@@ -479,17 +511,17 @@ class Join(Workload):
             and all(a[0] == b[0] and abs(a[1] - b[1]) <= 0.011
                     for a, b in zip(got, q3)),
             "q3 top-20 vs DuckDB")
-        return [(dt, ok_join and ok_q3)]
+        return [(t.wall, t.cpu, ok_join and ok_q3)]
 
 
 WORKLOADS = {"ingest": Ingest, "scan": Scan, "curate": Curate, "join": Join}
 
 
-def measure(ctx: Ctx, wl: Workload) -> list[float]:
+def measure(ctx: Ctx, wl: Workload) -> list[tuple[float, float]]:
     """Closed loop: start operations until ``ctx.seconds`` have passed
-    and at least MIN_OPS ran; -> durations of the correct ones (of all,
-    if none was: the run is then reported as failed anyway)."""
-    done: list[tuple[float, bool]] = []
+    and at least MIN_OPS ran; -> (wall s, CPU s) of the correct ones (of
+    all, if none was: the run is then reported as failed anyway)."""
+    done: list[tuple[float, float, bool]] = []
     errors = 0
     t_start = time.perf_counter()
     while len(done) < MIN_OPS or time.perf_counter() - t_start < ctx.seconds:
@@ -504,4 +536,5 @@ def measure(ctx: Ctx, wl: Workload) -> list[float]:
             errors += 1
             if errors >= MAX_CONSECUTIVE_ERRORS:
                 raise
-    return [t for t, ok in done if ok] or [t for t, _ in done]
+    return ([(w, c) for w, c, ok in done if ok]
+            or [(w, c) for w, c, _ in done])
