@@ -7,35 +7,11 @@ call this on a full-corpus Dataset; big outputs stream via
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 
 
 SMALL_SIG_ROWS = 2_000_000  # below this, skip the Ray aggregate entirely
-
-
-def split_by_bucket(table: pa.Table, buckets, n_buckets: int) -> list:
-    """Fan one table out into per-bucket compact fragments placed in
-    the object store from INSIDE the calling task (measured ~16x
-    faster than task-return for large payloads; a slice view would
-    serialize its whole parent block). Returns a list of ObjectRefs
-    (None for empty buckets). Shared by the pair-verify exchange and
-    the co-partitioned join."""
-    import numpy as np
-    import ray
-
-    buckets = np.ascontiguousarray(buckets)
-    order = np.argsort(buckets, kind="stable")
-    bounds = np.searchsorted(buckets[order], np.arange(n_buckets + 1))
-    out = [None] * n_buckets
-    for b in range(n_buckets):
-        lo, hi = int(bounds[b]), int(bounds[b + 1])
-        if hi > lo:
-            out[b] = ray.put(table.take(
-                pa.array(order[lo:hi], type=pa.int64())))
-    return out
 
 
 def unique_rows2(a, b):
@@ -50,6 +26,30 @@ def unique_rows2(a, b):
     if len(a_s) > 1:
         keep[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
     return a_s[keep], b_s[keep]
+
+
+def _bucket_pairs(bk, ids, max_bucket: int):
+    """In-bucket (id_a < id_b) pairs from (bucket key, id) rows, by a
+    run-boundary scan over the rows sorted by key; buckets above
+    ``max_bucket`` are degenerate collisions and are dropped rather
+    than exploding O(m^2). Returns (a, b) arrays, or None."""
+    order = np.lexsort((ids, bk))
+    bk_s, ids_s = bk[order], ids[order]
+    bounds = np.flatnonzero(np.diff(bk_s)) + 1
+    starts = np.concatenate([[0], bounds])
+    ends = np.concatenate([bounds, [len(bk_s)]])
+    a_out, b_out = [], []
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        u = np.unique(ids_s[s:e])
+        m = len(u)
+        if m < 2 or m > max_bucket:
+            continue
+        iu, ju = np.triu_indices(m, k=1)
+        a_out.append(u[iu])
+        b_out.append(u[ju])
+    if not a_out:
+        return None
+    return np.concatenate(a_out), np.concatenate(b_out)
 
 
 def hot_bucket_rows(sig_ds, key_col: str) -> pa.Table:
@@ -103,34 +103,19 @@ def bucket_candidate_pairs(sig_ds, id_col: str, key_col: str = "bk",
 
     Returns (pairs table with id_a < id_b deduped, dict of id ->
     attr value for each ``attr_cols`` taken from the hot rows)."""
-    import numpy as np
-
     sig_ds = sig_ds.materialize()
     empty = pa.table({"id_a": pa.array([], pa.int64()),
                       "id_b": pa.array([], pa.int64())})
     rows = hot_bucket_rows(sig_ds, key_col)
     if rows.num_rows == 0:
         return empty, {c: {} for c in (attr_cols or [])}
-    bk = rows[key_col].to_numpy(zero_copy_only=False)
     ids = rows[id_col].to_numpy(zero_copy_only=False)
-    order = np.lexsort((ids, bk))
-    bk_s, ids_s = bk[order], ids[order]
-    bounds = np.flatnonzero(np.diff(bk_s)) + 1
-    starts = np.concatenate([[0], bounds])
-    ends = np.concatenate([bounds, [len(bk_s)]])
-    a_out, b_out = [], []
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        u = np.unique(ids_s[s:e])
-        m = len(u)
-        if m < 2 or m > max_bucket:
-            continue
-        iu, ju = np.triu_indices(m, k=1)
-        a_out.append(u[iu])
-        b_out.append(u[ju])
-    if not a_out:
+    ab = _bucket_pairs(rows[key_col].to_numpy(zero_copy_only=False), ids,
+                       max_bucket)
+    if ab is None:
         pairs = empty
     else:
-        ua, ub = unique_rows2(np.concatenate(a_out), np.concatenate(b_out))
+        ua, ub = unique_rows2(*ab)
         pairs = pa.table({"id_a": pa.array(ua, type=pa.int64()),
                           "id_b": pa.array(ub, type=pa.int64())})
     attrs = {}
@@ -180,6 +165,38 @@ def _make_router(need_ref, id_col: str, payload_cols: list[str],
     return route
 
 
+def _verify_buckets(n_buckets: int | None) -> int:
+    from .exchange import avail_cpus
+
+    return n_buckets or max(1, min(64, avail_cpus()))
+
+
+def _route_vb(blocks: list):
+    """Verify-exchange route: routed payload rows go to the bucket in
+    their ``_vb`` tag."""
+    import ray
+
+    # Ray's union/map plumbing emits SCHEMALESS zero-row blocks that
+    # pass through map_batches without calling the router — they carry
+    # no rows and no _vb column
+    tabs = [t for t in ray.get(list(blocks))
+            if t.num_rows and "_vb" in t.column_names]
+    if not tabs:
+        return pa.table({}), np.empty(0, np.int64)
+    t = pa.concat_tables(tabs)
+    return t.drop_columns(["_vb"]), t["_vb"].to_numpy(zero_copy_only=False)
+
+
+def _routed_blocks(routed, mode: str):
+    """Split inputs of a routed payload Dataset: one block per split
+    task, or in disk mode one ref bundle per split task, streamed off
+    the executor so the routed payload never materializes in the object
+    store all at once."""
+    if mode == "disk":
+        return (list(b.block_refs) for b in routed.iter_internal_ref_bundles())
+    return [[r] for r in routed.to_arrow_refs()]
+
+
 def distributed_pair_verify(ds, cand_tab: pa.Table, id_col: str,
                             payload_cols: list[str], verify_fn,
                             n_buckets: int | None = None,
@@ -195,46 +212,27 @@ def distributed_pair_verify(ds, cand_tab: pa.Table, id_col: str,
        payload to every bucket that needs it (payloads move once per
        needing bucket — bounded by the candidate set, never the
        corpus; non-candidate rows never leave the map side);
-    3. a DIRECT exchange (not Ray Data's sort-based groupby — a sort
-       is wasted on ~cpu-count buckets and measured ~5 s of fixed cost
-       at sf0.1): each routed block splits into per-bucket fragments
-       ray.put in-task, then one verify task per bucket fetches its
-       fragments and runs ``verify_fn(pairs, payload)`` — per-group
+    3. the fragment exchange (arcade_ray/exchange.py, not Ray Data's
+       sort-based groupby — a sort is wasted on ~cpu-count buckets and
+       measured ~5 s of fixed cost at sf0.1): each routed block splits
+       into per-bucket fragments, then one verify task per bucket reads
+       its fragments and runs ``verify_fn(pairs, payload)`` — per-group
        Python cost is O(n_buckets), not O(pairs).
 
     ``verify_fn``: (pairs: Table[id_a, id_b], payload: Table[id_col,
     *payload_cols]) -> Table. Returns the concatenated verify outputs
     (small — the surviving pair rows).
 
-    ``mode``: ``"objects"`` holds every routed fragment in the object
-    store at the barrier (Ray spills past capacity); ``"disk"``
-    streams routed blocks into Arrow-IPC shuffle files with bounded
-    in-flight writers, so peak object-store usage is O(in-flight
-    blocks) — encode's disk-exchange pattern (diskex.py). ``None``
-    auto-selects disk when the SOURCE dataset's estimated bytes (an
-    upper bound on the routed payload) exceed
-    ARCADE_DISK_EXCHANGE_BYTES."""
-    import ray
-
+    ``mode``: the exchange's fragment sink, ``"objects"`` or
+    ``"disk"``; ``None`` applies the exchange's auto rule to the SOURCE
+    dataset's metadata size estimate (an upper bound on the routed
+    payload; objects when the plan does not know its size)."""
+    from .exchange import auto_mode, dataset_bytes
     from .hashing import hash_ints
 
-    if n_buckets is None:
-        avail = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        n_buckets = max(1, min(64, avail))
-    if mode is None:
-        try:
-            src_bytes = ds.size_bytes()
-        except Exception:
-            src_bytes = None
-        from .diskex import DISK_EXCHANGE_BYTES
-
-        mode = "disk" if src_bytes and src_bytes > DISK_EXCHANGE_BYTES \
-            else "objects"
+    n_buckets = _verify_buckets(n_buckets)
     ids_a = cand_tab["id_a"].to_numpy(zero_copy_only=False)
     ids_b = cand_tab["id_b"].to_numpy(zero_copy_only=False)
-    import numpy as np
-
     bucket = (hash_ints(ids_a) % np.uint64(n_buckets)).astype(np.int64)
     # (id, bucket) need-list, sorted by id: an id's payload may serve
     # several buckets; the route pass replicates it per needing bucket
@@ -243,7 +241,7 @@ def distributed_pair_verify(ds, cand_tab: pa.Table, id_col: str,
     return _run_verify_exchange(
         ds, cand_tab.append_column("_vb", pa.array(bucket)),
         need_ids, need_bks, id_col, payload_cols, verify_fn,
-        n_buckets, derive_fn, as_refs, mode)
+        n_buckets, derive_fn, as_refs, mode or auto_mode(dataset_bytes(ds)))
 
 
 def distributed_group_verify(ds, memb_tab: pa.Table, id_col: str,
@@ -253,7 +251,8 @@ def distributed_group_verify(ds, memb_tab: pa.Table, id_col: str,
                              mode: str | None = None):
     """Exact-verify candidate GROUPS (e.g. exact-dedup hash runs)
     without materializing candidate payloads on the driver — the
-    group-shaped sibling of :func:`distributed_pair_verify`.
+    group-shaped sibling of :func:`distributed_pair_verify` (same
+    ``mode`` rule).
 
     ``memb_tab``: one row per candidate group MEMBER (group key
     columns + ``id_col``); fixed-width, driver-held — never text.
@@ -263,23 +262,9 @@ def distributed_group_verify(ds, memb_tab: pa.Table, id_col: str,
     exactly one group, so the need-list maps each id to ONE bucket.
     ``verify_fn(membs, payload) -> Table`` runs once per bucket with
     that bucket's member rows and their routed payloads."""
-    import ray
+    from .exchange import auto_mode, dataset_bytes
 
-    import numpy as np
-
-    if n_buckets is None:
-        avail = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        n_buckets = max(1, min(64, avail))
-    if mode is None:
-        try:
-            src_bytes = ds.size_bytes()
-        except Exception:
-            src_bytes = None
-        from .diskex import DISK_EXCHANGE_BYTES
-
-        mode = "disk" if src_bytes and src_bytes > DISK_EXCHANGE_BYTES \
-            else "objects"
+    n_buckets = _verify_buckets(n_buckets)
     bucket = (np.asarray(group_hash).astype(np.uint64)
               % np.uint64(n_buckets)).astype(np.int64)
     ids = memb_tab[id_col].to_numpy(zero_copy_only=False)
@@ -287,17 +272,19 @@ def distributed_group_verify(ds, memb_tab: pa.Table, id_col: str,
     return _run_verify_exchange(
         ds, memb_tab.append_column("_vb", pa.array(bucket)),
         need_ids, need_bks, id_col, payload_cols, verify_fn,
-        n_buckets, derive_fn, as_refs, mode)
+        n_buckets, derive_fn, as_refs, mode or auto_mode(dataset_bytes(ds)))
 
 
 def _run_verify_exchange(ds, tagged_tab: pa.Table, need_ids, need_bks,
                          id_col: str, payload_cols: list[str],
                          verify_fn, n_buckets: int, derive_fn,
                          as_refs: bool, mode: str):
-    """Shared exchange core of the two verify shapes: route candidate
-    payloads to their ``_vb`` buckets (objects or disk-staged), then
-    one verify task per bucket over (its tagged rows, its payloads)."""
+    """Shared core of the two verify shapes: route candidate payloads
+    to their ``_vb`` buckets, then one verify task per bucket over (its
+    tagged rows, its payloads)."""
     import ray
+
+    from .exchange import run
 
     pairs_ref = ray.put(tagged_tab)
     need_ref = ray.put((need_ids, need_bks))
@@ -305,89 +292,15 @@ def _run_verify_exchange(ds, tagged_tab: pa.Table, need_ids, need_bks,
         _make_router(need_ref, id_col, payload_cols, derive_fn),
         batch_format="pyarrow")
 
-    if mode == "disk":
-        from .diskex import (bucket_dir, drain_bounded, make_shuffle_dir,
-                             read_bucket, write_bucket_frags)
-
-        sh = make_shuffle_dir("verify")
-
-        @ray.remote
-        def vsplit_disk(block_refs, si: int) -> int:
-            tabs = [ray.get(r) for r in block_refs]
-            # drop schemaless zero-row pass-through blocks (see split)
-            tabs = [t for t in tabs
-                    if t.num_rows and "_vb" in t.column_names]
-            if not tabs:
-                return 0
-            t = pa.concat_tables(tabs).combine_chunks()
-            vb = t["_vb"].to_numpy(zero_copy_only=False)
-            return write_bucket_frags(t.drop_columns(["_vb"]), vb,
-                                      n_buckets, sh, si)
-
-        @ray.remote
-        def verify_bucket_disk(b: int):
-            payload = read_bucket(sh, b)
-            pairs = ray.get(pairs_ref)
-            mine = pairs.filter(
-                pa.compute.equal(pairs["_vb"], b)).drop_columns(["_vb"])
-            return verify_fn(mine, payload)
-
-        max_inflight = max(4, n_buckets)
-        pending: list = []
-        si = 0
-        # stream block refs off the executor — the routed payload
-        # never materializes in the object store all at once
-        for bundle in routed.iter_internal_ref_bundles():
-            pending.append(vsplit_disk.remote(
-                list(bundle.block_refs), si))
-            si += 1
-            pending = drain_bounded(pending, max_inflight)
-        import ray as _ray
-
-        _ray.get(pending)  # all fragments on disk
-        out_refs = [verify_bucket_disk.remote(b)
-                    for b in range(n_buckets)
-                    if os.path.isdir(bucket_dir(sh, b))]
-        if as_refs:
-            return out_refs
-        outs = ray.get(out_refs)
-        typed = [t for t in outs if t.num_columns > 0]
-        if not typed:
-            return outs[0] if outs else pa.table({})
-        return pa.concat_tables(typed, promote_options="permissive")
-
-    @ray.remote
-    def split(tbl: pa.Table):
-        # Ray's union/map plumbing emits SCHEMALESS zero-row blocks
-        # that pass through map_batches without calling the router —
-        # they carry no rows and no _vb column
-        if tbl.num_rows == 0 or "_vb" not in tbl.column_names:
-            return [None] * n_buckets
-        return split_by_bucket(
-            tbl, tbl["_vb"].to_numpy(zero_copy_only=False), n_buckets)
-
-    @ray.remote
-    def verify_bucket(b: int, frag_refs):
-        tabs = [ray.get(r) for r in frag_refs]
-        t = pa.concat_tables(tabs).combine_chunks()
+    def verify(b: int, payload: pa.Table):
         pairs = ray.get(pairs_ref)
         mine = pairs.filter(
             pa.compute.equal(pairs["_vb"], b)).drop_columns(["_vb"])
-        return verify_fn(mine, t.drop_columns(["_vb"]))
+        return verify_fn(mine, payload)
 
-    frag_lists = ray.get([split.remote(r)
-                          for r in routed.to_arrow_refs()])
-    frags = [[fl[b] for fl in frag_lists if fl[b] is not None]
-             for b in range(n_buckets)]
-    out_refs = [verify_bucket.remote(b, frags[b])
-                for b in range(n_buckets) if frags[b]]
-    if as_refs:
-        return out_refs
-    outs = ray.get(out_refs)
-    typed = [t for t in outs if t.num_columns > 0]
-    if not typed:
-        return outs[0] if outs else pa.table({})
-    return pa.concat_tables(typed, promote_options="permissive")
+    outs = run(_route_vb, _routed_blocks(routed, mode), verify, n_buckets,
+               mode, "verify", as_refs=as_refs)
+    return outs if as_refs else _concat_typed(outs)
 
 
 def lsh_pairs_verify(ds, sig_ds, id_col: str, payload_cols: list[str],
@@ -432,25 +345,22 @@ def _distributed_candidate_verify(ds, sig_ds, id_col: str,
     1. hot keys from a vectorized groupby(key).count() (the only
        all-to-all over the full signature set — fixed-width rows);
     2. hot signature rows filtered MAP-SIDE (hot key set broadcast
-       once) and hash-exchanged by coarse key bucket (two-wave direct
-       exchange, split_by_bucket);
-    3. one pair-generation task per coarse bucket: run-boundary triu
-       pairs per key (max_bucket caps degenerate buckets), pairs
-       split in-task into verify-bucket fragments by hash(id_a) —
-       the PAIR LIST never exists in one place; each task returns
-       only its unique (id, verify-bucket) need partial;
+       once) and exchanged by coarse key bucket;
+    3. one pair-generation split per coarse bucket: run-boundary triu
+       pairs per key (max_bucket caps degenerate buckets), routed to
+       verify buckets by hash(id_a) — the PAIR LIST never exists in
+       one place; each split reports only its unique (id,
+       verify-bucket) need partial;
     4. the payload route pass + per-bucket verify of
-       distributed_pair_verify's shape, with pair fragments fetched
-       by the verify task and deduped there (the same pair found by
-       two bands lands in the same verify bucket — same id_a)."""
+       distributed_pair_verify's shape, with pair fragments read by
+       the verify task and deduped there (the same pair found by two
+       bands lands in the same verify bucket — same id_a)."""
     import ray
 
+    from .exchange import consume, read, stage
     from .hashing import hash_ints
 
-    if n_buckets is None:
-        avail = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        n_buckets = max(1, min(64, avail))
+    n_buckets = _verify_buckets(n_buckets)
     n_coarse = n_buckets
 
     counts = sig_ds.groupby(key_col).count()
@@ -470,98 +380,52 @@ def _distributed_candidate_verify(ds, sig_ds, id_col: str,
 
     hot_ds = sig_ds.map_batches(pick, batch_format="pyarrow")
 
-    @ray.remote
-    def split(tbl: pa.Table):
-        import numpy as np
-
+    def route_coarse(tbl: pa.Table):
         bk = tbl[key_col].to_numpy(zero_copy_only=False)
-        cb = (hash_ints(bk) % np.uint64(n_coarse)).astype(np.int64)
-        return split_by_bucket(tbl, cb, n_coarse)
+        return tbl, (hash_ints(bk) % np.uint64(n_coarse)).astype(np.int64)
 
-    @ray.remote
-    def pairgen(frag_refs):
-        import numpy as np
-
-        tabs = [ray.get(r) for r in frag_refs]
-        t = pa.concat_tables(tabs).combine_chunks()
-        bk = t[key_col].to_numpy(zero_copy_only=False)
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, bk))
-        bk_s, ids_s = bk[order], ids[order]
-        bounds = np.flatnonzero(np.diff(bk_s)) + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [len(bk_s)]])
-        a_out, b_out = [], []
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            u = np.unique(ids_s[s:e])
-            m = len(u)
-            if m < 2 or m > max_bucket:
-                continue
-            iu, ju = np.triu_indices(m, k=1)
-            a_out.append(u[iu])
-            b_out.append(u[ju])
-        if not a_out:
-            return [None] * n_buckets, \
-                np.empty(0, np.int64), np.empty(0, np.int64)
-        a = np.concatenate(a_out)
-        b = np.concatenate(b_out)
+    def pairgen(part):
+        t = read(part)
+        ab = _bucket_pairs(t[key_col].to_numpy(zero_copy_only=False),
+                           t[id_col].to_numpy(zero_copy_only=False),
+                           max_bucket)
+        a, b = ab if ab is not None else (np.empty(0, np.int64),) * 2
         vb = (hash_ints(a) % np.uint64(n_buckets)).astype(np.int64)
-        refs = split_by_bucket(
-            pa.table({"id_a": pa.array(a, type=pa.int64()),
-                      "id_b": pa.array(b, type=pa.int64())}), vb, n_buckets)
-        nid, nbk = unique_rows2(np.concatenate([a, b]),
-                                np.concatenate([vb, vb]))
-        return refs, nid, nbk
+        pairs = pa.table({"id_a": pa.array(a, type=pa.int64()),
+                          "id_b": pa.array(b, type=pa.int64())})
+        return pairs, vb, unique_rows2(np.concatenate([a, b]),
+                                       np.concatenate([vb, vb]))
 
-    frag_lists = ray.get([split.remote(r) for r in hot_ds.to_arrow_refs()])
-    coarse = [[fl[c] for fl in frag_lists if fl[c] is not None]
-              for c in range(n_coarse)]
-    gen = ray.get([pairgen.remote(coarse[c])
-                   for c in range(n_coarse) if coarse[c]])
-    pair_frags = [[g[0][b] for g in gen if g[0][b] is not None]
-                  for b in range(n_buckets)]
+    coarse = stage(route_coarse, hot_ds.to_arrow_refs(), n_coarse,
+                   "objects", "coarse")
+    pair_frags = stage(pairgen, [coarse.parts[c] for c in coarse.live()],
+                       n_buckets, "objects", "pairs")
     need_ids, need_bks = unique_rows2(
-        np.concatenate([g[1] for g in gen] or [np.empty(0, np.int64)]),
-        np.concatenate([g[2] for g in gen] or [np.empty(0, np.int64)]))
+        np.concatenate([n[0] for n in pair_frags.info]
+                       or [np.empty(0, np.int64)]),
+        np.concatenate([n[1] for n in pair_frags.info]
+                       or [np.empty(0, np.int64)]))
     if len(need_ids) == 0:
         return pa.table({})
     need_ref = ray.put((need_ids, need_bks))
     routed = ds.map_batches(
         _make_router(need_ref, id_col, payload_cols, derive_fn),
         batch_format="pyarrow")
+    pay_frags = stage(_route_vb, _routed_blocks(routed, "objects"),
+                      n_buckets, "objects", "verify")
 
-    @ray.remote
-    def vsplit(tbl: pa.Table):
-        return split_by_bucket(
-            tbl, tbl["_vb"].to_numpy(zero_copy_only=False), n_buckets)
-
-    @ray.remote
-    def verify_bucket(b: int, pay_refs, pr_refs):
-        pays = [ray.get(r) for r in pay_refs]
-        prs = [ray.get(r) for r in pr_refs]
-        payload = pa.concat_tables(pays).combine_chunks() \
-            .drop_columns(["_vb"])
-        pt = pa.concat_tables(prs).combine_chunks()
+    def verify(b: int, payload: pa.Table, pt: pa.Table):
         ua, ub = unique_rows2(pt["id_a"].to_numpy(zero_copy_only=False),
                               pt["id_b"].to_numpy(zero_copy_only=False))
         pairs = pa.table({"id_a": pa.array(ua, type=pa.int64()),
                           "id_b": pa.array(ub, type=pa.int64())})
         return verify_fn(pairs, payload)
 
-    pay_lists = ray.get([vsplit.remote(r) for r in routed.to_arrow_refs()])
-    pay_frags = [[pl[b] for pl in pay_lists if pl[b] is not None]
-                 for b in range(n_buckets)]
-    out_refs = [
-        verify_bucket.remote(b, pay_frags[b], pair_frags[b])
-        for b in range(n_buckets) if pair_frags[b] and pay_frags[b]
-    ]
-    if as_refs:
-        return out_refs
-    outs = ray.get(out_refs)
-    typed = [t for t in outs if t.num_columns > 0]
-    if not typed:
-        return outs[0] if outs else pa.table({})
-    return pa.concat_tables(typed, promote_options="permissive")
+    live = [b for b in range(n_buckets)
+            if pay_frags.parts[b] is not None
+            and pair_frags.parts[b] is not None]
+    outs = consume(verify, [pay_frags, pair_frags], live, as_refs)
+    return outs if as_refs else _concat_typed(outs)
 
 
 def fetch_by_ids(ds, id_col: str, ids, columns: list[str] | None = None) -> pa.Table:
@@ -590,7 +454,12 @@ def collect_arrow(ds) -> pa.Table:
     if no block carries a schema, return the first (empty) block."""
     import ray
 
-    tables = ray.get(ds.to_arrow_refs())
+    return _concat_typed(ray.get(ds.to_arrow_refs()))
+
+
+def _concat_typed(tables: list) -> pa.Table:
+    """Concat tables, dropping schemaless empties (the first table when
+    none carries a schema)."""
     typed = [t for t in tables if t.num_columns > 0]
     if not typed:
         return tables[0] if tables else pa.table({})

@@ -42,21 +42,12 @@ def _owner(ids: np.ndarray, n_parts: int) -> np.ndarray:
 
 def _split_pairs(src: np.ndarray, dst: np.ndarray, own: np.ndarray,
                  n_parts: int) -> list:
-    """Split (src, dst) message arrays by owner partition; ray.put each
-    fragment from INSIDE the calling task (split_by_bucket's pattern).
+    """Split (src, dst) message arrays by owner partition, one
+    object-store fragment per partition (exchange.put_buckets).
     Returns a list of refs (None for empty partitions)."""
-    import ray
+    from .exchange import put_buckets
 
-    order = np.argsort(own, kind="stable")
-    bounds = np.searchsorted(own[order], np.arange(n_parts + 1))
-    out = [None] * n_parts
-    for p in range(n_parts):
-        lo, hi = int(bounds[p]), int(bounds[p + 1])
-        if hi > lo:
-            sel = order[lo:hi]
-            out[p] = ray.put((np.ascontiguousarray(src[sel]),
-                              np.ascontiguousarray(dst[sel])))
-    return out
+    return put_buckets(own, n_parts, lambda sel: (src[sel], dst[sel]))
 
 
 def _dedup_adj(src: np.ndarray, dst: np.ndarray):

@@ -1,33 +1,38 @@
-"""The encode pipeline — the engine's flagship Ray Data pipeline.
+"""The encode pipeline — the engine's flagship write path.
 
-    read_parquet -> [plan: groupby(source).aggregate]          (tiny barrier)
-                 -> map_batches(assign _part, drop done parts) (stateless)
-                 -> groupby(_part).map_groups(encode+commit)   (the shuffle)
-                 -> manifest rows -> manifest.parquet
+    input -> planning pass: per-piece partial aggregates      (tiny barrier)
+          -> split tasks: assign _pid, drop done partitions   (exchange route)
+          -> fragment exchange (arcade_ray/exchange.py)       (the shuffle)
+          -> one task per encode bucket: encode + commit
+          -> manifest rows -> manifest.parquet
 
 Design per SURVEY.md §7.0/§7.2: partition = dictionary scope; the
-groupby(_part) exchange is the ONE wide operation and doubles as the
-skew rebalance (hot sources are hash-split by the plan). Each group is
-encoded by one task with all dictionary state task-local
-(SURVEY.md §4.1), written atomically (tmp + rename), and committed by
-its manifest row — which is the checkpoint: on resume, committed
-partitions are dropped *before* the shuffle, so finished work is
-neither re-encoded nor re-shuffled.
+exchange is the ONE wide operation and doubles as the skew rebalance
+(hot sources are hash-split by the plan). Each partition is encoded by
+one task with all dictionary state task-local (SURVEY.md §4.1),
+written atomically (tmp + rename), and committed by its manifest row —
+which is the checkpoint: on resume, committed partitions are dropped
+*before* the shuffle, so finished work is neither re-encoded nor
+re-shuffled. :func:`encode_parquet` and :func:`encode_dataset` are thin
+front ends over one driver (``_encode``); they differ only in how they
+build split inputs and run the planning pass.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import time
 import urllib.parse
-from typing import Any
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..exchange import pin_arrow_threads as _pin_arrow_threads  # noqa: F401
 from ..format import encode_partition
-from ..planner import Plan, assign_part_keys, build_plan
+from ..planner import (assign_part_keys, build_plan, key_weights,
+                       plan_from_totals)
 
 MANIFEST_DIR = "manifest"
 PARTS_DIR = "parts"
@@ -84,28 +89,6 @@ def commit_partition(out_dir: str, part_key: str, blob: bytes,
         json.dump(manifest_row, f)
     os.replace(tmp, mpath)
     return manifest_row
-
-
-def encode_group(group: pa.Table, out_dir: str, sort_by: str | None,
-                 pid_keys: list[str] | None = None,
-                 generation: str = "") -> pa.Table:
-    """Encode one shuffled partition group; runs as a Ray task inside
-    groupby(_pid).map_groups."""
-    if group.num_rows == 0:
-        return _manifest_schema_table([])
-    if "_pid" in group.column_names:
-        part_key = pid_keys[group["_pid"][0].as_py()]
-        table = group.drop_columns(["_pid"])
-    else:  # direct string key (tests / ad-hoc callers)
-        part_key = group["_part"][0].as_py()
-        table = group.drop_columns(["_part"])
-    if sort_by is not None and sort_by in table.column_names:
-        # deterministic row order inside the partition -> stable output
-        table = table.take(pc.sort_indices(table[sort_by]))
-    blob, row = encode_partition(table, part_key)
-    row["generation"] = generation
-    row = commit_partition(out_dir, part_key, blob, row)
-    return _manifest_schema_table([row])
 
 
 _MANIFEST_FIELDS = [
@@ -193,57 +176,6 @@ def _load_range_plan(out_dir: str, generation: str | None,
     return RangePlan(tuple(d["boundaries"]), d["col"], tuple(d["weights"]))
 
 
-def _cap_for(weight_col: str | None, weight_cap: int | None) -> int:
-    from ..constants import DEFAULT_PART_ROW_CAP, DEFAULT_PART_TOKEN_CAP
-
-    return weight_cap or (DEFAULT_PART_TOKEN_CAP if weight_col is not None
-                          else DEFAULT_PART_ROW_CAP)
-
-
-def _range_plan_dataset(ds, out_dir: str, range_col: str,
-                        weight_col: str | None, weight_cap: int | None,
-                        generation: str | None, resume: bool = True):
-    """Load the persisted range plan, or build one from a streaming
-    sample wave over the Dataset (strided per-batch samples + weight
-    partials; one tiny row per block reaches the driver)."""
-    import numpy as np
-
-    plan = _load_range_plan(out_dir, generation, range_col, resume)
-    if plan is None and generation is not None:
-        # generation APPEND into an existing range-clustered dir:
-        # reuse the BASE plan's cut points so new rows land in range
-        # partitions matching the base layout (readers prune all
-        # generations with one set of boundaries); copied under the
-        # generation's plan path for resume stability
-        plan = _load_range_plan(out_dir, None, range_col, resume)
-        if plan is not None:
-            _save_range_plan(out_dir, generation, plan)
-    if plan is not None:
-        return plan
-    from ..planner import build_range_plan, range_sample
-
-    cols = [range_col] + ([weight_col] if weight_col
-                          and weight_col != range_col else [])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        s = range_sample(batch[range_col])
-        w = int(pc.sum(batch[weight_col]).as_py() or 0) if weight_col \
-            else batch.num_rows
-        return pa.table({"s": pa.array([s.tolist()]),
-                         "w": pa.array([w], type=pa.int64())})
-
-    parts = ds.select_columns(cols) \
-        .map_batches(partial, batch_format="pyarrow").take_all()
-    samples = np.concatenate(
-        [np.asarray(r["s"]) for r in parts if len(r["s"])]) \
-        if any(len(r["s"]) for r in parts) else np.empty(0)
-    total = sum(int(r["w"]) for r in parts)
-    plan = build_range_plan(samples, total,
-                            _cap_for(weight_col, weight_cap), range_col)
-    _save_range_plan(out_dir, generation, plan)
-    return plan
-
-
 def _apply_generation(pid_keys: list[str],
                       generation: str | None) -> list[str]:
     """Namespace partition keys as {src}@{generation}#{bucket} so an
@@ -262,7 +194,7 @@ def encode_dataset(ds, out_dir: str, key_col: str = "source",
                    id_col: str = "doc_id", weight_col: str | None = "n_tok",
                    weight_cap: int | None = None, resume: bool = True,
                    sort_partitions_by: str | None = None,
-                   exchange: str = "direct",
+                   exchange: str | None = None,
                    generation: str | None = None,
                    range_partition_col: str | None = None,
                    zorder_cols: list[str] | None = None) -> pa.Table:
@@ -289,26 +221,34 @@ def encode_dataset(ds, out_dir: str, key_col: str = "source",
     ``sort_partitions_by`` defaults to ``id_col`` for deterministic,
     resume-stable partition contents.
 
-    ``exchange`` selects the rebalance-shuffle implementation:
+    ``exchange`` selects the rebalance shuffle:
 
-    - ``"direct"`` (default): explicit partitioned hash exchange with
-      raw Ray tasks — one split task per input block fans rows out to
-      one object per (block, partition); one encode task per partition
-      fetches exactly its fragments. No sort comparisons, one
-      materialization round, encode parallelism = #partitions. This is
-      the documented drop-to-Ray-core case: Dataset's groupby shuffle
-      is a SORT exchange whose post-shuffle blocks coalesce many
-      groups per task, serializing the encode stage.
-    - ``"disk"``: the direct exchange with disk-staged fragments and
-      bounded in-flight splits — peak object-store usage is
-      O(in-flight split tasks) instead of O(dataset); input blocks are
-      consumed as the streaming executor produces them. The scale path
-      for inputs far beyond store capacity.
+    - ``None`` (default): the partitioned hash exchange of
+      ``arcade_ray/exchange.py``, its fragment sink picked by the
+      exchange's auto rule from the Dataset's metadata size estimate
+      (the object store when the size is unknown).
+    - ``"direct"``: that exchange with the object-store sink — one
+      split task per group of input blocks fans rows out to one
+      fragment per encode bucket; one encode task per bucket fetches
+      exactly its fragments. No sort comparisons, one materialization
+      round, encode parallelism = #buckets. This is the documented
+      drop-to-Ray-core case: Dataset's groupby shuffle is a SORT
+      exchange whose post-shuffle blocks coalesce many groups per task,
+      serializing the encode stage.
+    - ``"disk"``: the same exchange with the disk sink (Arrow IPC
+      shuffle files under ``out_dir/_shuffle``, bounded in-flight
+      splits) — peak object-store usage is O(in-flight splits) instead
+      of O(dataset); input blocks are consumed as the streaming
+      executor produces them. The scale path for inputs far beyond
+      store capacity.
     - ``"groupby"``: idiomatic ``groupby(_pid).map_groups`` — same
-      semantics, kept for parity/tests.
+      semantics, kept as the parity reference.
     """
-    os.makedirs(os.path.join(out_dir, PARTS_DIR), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, MANIFEST_DIR), exist_ok=True)
+    from ..exchange import auto_mode, avail_cpus, dataset_bytes
+
+    if exchange is None:
+        exchange = auto_mode(dataset_bytes(ds))
+    mode = "objects" if exchange == "direct" else exchange
     if zorder_cols is not None:
         if range_partition_col is not None:
             raise ValueError(
@@ -339,40 +279,88 @@ def encode_dataset(ds, out_dir: str, key_col: str = "source",
             save_zorder_plan(out_dir, zplan)
         ds = add_zorder_column(ds, zplan)
         range_partition_col = ZORDER_COL
+    in_sch = ds.schema()
+    # pandas-backed datasets have a PandasBlockSchema (no pa.Schema to
+    # record); empty-table scans of such dirs keep the legacy raise
+    arrow_schema = in_sch.base_schema \
+        if isinstance(in_sch.base_schema, pa.Schema) else None
+
+    # planning pass reads only key+weight columns (projection pushdown
+    # into the parquet read — never drag the token payload through the
+    # planning aggregate)
+    def key_plan(cols):
+        return build_plan(ds.select_columns(cols), key_col, id_col,
+                          weight_col, weight_cap)
+
+    def range_parts(cols):
+        def partial(batch: pa.Table) -> pa.Table:
+            s, w = _range_partial(batch, range_partition_col, weight_col)
+            return pa.table({"s": pa.array([s.tolist()]),
+                             "w": pa.array([w], type=pa.int64())})
+
+        parts = ds.select_columns(cols) \
+            .map_batches(partial, batch_format="pyarrow").take_all()
+        return [(np.asarray(r["s"]), int(r["w"])) for r in parts]
+
+    def split_inputs():
+        if mode == "disk":
+            return _ref_groups(ds)
+        return _group(list(ds.to_arrow_refs()), max(16, avail_cpus()))
+
+    return _encode(out_dir, set(in_sch.names), arrow_schema, key_plan,
+                   range_parts, split_inputs, mode, ds=ds,
+                   key_col=key_col, id_col=id_col, weight_col=weight_col,
+                   weight_cap=weight_cap, resume=resume,
+                   sort_partitions_by=sort_partitions_by,
+                   generation=generation,
+                   range_partition_col=range_partition_col,
+                   zorder_cols=zorder_cols)
+
+
+def _encode(out_dir: str, names: set, schema: pa.Schema | None, key_plan,
+            range_parts, split_inputs, mode: str, *, ds=None,
+            key_col: str, id_col: str, weight_col: str | None,
+            weight_cap: int | None, resume: bool,
+            sort_partitions_by: str | None, generation: str | None,
+            range_partition_col: str | None,
+            zorder_cols: list[str] | None) -> pa.Table:
+    """The encode driver behind both front ends. They supply the
+    input's column names and Arrow schema (None: no schema sidecar),
+    the planning pass — ``key_plan(cols) -> Plan`` and
+    ``range_parts(cols) -> [(samples, weight)]``, one entry per input
+    piece, both reading only ``cols`` — and ``split_inputs()``, the
+    exchange's split inputs (never called when every partition is
+    already committed). ``mode`` is the exchange sink, or ``"groupby"``
+    to encode through ``ds.groupby`` instead."""
+    from ..exchange import avail_cpus, run
+
+    os.makedirs(os.path.join(out_dir, PARTS_DIR), exist_ok=True)
+    os.makedirs(os.path.join(out_dir, MANIFEST_DIR), exist_ok=True)
     if range_partition_col is not None and sort_partitions_by is None:
         # clustered layout all the way down: rows inside each range
         # partition sort by the same column, so chunk zone maps nest
         # inside the partition's disjoint range
         sort_partitions_by = range_partition_col
     sort_by = id_col if sort_partitions_by is None else sort_partitions_by
-
     if generation:
         # appending into a relocated consolidated-only dir would
         # shadow the base rows (load_manifest prefers row files);
         # materialize them first
         ensure_row_files(out_dir)
     done = committed_parts(out_dir) if resume else {}
-    in_sch = ds.schema()
-    _validate_columns(set(in_sch.names),
-                      range_partition_col or key_col, id_col, weight_col)
-    if isinstance(in_sch.base_schema, pa.Schema):
-        _write_schema_sidecar(out_dir, in_sch.base_schema.remove_metadata(),
+    _validate_columns(names, range_partition_col or key_col, id_col,
+                      weight_col)
+    if schema is not None:
+        _write_schema_sidecar(out_dir, schema.remove_metadata(),
                               replace=not generation and not done)
     _write_encode_meta(out_dir, key_col, id_col, weight_col,
                        range_partition_col, zorder_cols)
-    # pandas-backed datasets have a PandasBlockSchema (no pa.Schema to
-    # record); empty-table scans of such dirs keep the legacy raise
-    # planning pass reads only key+weight columns (projection pushdown
-    # into the parquet read — never drag the token payload through the
-    # planning aggregate)
     if range_partition_col is not None:
-        plan = _range_plan_dataset(ds, out_dir, range_partition_col,
-                                   weight_col, weight_cap, generation,
-                                   resume=resume)
+        plan = _range_plan(out_dir, range_partition_col, weight_col,
+                           weight_cap, generation, resume, range_parts)
     else:
-        plan_cols = [key_col] + ([weight_col] if weight_col and weight_col != key_col else [])
-        plan = build_plan(ds.select_columns(plan_cols), key_col, id_col,
-                          weight_col, weight_cap)
+        plan = key_plan([key_col] + ([weight_col] if weight_col
+                                     and weight_col != key_col else []))
     pid_keys = _apply_generation(plan.part_keys(), generation)
     done_pids = pa.array(
         [i for i, k in enumerate(pid_keys) if k in done], type=pa.int64()
@@ -393,117 +381,90 @@ def encode_dataset(ds, out_dir: str, key_col: str = "source",
             out = out.filter(keep)
         return out
 
-    import ray
+    encode = functools.partial(_encode_bucket, pid_keys, out_dir, sort_by,
+                               generation or "")
+    rows = list(done.values())
+    if all(k in done for k in pid_keys):
+        pass  # resume of a finished run: the input is never read
+    elif mode == "groupby":
+        import ray
 
-    gen = generation or ""
-    if exchange in ("direct", "disk"):
-        tables = _direct_exchange_encode(
-            ds, assign, plan, pid_keys, set(done), out_dir, sort_by,
-            mode="disk" if exchange == "disk" else "objects",
-            generation=gen,
-        )
+        encoded = ds.map_batches(assign, batch_format="pyarrow") \
+            .groupby("_pid").map_groups(
+                lambda g: _manifest_schema_table(encode(0, g)),
+                batch_format="pyarrow")
+        for t in ray.get(encoded.to_arrow_refs()):
+            rows.extend(t.to_pylist())
     else:
-        encoded = (
-            ds.map_batches(assign, batch_format="pyarrow")
-            .groupby("_pid")
-            .map_groups(
-                lambda g: encode_group(g, out_dir, sort_by, pid_keys, gen),
-                batch_format="pyarrow",
-            )
-        )
-        tables = list(ray.get(encoded.to_arrow_refs()))
-    all_rows = list(done.values())
-    for t in tables:
-        all_rows.extend(t.to_pylist())
-    manifest = _manifest_schema_table(sorted(all_rows, key=lambda r: r["part_key"]))
+        # encode-bucket count: >= 32 for balance, scaling with the
+        # cluster. Over-granular fan-out (buckets >> cores) measurably
+        # HURTS: the per-object store/scheduler overhead outweighs the
+        # parallelism.
+        bucket_of_pid, n_buckets = _lpt_buckets(
+            plan.pid_weights(), max(32, avail_cpus()))
+
+        def route(items):
+            table = assign(_read_split_inputs(items))
+            return table, bucket_of_pid[
+                table["_pid"].to_numpy(zero_copy_only=False)]
+
+        for bucket_rows in run(route, split_inputs(), encode, n_buckets,
+                               mode, "encode", parent=out_dir):
+            rows.extend(bucket_rows)
+    manifest = _manifest_schema_table(sorted(rows, key=lambda r: r["part_key"]))
     _write_consolidated(out_dir, manifest)
     return manifest
 
 
-def _pin_arrow_threads() -> None:
-    """One Arrow compute thread per Ray task: each worker otherwise
-    spins up a hardware-concurrency-sized pool, and N workers x N
-    threads thrashes the node (measured 2-3x slowdown at 32 workers)."""
-    try:
-        if pa.cpu_count() != 1:
-            pa.set_cpu_count(1)
-            pa.set_io_thread_count(2)
-    except Exception:
-        pass
+def _range_plan(out_dir: str, range_col: str, weight_col: str | None,
+                weight_cap: int | None, generation: str | None,
+                resume: bool, range_parts):
+    """Load the persisted range plan, or build one from the front end's
+    sampling pass and persist it."""
+    plan = _load_range_plan(out_dir, generation, range_col, resume)
+    if plan is None and generation is not None:
+        # generation APPEND into an existing range-clustered dir:
+        # reuse the BASE plan's cut points so new rows land in range
+        # partitions matching the base layout (readers prune all
+        # generations with one set of boundaries); copied under the
+        # generation's plan path for resume stability
+        plan = _load_range_plan(out_dir, None, range_col, resume)
+        if plan is not None:
+            _save_range_plan(out_dir, generation, plan)
+    if plan is not None:
+        return plan
+    from ..planner import build_range_plan, part_cap
+
+    parts = range_parts([range_col] + ([weight_col] if weight_col
+                                       and weight_col != range_col else []))
+    samples = [s for s, _ in parts if len(s)]
+    plan = build_range_plan(
+        np.concatenate(samples) if samples else np.empty(0),
+        sum(w for _, w in parts), part_cap(weight_col, weight_cap),
+        range_col)
+    _save_range_plan(out_dir, generation, plan)
+    return plan
 
 
-def _frag_codec() -> str:
-    """Exchange fragment wire format. ``raw`` (default) ships plain
-    Arrow objects — fastest through single-node plasma (measured: zstd
-    and lz4 IPC packing both SLOWED the 2M-row exchange ~40% at 32
-    cpus; shared-memory reads are cheaper than the codec pass). On a
-    multi-node cluster where fragments cross the NETWORK, set
-    ARCADE_FRAG_CODEC=zstd (or lz4): token payloads shrink ~3.5x and
-    the codec cost rides per-node cores instead of the wire."""
-    return os.environ.get("ARCADE_FRAG_CODEC", "raw")
+def _range_partial(t: pa.Table, range_col: str, weight_col: str | None):
+    """Range-planning partial of one input piece: (strided sample of
+    the range column, weight)."""
+    from ..planner import range_sample
+
+    w = int(pc.sum(t[weight_col]).as_py() or 0) if weight_col \
+        else t.num_rows
+    return range_sample(t[range_col]), w
 
 
-def _frag_pack(frag: pa.Table, codec: str):
-    if codec == "raw":
-        return frag
-    import pyarrow.ipc as ipc
-
-    sink = pa.BufferOutputStream()
-    opts = ipc.IpcWriteOptions(compression=codec)
-    with ipc.new_stream(sink, frag.schema, options=opts) as w:
-        w.write_table(frag)
-    return sink.getvalue()
-
-
-def _frag_unpack(obj) -> pa.Table:
-    if isinstance(obj, pa.Table):
-        return obj
-    import pyarrow.ipc as ipc
-
-    return ipc.open_stream(obj).read_all()
-
-
-def _split_block(table: pa.Table, bucket_of_pid):
-    """Split one assigned block into per-BUCKET fragments; a bucket
-    bundles several partitions destined for one encode task. Returns a
-    list of ObjectRefs (None for empty buckets): fragments are
-    ``ray.put`` from inside the task — measured ~16x faster than the
-    task-return path for large payloads — and only the tiny ref list
-    travels back. Fragments ship zstd-IPC-packed (see _frag_codec)."""
-    import numpy as np
-    import ray
-
-    _pin_arrow_threads()
-    codec = _frag_codec()
-    n_buckets = int(max(bucket_of_pid)) + 1 if len(bucket_of_pid) else 1
+def _encode_bucket(pid_keys: list[str], out_dir: str, sort_by: str | None,
+                   generation: str, b: int, table: pa.Table) -> list[dict]:
+    """Exchange consumer: encode and commit every partition with rows
+    in one bucket's table (the ``_pid`` column names the partitions;
+    ``b`` is not needed)."""
+    rows: list[dict] = []
+    if table.num_rows == 0:
+        return rows
     pids = table["_pid"].to_numpy(zero_copy_only=False)
-    buckets = np.asarray(bucket_of_pid)[pids]
-    out = [None] * n_buckets
-    order = np.argsort(buckets, kind="stable")
-    sorted_buckets = buckets[order]
-    bounds = np.searchsorted(sorted_buckets, np.arange(n_buckets + 1))
-    for b in range(n_buckets):
-        lo, hi = int(bounds[b]), int(bounds[b + 1])
-        if hi > lo:
-            # per-fragment take -> each fragment owns compact buffers
-            # (a slice view would serialize its whole parent block)
-            frag = table.take(pa.array(order[lo:hi], type=pa.int64()))
-            out[b] = ray.put(_frag_pack(frag, codec))
-    return out
-
-
-def _encode_bucket_tables(tables: list[pa.Table], pid_keys: list[str],
-                          out_dir: str, sort_by: str | None,
-                          generation: str = "") -> list[dict]:
-    """Encode+commit every partition present in the fragment tables of
-    one bucket (shared by the object-store and disk exchanges)."""
-    import numpy as np
-
-    if not tables:
-        return []
-    table = pa.concat_tables(tables).combine_chunks()
-    pids = table["_pid"].to_numpy(zero_copy_only=False)
-    rows = []
     order = np.argsort(pids, kind="stable")
     sorted_pids = pids[order]
     uniq = np.unique(sorted_pids)
@@ -513,6 +474,7 @@ def _encode_bucket_tables(tables: list[pa.Table], pid_keys: list[str],
         idx = order[bounds[i]: bounds[i + 1]]
         part = table.take(pa.array(idx, type=pa.int64())).drop_columns(["_pid"])
         if sort_by is not None and sort_by in part.column_names:
+            # deterministic row order inside the partition -> stable output
             part = part.take(pc.sort_indices(part[sort_by]))
         blob, row = encode_partition(part, pid_keys[int(pid)])
         row["generation"] = generation
@@ -520,40 +482,24 @@ def _encode_bucket_tables(tables: list[pa.Table], pid_keys: list[str],
     return rows
 
 
-def _encode_bucket(pid_keys: list[str], out_dir: str, sort_by: str | None,
-                   frag_refs, generation: str = "") -> list[dict]:
-    """Encode every partition present in this bucket\'s fragments.
-    Fetches its fragments itself (refs passed as a plain list) so the
-    raylet resolves one dependency per task, not #splits."""
+def _read_piece(item, columns: list[str] | None = None) -> pa.Table:
+    """One split input piece: a Dataset block ref, a parquet file, or a
+    (path, row_group_lo, row_group_hi) range of one."""
+    import pyarrow.parquet as pq
     import ray
 
-    _pin_arrow_threads()
-    frags = ray.get(list(frag_refs))
-    tables = [_frag_unpack(f) for f in frags if f is not None]
-    return _encode_bucket_tables(tables, pid_keys, out_dir, sort_by,
-                                 generation)
+    if isinstance(item, ray.ObjectRef):
+        return ray.get(item)
+    if isinstance(item, tuple):
+        path, lo, hi = item
+        return pq.ParquetFile(path).read_row_groups(list(range(lo, hi)),
+                                                    columns=columns)
+    return pq.read_table(item, columns=columns)
 
 
-def _read_split_inputs(refs_or_paths, columns=None) -> pa.Table:
-    """Resolve one split task's inputs — parquet paths, (path, lo, hi)
-    row-group ranges, object refs, or in-line tables — to one Arrow
-    table (shared by the object-store and disk split bodies)."""
-    import ray
-
-    tables = []
-    for item in refs_or_paths:
-        if isinstance(item, str):
-            import pyarrow.parquet as pq
-
-            tables.append(pq.read_table(item, columns=columns))
-        elif isinstance(item, tuple):  # (path, row_group_lo, row_group_hi)
-            import pyarrow.parquet as pq
-
-            path, lo, hi = item
-            pf = pq.ParquetFile(path)
-            tables.append(pf.read_row_groups(list(range(lo, hi)), columns=columns))
-        else:
-            tables.append(ray.get(item) if isinstance(item, ray.ObjectRef) else item)
+def _read_split_inputs(items: list) -> pa.Table:
+    """One split task's input pieces as one Arrow table."""
+    tables = [_read_piece(i) for i in items]
     # schema-less zero-row blocks (Ray union/map plumbing) would
     # poison the concat; rows are what gets routed, so drop them.
     # An ALL-empty group keeps one block — preferring a TYPED one, so
@@ -567,72 +513,26 @@ def _read_split_inputs(refs_or_paths, columns=None) -> pa.Table:
     return pa.concat_tables(tables) if len(tables) > 1 else tables[0]
 
 
-def _split_many(refs_or_paths, bucket_of_pid, assign, columns=None):
-    """Split task body: fetch/read several input blocks or parquet
-    files, assign partition ids, emit one compact fragment per bucket.
-    Coarse inputs + bucketed outputs keep the object count at
-    #split_tasks x #buckets (~O(cores^2)) — the local object store is
-    the serial resource a fan-out must respect."""
-    _pin_arrow_threads()
-    table = assign(_read_split_inputs(refs_or_paths, columns))
-    return _split_block(table, bucket_of_pid)
+def _map_pieces(fn, group: list, columns: list[str]) -> list:
+    """Planning task body: ``fn`` over each parquet piece of one split
+    group, reading only ``columns``."""
+    from ..exchange import pin_arrow_threads
+
+    pin_arrow_threads()
+    return [fn(_read_piece(item, columns)) for item in group]
 
 
-SHUFFLE_DIR = "_shuffle"
-
-
-def _bucket_dir(shuffle_dir: str, b: int) -> str:
-    return os.path.join(shuffle_dir, f"b{b:05d}")
-
-
-def _split_to_disk(refs_or_paths, bucket_of_pid, assign, columns,
-                   shuffle_dir: str, split_id: int) -> int:
-    """Disk-staged split: like _split_many, but fragments land as
-    Arrow IPC files under shuffle_dir/b{bucket}/s{split}.arrow instead
-    of the object store — the Spark-shuffle-file pattern. Peak
-    object-store usage stays O(in-flight splits); the exchange itself
-    lives on disk (shared storage on a multi-node cluster). Returns
-    rows written (tiny)."""
-    import numpy as np
-
-    _pin_arrow_threads()
-    table = assign(_read_split_inputs(refs_or_paths, columns))
-    n_buckets = int(max(bucket_of_pid)) + 1 if len(bucket_of_pid) else 1
-    pids = table["_pid"].to_numpy(zero_copy_only=False)
-    buckets = np.asarray(bucket_of_pid)[pids]
-    order = np.argsort(buckets, kind="stable")
-    sorted_buckets = buckets[order]
-    bounds = np.searchsorted(sorted_buckets, np.arange(n_buckets + 1))
-    written = 0
-    for b in range(n_buckets):
-        lo, hi = int(bounds[b]), int(bounds[b + 1])
-        if hi <= lo:
-            continue
-        frag = table.take(pa.array(order[lo:hi], type=pa.int64()))
-        d = _bucket_dir(shuffle_dir, b)
-        os.makedirs(d, exist_ok=True)
-        final = os.path.join(d, f"s{split_id:05d}.arrow")
-        tmp = final + f".tmp.{os.getpid()}"
-        with pa.OSFile(tmp, "wb") as sink:
-            with pa.ipc.new_file(sink, frag.schema) as w:
-                w.write_table(frag)
-        os.replace(tmp, final)
-        written += frag.num_rows
-    return written
-
-
-def _encode_bucket_from_disk(pid_keys: list[str], out_dir: str,
-                             sort_by: str | None, bucket_dir: str,
-                             generation: str = "") -> list[dict]:
-    _pin_arrow_threads()
-    tables = []
-    if os.path.isdir(bucket_dir):
-        for fn in sorted(os.listdir(bucket_dir)):
-            if fn.endswith(".arrow"):
-                with pa.memory_map(os.path.join(bucket_dir, fn)) as src:
-                    tables.append(pa.ipc.open_file(src).read_all())
-    return _encode_bucket_tables(tables, pid_keys, out_dir, sort_by,
-                                 generation)
+def _ref_groups(ds, per: int = 4):
+    """Block refs streamed off the executor in small groups — the
+    input never materializes in the object store all at once."""
+    group: list = []
+    for bundle in ds.iter_internal_ref_bundles():
+        group.extend(bundle.block_refs)
+        if len(group) >= per:
+            yield group
+            group = []
+    if group:
+        yield group
 
 
 def _group(items: list, n_groups: int) -> list[list]:
@@ -646,8 +546,6 @@ def _lpt_buckets(weights: list[int], n_buckets: int):
     buckets -> (bucket_of_pid int64 array, n_buckets)."""
     import heapq
 
-    import numpy as np
-
     n = len(weights)
     n_buckets = max(1, min(n_buckets, n))
     heap = [(0, b) for b in range(n_buckets)]
@@ -660,103 +558,6 @@ def _lpt_buckets(weights: list[int], n_buckets: int):
     return bucket_of, n_buckets
 
 
-def _run_direct_exchange(split_inputs, pid_keys: list[str],
-                         pid_weights: list[int], done: set, out_dir: str,
-                         sort_by: str | None, assign,
-                         columns=None, mode: str = "objects",
-                         generation: str = "") -> list[pa.Table]:
-    """Explicit partitioned hash exchange (see encode_dataset docstring).
-    On a multi-node cluster the same code runs unchanged: fragments are
-    plain object-store objects and Ray fetches them to wherever the
-    encode task is scheduled.
-
-    ``mode``:
-
-    - ``"objects"``: fragments live in the object store between the
-      split and encode phases — fastest, but the whole (assigned)
-      input is live at the barrier; Ray spills past store capacity.
-    - ``"disk"``: split tasks write fragments as Arrow IPC files under
-      ``out_dir/_shuffle/`` (Spark-shuffle-file pattern) and in-flight
-      split tasks are bounded, so peak object-store usage is
-      O(in-flight splits) regardless of input size. Auto-selected by
-      encode_parquet for inputs above ARCADE_DISK_EXCHANGE_BYTES.
-
-    ``split_inputs`` may be a generator (disk mode consumes it
-    incrementally — streaming inputs never all materialize)."""
-    import shutil as _shutil
-
-    import ray
-
-    if all(k in done for k in pid_keys):
-        return []
-    # encode-bucket count: >= 32 for balance, scaling with the cluster.
-    # Over-granular fan-out (buckets >> cores) measurably HURTS: the
-    # per-object store/scheduler overhead outweighs the parallelism.
-    bucket_of_pid, n_buckets = _lpt_buckets(
-        pid_weights,
-        int(os.environ.get("ARCADE_ENCODE_BUCKETS", 0))
-        or max(32, _avail_cpus())
-    )
-    if mode == "disk":
-        shuffle_dir = os.path.join(out_dir, SHUFFLE_DIR)
-        _shutil.rmtree(shuffle_dir, ignore_errors=True)
-        os.makedirs(shuffle_dir, exist_ok=True)
-        split = ray.remote(_split_to_disk)
-        max_inflight = max(4, _avail_cpus())
-        pending: list = []
-        for si, group in enumerate(split_inputs):
-            pending.append(split.remote(group, bucket_of_pid, assign,
-                                        columns, shuffle_dir, si))
-            if len(pending) >= max_inflight:
-                ready, pending = ray.wait(pending, num_returns=1)
-                ray.get(ready)  # surface split failures NOW — a
-                # swallowed error would commit a manifest with the
-                # failed split's rows silently missing
-        ray.get(pending)  # drain: all fragments on disk
-        enc = ray.remote(_encode_bucket_from_disk)
-        result_refs = [
-            enc.remote(pid_keys, out_dir, sort_by,
-                       _bucket_dir(shuffle_dir, b), generation)
-            for b in range(n_buckets)
-            if os.path.isdir(_bucket_dir(shuffle_dir, b))
-        ]
-        rows = [r for rs in ray.get(result_refs) for r in rs]
-        _shutil.rmtree(shuffle_dir, ignore_errors=True)
-        return [_manifest_schema_table(rows)]
-
-    import time as _time
-
-    t0 = _time.perf_counter()
-    split = ray.remote(_split_many)
-    split_refs = [
-        split.remote(group, bucket_of_pid, assign, columns)
-        for group in split_inputs
-    ]
-    # barrier: every bucket needs a fragment ref from every split task
-    frag_lists = ray.get(split_refs)
-    t1 = _time.perf_counter()
-    frag_cols = [
-        [fl[b] for fl in frag_lists if fl[b] is not None]
-        for b in range(n_buckets)
-    ]
-
-    enc = ray.remote(_encode_bucket)
-    result_refs = [
-        enc.remote(pid_keys, out_dir, sort_by, frag_cols[b], generation)
-        for b in range(n_buckets)
-        if frag_cols[b]
-    ]
-    rows = [r for rs in ray.get(result_refs) for r in rs]
-    if os.environ.get("ARCADE_TIMING"):
-        import sys as _sys
-
-        print(f"[arcade-timing] split_wave={t1 - t0:.3f}s "
-              f"encode_wave={_time.perf_counter() - t1:.3f}s "
-              f"splits={len(split_refs)} buckets={n_buckets}",
-              file=_sys.stderr)
-    return [_manifest_schema_table(rows)]
-
-
 def _validate_columns(schema_names: set, key_col: str, id_col: str,
                       weight_col: str | None) -> None:
     missing = [c for c in (key_col, id_col, weight_col)
@@ -767,43 +568,6 @@ def _validate_columns(schema_names: set, key_col: str, id_col: str,
             f"(columns: {sorted(schema_names)}); pass key_col/id_col/"
             f"weight_col matching your table"
         )
-
-
-def _avail_cpus() -> int:
-    import ray
-
-    try:
-        return int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        return 8
-
-
-def _direct_exchange_encode(ds, assign, plan, pid_keys: list[str], done: set,
-                            out_dir: str, sort_by: str | None,
-                            mode: str = "objects",
-                            generation: str = "") -> list[pa.Table]:
-    if mode == "disk":
-        # stream block refs straight off the executor in small groups —
-        # the input never materializes in the object store all at once
-        def bundle_groups():
-            group: list = []
-            for bundle in ds.iter_internal_ref_bundles():
-                group.extend(bundle.block_refs)
-                if len(group) >= 4:
-                    yield group
-                    group = []
-            if group:
-                yield group
-
-        return _run_direct_exchange(bundle_groups(), pid_keys,
-                                    plan.pid_weights(), done, out_dir,
-                                    sort_by, assign, mode="disk",
-                                    generation=generation)
-    block_refs = list(ds.to_arrow_refs())
-    groups = _group(block_refs, max(16, _avail_cpus()))
-    return _run_direct_exchange(groups, pid_keys, plan.pid_weights(), done,
-                                out_dir, sort_by, assign,
-                                generation=generation)
 
 
 def _write_consolidated(out_dir: str, manifest: pa.Table) -> None:
@@ -938,10 +702,6 @@ def cluster_input_cols(meta: dict) -> list[str]:
     return [rpc] if rpc else []
 
 
-DISK_EXCHANGE_BYTES = int(os.environ.get(
-    "ARCADE_DISK_EXCHANGE_BYTES", 8 * 1024 ** 3))
-
-
 def encode_parquet(paths: list[str] | str, out_dir: str,
                    key_col: str = "source", id_col: str = "doc_id",
                    weight_col: str | None = "n_tok",
@@ -954,13 +714,14 @@ def encode_parquet(paths: list[str] | str, out_dir: str,
     """Parquet-source fast path of :func:`encode_dataset`: split tasks
     read the shards directly (no intermediate block materialization),
     and the planning pass reads only the key/weight columns per shard.
-    One split task per file group, one encode task per partition.
+    One split task per file group, one encode task per bucket.
 
-    ``exchange``: None (auto) picks the object-store exchange for
-    inputs under ARCADE_DISK_EXCHANGE_BYTES on-disk bytes and the
-    disk-staged, bounded-in-flight exchange above it — uncompressed
-    fragments of a giant input would otherwise only be survivable via
-    object-store spilling.
+    ``exchange``: None (auto) lets the exchange's auto rule pick the
+    sink from the files' on-disk bytes — the object store below
+    ARCADE_DISK_EXCHANGE_BYTES, the disk-staged, bounded-in-flight
+    sink above it (uncompressed fragments of a giant input would
+    otherwise only be survivable via object-store spilling);
+    ``"direct"`` / ``"disk"`` force one.
 
     ``range_partition_col``: CLUSTERED layout — partitions cover
     disjoint quantile ranges of this (numeric/timestamp) column
@@ -976,7 +737,10 @@ def encode_parquet(paths: list[str] | str, out_dir: str,
     since the Morton key is a computed column."""
     import glob as _glob
 
+    import pyarrow.parquet as pq
     import ray
+
+    from ..exchange import auto_mode, avail_cpus
 
     if isinstance(paths, str):
         if os.path.isdir(paths):
@@ -987,17 +751,14 @@ def encode_parquet(paths: list[str] | str, out_dir: str,
         files = list(paths)
     if not files:
         raise FileNotFoundError(paths)
+    if exchange is None:
+        exchange = auto_mode(sum(os.path.getsize(f) for f in files))
     if zorder_cols is not None:
         # z-order needs a computed clustering column — route through
         # the generic dataset path. range_partition_col forwards so
-        # the exclusivity error still fires; the disk-exchange
-        # auto-select mirrors the fast path's byte threshold.
+        # the exclusivity error still fires.
         from ..sources import read_parquet_clean
 
-        if exchange is None:
-            on_disk = sum(os.path.getsize(f) for f in files)
-            exchange = "disk" if on_disk > DISK_EXCHANGE_BYTES \
-                else "direct"
         return encode_dataset(
             read_parquet_clean(files), out_dir, key_col=key_col,
             id_col=id_col, weight_col=weight_col, weight_cap=weight_cap,
@@ -1005,80 +766,15 @@ def encode_parquet(paths: list[str] | str, out_dir: str,
             exchange=exchange, generation=generation,
             range_partition_col=range_partition_col,
             zorder_cols=zorder_cols)
-
-    os.makedirs(os.path.join(out_dir, PARTS_DIR), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, MANIFEST_DIR), exist_ok=True)
-    if range_partition_col is not None and sort_partitions_by is None:
-        sort_partitions_by = range_partition_col
-    sort_by = id_col if sort_partitions_by is None else sort_partitions_by
-    if generation:
-        # appending into a relocated consolidated-only dir would
-        # shadow the base rows (load_manifest prefers row files);
-        # materialize them first
-        ensure_row_files(out_dir)
-    done = committed_parts(out_dir) if resume else {}
-
-    import pyarrow.parquet as _pq
-
-    input_schema = _pq.read_schema(files[0])
-    schema_names = set(input_schema.names)
-    _validate_columns(schema_names, range_partition_col or key_col,
-                      id_col, weight_col)
-    _write_schema_sidecar(out_dir, input_schema.remove_metadata(),
-                          replace=not generation and not done)
-    _write_encode_meta(out_dir, key_col, id_col, weight_col,
-                       range_partition_col, zorder_cols)
-
-    # planning pass: per-file partial aggregates over pruned columns
-    plan_cols = [key_col] + ([weight_col] if weight_col and weight_col != key_col else [])
-
-    @ray.remote
-    def file_partial(fs: list) -> dict:
-        import pyarrow.parquet as pq
-
-        _pin_arrow_threads()
-        totals: dict[str, int] = {}
-        for f in fs:
-            if isinstance(f, tuple):
-                path, lo, hi = f
-                t = pq.ParquetFile(path).read_row_groups(
-                    list(range(lo, hi)), columns=plan_cols)
-            else:
-                t = pq.read_table(f, columns=plan_cols)
-            keys = t[key_col]
-            if not pa.types.is_string(keys.type):
-                keys = keys.cast(pa.string())
-            # null keys group under "" — must agree with
-            # planner.assign_part_keys or sorted(part_keys) crashes on
-            # None and the exchange would drop the null-key rows
-            keys = pa.compute.fill_null(keys, "")
-            if weight_col is not None:
-                g = pa.table({"k": keys, "w": t[weight_col].cast(pa.int64())}) \
-                    .group_by("k").aggregate([("w", "sum")])
-                ks, ws = g["k"].to_pylist(), g["w_sum"].to_pylist()
-            else:
-                g = pa.table({"k": keys}).group_by("k").aggregate([("k", "count")])
-                ks, ws = g["k"].to_pylist(), g["k_count"].to_pylist()
-            for k, w in zip(ks, ws):
-                totals[k] = totals.get(k, 0) + int(w)
-        return totals
-
-    from ..constants import DEFAULT_PART_ROW_CAP, DEFAULT_PART_TOKEN_CAP
-
-    cap = weight_cap or (
-        DEFAULT_PART_TOKEN_CAP if weight_col is not None else DEFAULT_PART_ROW_CAP
-    )
+    schema = pq.read_schema(files[0])
     # one split task per core: the split wave (parquet read + assign +
     # hash-partition) is the pipeline's other parallel phase — capping
     # it below the core count was the 8->32 scaling ceiling (the encode
-    # bucket count already scales with _avail_cpus)
-    n_splits = int(os.environ.get("ARCADE_SPLIT_TASKS", 0)) \
-        or max(16, _avail_cpus())
+    # bucket count already scales with the CPU count)
+    n_splits = max(16, avail_cpus())
     if len(files) < n_splits:
         # few big files: split by parquet row-group ranges so the read
         # still parallelizes (one split task per range)
-        import pyarrow.parquet as pq
-
         items: list = []
         for f in files:
             n_rg = pq.ParquetFile(f).metadata.num_row_groups
@@ -1088,94 +784,35 @@ def encode_parquet(paths: list[str] | str, out_dir: str,
                 items.append((f, lo, min(n_rg, lo + step)))
         files = items
     groups = _group(files, n_splits)
-    import time as _time
+    map_pieces = ray.remote(_map_pieces)
 
-    _t_plan0 = _time.perf_counter()
-    if range_partition_col is not None:
-        plan = _load_range_plan(out_dir, generation, range_partition_col,
-                                resume)
-        if plan is None:
-            import numpy as np
+    def pieces(fn, cols):
+        return [r for rs in ray.get([map_pieces.remote(fn, g, cols)
+                                     for g in groups]) for r in rs]
 
-            from ..planner import build_range_plan, range_sample
-
-            rcols = [range_partition_col] + (
-                [weight_col] if weight_col
-                and weight_col != range_partition_col else [])
-
-            @ray.remote
-            def range_partial(fs: list):
-                import numpy as np
-                import pyarrow.parquet as pq
-
-                _pin_arrow_threads()
-                samples, w = [], 0
-                for f in fs:
-                    if isinstance(f, tuple):
-                        path, lo, hi = f
-                        t = pq.ParquetFile(path).read_row_groups(
-                            list(range(lo, hi)), columns=rcols)
-                    else:
-                        t = pq.read_table(f, columns=rcols)
-                    samples.append(range_sample(t[range_partition_col]))
-                    w += int(pc.sum(t[weight_col]).as_py() or 0) \
-                        if weight_col else t.num_rows
-                return (np.concatenate(samples) if samples
-                        else np.empty(0), w)
-
-            parts = ray.get([range_partial.remote(g) for g in groups])
-            samples = np.concatenate([p[0] for p in parts]) if parts \
-                else np.empty(0)
-            plan = build_range_plan(samples, sum(p[1] for p in parts),
-                                    cap, range_partition_col)
-            _save_range_plan(out_dir, generation, plan)
-    else:
+    def key_plan(cols):
         totals: dict[str, int] = {}
-        for part in ray.get([file_partial.remote(g) for g in groups]):
-            for k, w in part.items():
-                totals[k] = totals.get(k, 0) + w
-        plan = Plan({k: max(1, -(-w // cap)) for k, w in totals.items()},
-                    key_col, id_col, cap, source_weights=totals)
-    if os.environ.get("ARCADE_TIMING"):
-        import sys as _sys
+        for t in pieces(functools.partial(key_weights, key_col=key_col,
+                                          weight_col=weight_col), cols):
+            for k, w in zip(t["k"].to_pylist(), t["w"].to_pylist()):
+                totals[k] = totals.get(k, 0) + int(w)
+        return plan_from_totals(totals, key_col, id_col, weight_col,
+                                weight_cap)
 
-        print(f"[arcade-timing] plan_wave="
-              f"{_time.perf_counter() - _t_plan0:.3f}s "
-              f"plan_tasks={len(groups)}", file=_sys.stderr)
-    pid_keys = _apply_generation(plan.part_keys(), generation)
-    done_pids = pa.array(
-        [i for i, k in enumerate(pid_keys) if k in done], type=pa.int64()
-    )
+    def range_parts(cols):
+        return pieces(functools.partial(
+            _range_partial, range_col=range_partition_col,
+            weight_col=weight_col), cols)
 
-    from ..planner import RangePlan, assign_range_pids
-
-    def assign(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            # schema-less empty blocks (Ray's union/map plumbing emits
-            # them) carry no rows to route — and may not even have the
-            # key column to route by
-            return pa.table({"_pid": pa.array([], pa.int64())})
-        out = assign_range_pids(batch, plan) if isinstance(plan, RangePlan) \
-            else assign_part_keys(batch, plan)
-        if len(done_pids):
-            keep = pc.invert(pc.is_in(out["_pid"], value_set=done_pids))
-            out = out.filter(keep)
-        return out
-
-    if exchange is None:
-        uniq_paths = {(f[0] if isinstance(f, tuple) else f) for f in files}
-        on_disk = sum(os.path.getsize(p) for p in uniq_paths)
-        exchange = "disk" if on_disk > DISK_EXCHANGE_BYTES else "direct"
-    tables = _run_direct_exchange(groups, pid_keys, plan.pid_weights(),
-                                  set(done), out_dir, sort_by, assign,
-                                  mode="disk" if exchange == "disk" else "objects",
-                                  generation=generation or "")
-    all_rows = list(done.values())
-    for t in tables:
-        all_rows.extend(t.to_pylist())
-    manifest = _manifest_schema_table(sorted(all_rows, key=lambda r: r["part_key"]))
-    _write_consolidated(out_dir, manifest)
-    return manifest
+    return _encode(out_dir, set(schema.names), schema, key_plan,
+                   range_parts, lambda: groups,
+                   "disk" if exchange == "disk" else "objects",
+                   key_col=key_col, id_col=id_col, weight_col=weight_col,
+                   weight_cap=weight_cap, resume=resume,
+                   sort_partitions_by=sort_partitions_by,
+                   generation=generation,
+                   range_partition_col=range_partition_col,
+                   zorder_cols=zorder_cols)
 
 
 def ensure_row_files(out_dir: str) -> None:

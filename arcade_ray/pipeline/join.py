@@ -18,12 +18,14 @@ shaped:
 No shuffle: the join moves only the build table (once) and the
 matching output rows. The scale assumption — build side fits a worker
 heap — is asserted loudly (``max_build_rows``); for two large tables
-use the partitioned exchange in pipeline/encode.py to co-partition
-both sides on the key and zip partitions instead.
+use :func:`copartition_join`, which co-partitions both sides on the
+key through the fragment exchange (arcade_ray/exchange.py) and joins
+bucket by bucket instead.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -111,8 +113,9 @@ def copartition_join(left_dir: str, right_dir: str, left_key: str,
     """Hash CO-PARTITIONED join of two large ENCODED datasets: one
     split task per encoded partition per side decodes key+projection
     columns and fans rows out to per-key-hash bucket fragments
-    (``ray.put`` from inside the task, or Arrow-IPC shuffle files in
-    ``mode="disk"``), then one task per bucket joins its two
+    (the fragment exchange, arcade_ray/exchange.py: object-store
+    fragments, or Arrow-IPC shuffle files in ``mode="disk"``), then
+    one task per bucket joins its two
     fragment sets with Arrow's vectorized hash join. One data
     movement per side, no sort comparisons, join parallelism =
     n_buckets; ``salt="auto"`` spreads hot left keys (see
@@ -700,9 +703,11 @@ def dataset_join(left, right, left_key, right_key,
     - ``"copartition"``: both sides fan out to per-key-hash bucket
       fragments (one split task per encoded partition or stream
       block; NULL keys bucket null-safely) and one Arrow join runs
-      per bucket. ``mode="disk"`` stages fragments as Arrow-IPC
-      shuffle files (bounded object-store footprint); auto-selected
-      above ``ARCADE_DISK_EXCHANGE_BYTES`` like the other exchanges.
+      per bucket, through the fragment exchange
+      (arcade_ray/exchange.py). ``mode`` is its sink: ``"objects"``,
+      or ``"disk"`` for Arrow-IPC shuffle files (bounded object-store
+      footprint); ``None`` applies the exchange's auto rule to both
+      sides' manifest raw_bytes (a stream's metadata size).
 
     ``left_key`` / ``right_key`` may be a single column or a list
     (multi-equality ON): fragments bucket on the FIRST key pair (rows
@@ -880,17 +885,14 @@ def dataset_join(left, right, left_key, right_key,
         raise ValueError(f"strategy must be broadcast/copartition, "
                          f"got {strategy!r}")
 
-    from ..collect import split_by_bucket
-    from ..diskex import (DISK_EXCHANGE_BYTES, bucket_dir, drain_bounded,
-                          make_shuffle_dir, read_bucket,
-                          write_bucket_frags)
+    from ..exchange import auto_mode, dataset_bytes, read, stage
 
     if left_is_dir:
         l_srcs: list = l_paths
     else:
         mds = left.materialize()
         l_srcs = mds.to_arrow_refs()
-        l_bytes = int(mds.size_bytes() or 0)
+        l_bytes = dataset_bytes(mds) or 0
         if l_srcs:
             first = ray.get(l_srcs[0])
             missing = [c for c in left_need
@@ -911,93 +913,29 @@ def dataset_join(left, right, left_key, right_key,
                 c: pa.array([], type=types[names.index(c)])
                 for c in left_need})
     if mode is None:
-        mode = "disk" if (l_bytes + r_bytes) > DISK_EXCHANGE_BYTES \
-            else "objects"
+        mode = auto_mode(l_bytes + r_bytes)
 
-    if mode == "disk":
-        sh_l = make_shuffle_dir("joinL")
-        sh_r = make_shuffle_dir("joinR")
+    def route(keys: list[str], cols: list[str], rep: bool, src):
+        t = decode_partition(src, columns=cols) \
+            if isinstance(src, str) else src.select(cols)
+        h = null_safe_buckets(t[keys[0]], n_buckets)
+        return _salted_buckets(t, keys[0], h, hot, n_buckets,
+                               salt_factor, rep)
 
-        @ray.remote
-        def split_disk(src, keys: list[str], cols: list[str],
-                       sdir: str, si: int, rep: bool) -> int:
-            _pin_arrow_threads()
-            t = decode_partition(src, columns=cols) \
-                if isinstance(src, str) else src.select(cols)
-            h = null_safe_buckets(t[keys[0]], n_buckets)
-            t, h = _salted_buckets(t, keys[0], h, hot, n_buckets,
-                                   salt_factor, rep)
-            return write_bucket_frags(t, h, n_buckets, sdir, si)
+    l_stage = stage(functools.partial(route, lkeys, left_need, False),
+                    l_srcs, n_buckets, mode, "joinL")
+    r_srcs = ([right] if right.num_rows else []) if right_is_mem \
+        else r_paths
+    r_stage = stage(functools.partial(route, rkeys, right_need, True),
+                    r_srcs, n_buckets, mode, "joinR")
+    l_has = [p is not None for p in l_stage.parts]
+    r_has = [p is not None for p in r_stage.parts]
 
-        max_inflight = max(4, int(ray.cluster_resources().get("CPU", 8)))
-        pending: list = []
-        for si, src in enumerate(l_srcs):
-            pending.append(split_disk.remote(src, lkeys, left_need,
-                                             sh_l, si, False))
-            pending = drain_bounded(pending, max_inflight)
-        if right_is_mem:
-            if right.num_rows:
-                h = null_safe_buckets(right[rkeys[0]], n_buckets)
-                t, h = _salted_buckets(right.select(right_need),
-                                       rkeys[0], h, hot, n_buckets,
-                                       salt_factor, True)
-                write_bucket_frags(t, h, n_buckets, sh_r, 0)
-        else:
-            for si, p in enumerate(r_paths):
-                pending.append(split_disk.remote(p, rkeys, right_need,
-                                                 sh_r, si, True))
-                pending = drain_bounded(pending, max_inflight)
-        ray.get(pending)
-        l_has = [os.path.isdir(bucket_dir(sh_l, b))
-                 for b in range(n_buckets)]
-        r_has = [os.path.isdir(bucket_dir(sh_r, b))
-                 for b in range(n_buckets)]
-
-        def fetch(b: int):
-            lt = read_bucket(sh_l, b)
-            rt = read_bucket(sh_r, b)
-            return (lt if lt is not None else l_empty,
-                    rt if rt is not None else r_empty)
-    else:
-
-        @ray.remote
-        def split(src, keys: list[str], cols: list[str], rep: bool):
-            _pin_arrow_threads()
-            t = decode_partition(src, columns=cols) \
-                if isinstance(src, str) else src.select(cols)
-            h = null_safe_buckets(t[keys[0]], n_buckets)
-            t, h = _salted_buckets(t, keys[0], h, hot, n_buckets,
-                                   salt_factor, rep)
-            return split_by_bucket(t, h, n_buckets)
-
-        l_lists = ray.get([split.remote(src, lkeys, left_need, False)
-                           for src in l_srcs])
-        if right_is_mem:
-            if right.num_rows:
-                h = null_safe_buckets(right[rkeys[0]], n_buckets)
-                t, h = _salted_buckets(right.select(right_need),
-                                       rkeys[0], h, hot, n_buckets,
-                                       salt_factor, True)
-                r_lists = [split_by_bucket(t, h, n_buckets)]
-            else:
-                r_lists = []
-        else:
-            r_lists = ray.get([split.remote(p, rkeys, right_need, True)
-                               for p in r_paths])
-        l_frags = [[fl[b] for fl in l_lists if fl[b] is not None]
-                   for b in range(n_buckets)]
-        r_frags = [[fl[b] for fl in r_lists if fl[b] is not None]
-                   for b in range(n_buckets)]
-        l_has = [bool(f) for f in l_frags]
-        r_has = [bool(f) for f in r_frags]
-
-        def fetch(b: int):
-            lt = [ray.get(r) for r in l_frags[b]]
-            rt = [ray.get(r) for r in r_frags[b]]
-            return (pa.concat_tables(lt).combine_chunks() if lt
-                    else l_empty,
-                    pa.concat_tables(rt).combine_chunks() if rt
-                    else r_empty)
+    def fetch(b: int):
+        lt = read(l_stage.parts[b])
+        rt = read(r_stage.parts[b])
+        return (lt if lt is not None else l_empty,
+                rt if rt is not None else r_empty)
 
     if arrow_how in ("inner", "left semi"):
         live = [b for b in range(n_buckets) if l_has[b] and r_has[b]]

@@ -108,11 +108,12 @@ def encode_streaming(ds, out_dir: str, key_col: str = "source",
 
     import ray
 
-    from .encode import MANIFEST_DIR, PARTS_DIR, _avail_cpus
+    from ..exchange import avail_cpus
+    from .encode import MANIFEST_DIR, PARTS_DIR
 
     os.makedirs(os.path.join(out_dir, PARTS_DIR), exist_ok=True)
     os.makedirs(os.path.join(out_dir, MANIFEST_DIR), exist_ok=True)
-    n = n_actors or max(1, min(8, _avail_cpus() - 1))
+    n = n_actors or max(1, min(8, avail_cpus() - 1))
     Actor = ray.remote(_StreamingEncoderState)
     actors = [
         Actor.remote(out_dir, i, key_col, weight_col, weight_cap)

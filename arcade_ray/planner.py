@@ -63,34 +63,50 @@ class Plan:
         return self.part_keys()
 
 
+def key_weights(batch: pa.Table, key_col: str,
+                weight_col: str | None) -> pa.Table:
+    """Planning partial of one batch: ``k`` (source key as string, null
+    keys grouped under "") and ``w`` (weight sum, or row count)."""
+    keys = batch[key_col]
+    if not pa.types.is_string(keys.type):
+        keys = keys.cast(pa.string())
+    keys = pc.fill_null(keys, "")  # null keys group under ""
+    if weight_col is not None:
+        g = pa.table({"k": keys, "w": batch[weight_col].cast(pa.int64())}) \
+            .group_by("k").aggregate([("w", "sum")])
+        return pa.table({"k": g["k"], "w": g["w_sum"]})
+    g = pa.table({"k": keys}).group_by("k").aggregate([("k", "count")])
+    return pa.table({"k": g["k"], "w": g["k_count"].cast(pa.int64())})
+
+
+def part_cap(weight_col: str | None, weight_cap: int | None) -> int:
+    """Partition weight cap: tokens when a weight column is given, else rows."""
+    return weight_cap or (DEFAULT_PART_TOKEN_CAP if weight_col is not None
+                          else DEFAULT_PART_ROW_CAP)
+
+
+def plan_from_totals(totals: dict[str, int], key_col: str, id_col: str,
+                     weight_col: str | None = None,
+                     weight_cap: int | None = None) -> Plan:
+    """The plan for merged per-source weights: each source splits into
+    ceil(weight / cap) hash buckets."""
+    cap = part_cap(weight_col, weight_cap)
+    buckets = {k: max(1, -(-w // cap)) for k, w in totals.items()}
+    return Plan(buckets, key_col, id_col, cap, source_weights=totals)
+
+
 def build_plan(ds, key_col: str, id_col: str, weight_col: str | None = None,
                weight_cap: int | None = None) -> Plan:
     """Planning aggregate: per-source row count + weight sum, computed
     as per-batch PARTIAL aggregates merged on the driver — one streaming
     pass, no shuffle (pre-aggregation pattern; the partial output is one
     row per source per batch, tiny). ``ds`` is a ray.data.Dataset."""
-    cap = weight_cap or (
-        DEFAULT_PART_TOKEN_CAP if weight_col is not None else DEFAULT_PART_ROW_CAP
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        keys = batch[key_col]
-        if not pa.types.is_string(keys.type):
-            keys = keys.cast(pa.string())
-        keys = pc.fill_null(keys, "")  # null keys group under ""
-        if weight_col is not None:
-            g = pa.table({"k": keys, "w": batch[weight_col].cast(pa.int64())}) \
-                .group_by("k").aggregate([("w", "sum")])
-            return pa.table({"k": g["k"], "w": g["w_sum"]})
-        g = pa.table({"k": keys}).group_by("k").aggregate([("k", "count")])
-        return pa.table({"k": g["k"], "w": g["k_count"].cast(pa.int64())})
-
-    partials = ds.map_batches(partial, batch_format="pyarrow").take_all()
+    partials = ds.map_batches(lambda b: key_weights(b, key_col, weight_col),
+                              batch_format="pyarrow").take_all()
     totals: dict[str, int] = {}
     for row in partials:
         totals[row["k"]] = totals.get(row["k"], 0) + int(row["w"])
-    buckets = {k: max(1, -(-w // cap)) for k, w in totals.items()}
-    return Plan(buckets, key_col, id_col, cap, source_weights=totals)
+    return plan_from_totals(totals, key_col, id_col, weight_col, weight_cap)
 
 
 def assign_part_keys(batch: pa.Table, plan: Plan) -> pa.Table:

@@ -467,37 +467,6 @@ def test_copartition_join_disk_parity(two_tables):
         assert key(obj) == key(dsk), jt
 
 
-def test_copartition_join_auto_mode_threshold(two_tables, monkeypatch):
-    """mode=None auto-selects disk above ARCADE_DISK_EXCHANGE_BYTES
-    (manifest raw_bytes of both sides) and objects below it."""
-    from arcade_ray.pipeline import join as J
-
-    o_dir, c_dir, orders, cust = two_tables
-    kw = dict(left_key="o_custkey", right_key="c_custkey",
-              left_cols=["o_orderkey"], right_cols=["c_seg"])
-    import arcade_ray.diskex as dx
-
-    calls = []
-    real = dx.make_shuffle_dir
-
-    def spy(tag):
-        calls.append(tag)
-        return real(tag)
-
-    monkeypatch.setattr(dx, "make_shuffle_dir", spy)
-    # tiny threshold -> disk engaged
-    monkeypatch.setattr(dx, "DISK_EXCHANGE_BYTES", 1)
-    monkeypatch.setattr(J, "copartition_join", J.copartition_join)
-    n1 = collect_arrow(J.copartition_join(o_dir, c_dir, **kw)).num_rows
-    assert any("join" in c for c in calls), "disk mode not auto-selected"
-    calls.clear()
-    # huge threshold -> objects
-    monkeypatch.setattr(dx, "DISK_EXCHANGE_BYTES", 1 << 60)
-    n2 = collect_arrow(J.copartition_join(o_dir, c_dir, **kw)).num_rows
-    assert not calls
-    assert n1 == n2
-
-
 @pytest.fixture(scope="module")
 def empty_encoded(ray_session, tmp_path_factory):
     """A valid encoded dir with ZERO committed partitions (empty input
