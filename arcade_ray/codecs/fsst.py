@@ -12,14 +12,19 @@ The reference engine has no FSST — its string palette is
 dict/plain/snappy (src/writer.cpp:63-187); FSST is part of the widened
 palette mandated by BASELINE.json:north_star.
 
-Pure Python/numpy; the encoder is a per-byte greedy longest-match loop
-(bounded by symbol length <= 8 with a per-first-byte max-length table),
-used only when the cost model says FSST wins on estimated bytes.
+Table training is vectorised numpy: each generation re-encodes the
+sample, tallies unit and adjacent-pair gains with two bincounts over
+integer keys (a string of <= 8 bytes is a uint64 plus a length) and
+keeps the 255 best. Streams are encoded by the native C kernel (true
+greedy, codecs/native.py) or, without a compiler, by the block-parallel
+numpy walk (fsst_vec.py); ``compress_scalar``'s per-byte greedy loop is
+the reference both are checked against. The cost model encodes a full
+stream only when FSST wins on estimated bytes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import numpy as np
 
 from ..constants import (
     FSST_ESCAPE,
@@ -71,8 +76,6 @@ def _parse_codes(encoded: bytes):
     contiguous 255 bytes immediately before it is ODD (the run head is
     always a unit start — its predecessor is not 255 — and escapes
     alternate escape/literal from there)."""
-    import numpy as np
-
     s = np.frombuffer(encoded, dtype=np.uint8)
     n = len(s)
     idx = np.arange(n, dtype=np.int64)
@@ -92,52 +95,88 @@ def _parse_codes(encoded: bytes):
     return codes
 
 
-def _tally_gains(encoded: bytes, symbols: list[bytes]) -> Counter:
+def _unit_words(symbols: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """Every unit of an encoded stream as (big-endian value, length):
+    code c < 256 is symbols[c], code 256 + b the escaped byte b. A
+    string of <= 8 bytes is identified by its value AND its length
+    (b"a" and b"\\0a" share the value 0x61)."""
+    val = np.empty(512, dtype=np.uint64)
+    val[256:] = np.arange(256, dtype=np.uint64)
+    ln = np.ones(512, dtype=np.int64)
+    k = len(symbols)
+    if k:
+        ln[:k] = np.fromiter(map(len, symbols), dtype=np.int64, count=k)
+        val[:k] = np.frombuffer(
+            b"".join(s.rjust(8, b"\0") for s in symbols), dtype=">u8")
+    return val, ln
+
+
+def _tally_gains(encoded: bytes, symbols: list[bytes]):
     """gain(sym) = occurrences x len over the encoded sample, plus the
-    same for every adjacent-unit concatenation <= FSST_MAX_SYMBOL_LEN —
-    one bincount for units, one over packed pair keys for pairs."""
-    import numpy as np
-
+    same for every adjacent-unit concatenation <= FSST_MAX_SYMBOL_LEN:
+    one bincount for units, one over packed pair keys for pairs.
+    -> (value, length, gain, first) per distinct candidate string,
+    where ``first`` ranks its first appearance in the tally order
+    (units by code, then pairs by (left, right) code)."""
     codes = _parse_codes(encoded)
-    sym_len = np.ones(512, dtype=np.int64)
-    for c, sym in enumerate(symbols):
-        sym_len[c] = len(sym)
-
-    def unit_bytes(c: int) -> bytes:
-        return symbols[c] if c < 256 else bytes([c - 256])
-
-    gains: Counter[bytes] = Counter()
+    uval, ulen = _unit_words(symbols)
     cnt = np.bincount(codes, minlength=512)
-    for c in np.flatnonzero(cnt):
-        b = unit_bytes(int(c))
-        gains[b] += int(cnt[c]) * len(b)
+    units = np.flatnonzero(cnt)
+    vals, lens, counts = [uval[units]], [ulen[units]], [cnt[units]]
     if len(codes) > 1:
-        ln = sym_len[codes]
+        ln = ulen[codes]
         ok = (ln[:-1] + ln[1:]) <= FSST_MAX_SYMBOL_LEN
-        pk = codes[:-1].astype(np.int64) * 512 + codes[1:]
-        pcnt = np.bincount(pk[ok], minlength=0)
-        for key in np.flatnonzero(pcnt):
-            cat = unit_bytes(int(key) // 512) + unit_bytes(int(key) % 512)
-            gains[cat] += int(pcnt[key]) * len(cat)
-    return gains
+        # pair keys over the codes present, renumbered densely in code
+        # order (keys keep their (left, right) order in fewer bins)
+        m = len(units)
+        dense = np.zeros(512, dtype=np.int64)
+        dense[units] = np.arange(m)
+        d = dense[codes]
+        pcnt = np.bincount((d[:-1] * m + d[1:])[ok], minlength=0)
+        keys = np.flatnonzero(pcnt)
+        left, right = units[keys // m], units[keys % m]
+        shift = (8 * ulen[right]).astype(np.uint64)
+        vals.append((uval[left] << shift) | uval[right])
+        lens.append(ulen[left] + ulen[right])
+        counts.append(pcnt[keys])
+    val, ln = np.concatenate(vals), np.concatenate(lens)
+    gain = np.concatenate(counts) * ln
+    # one candidate per distinct string (two splits of one string, or
+    # a pair spelling a unit, add up); a stable sort keeps each
+    # group's first appearance at its head
+    order = np.lexsort((val, ln))
+    val, ln = val[order], ln[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (val[1:] != val[:-1]) | (ln[1:] != ln[:-1])
+    starts = np.flatnonzero(head)
+    return (val[starts], ln[starts], np.add.reduceat(gain[order], starts),
+            order[starts])
+
+
+def _top_symbols(val: np.ndarray, ln: np.ndarray, gain: np.ndarray,
+                 first: np.ndarray) -> list[bytes]:
+    """The FSST_MAX_SYMBOLS best candidates: gain descending, ties by
+    first appearance (collections.Counter.most_common's order)."""
+    top = np.lexsort((first, -gain))[:FSST_MAX_SYMBOLS]
+    return [int(v).to_bytes(int(n), "big") for v, n in zip(val[top], ln[top])]
 
 
 def build_symbol_table(sample: bytes) -> list[bytes]:
-    """Iterative greedy construction: start from frequent single bytes,
-    then repeatedly re-encode the sample and promote high-gain symbols
-    and concatenations of adjacent symbols (tally vectorized — the
-    per-unit Python walk dominated encode_str_values once the encode
-    itself went native)."""
+    """Iterative greedy construction: start from the most frequent
+    single bytes, then repeatedly re-encode the sample and promote the
+    highest-gain symbols and concatenations of adjacent symbols."""
     sample = sample[:FSST_SAMPLE_BYTES]
     if not sample:
         return []
     from .fsst_vec import encode_stream
 
-    symbols: list[bytes] = [bytes([b]) for b, _ in Counter(sample).most_common(FSST_MAX_SYMBOLS)]
+    byte, first, count = np.unique(np.frombuffer(sample, dtype=np.uint8),
+                                   return_index=True, return_counts=True)
+    symbols = _top_symbols(byte.astype(np.uint64), np.ones_like(first),
+                           count, first)
     for _ in range(FSST_GENERATIONS):
         encoded = encode_stream(sample, symbols)
-        gains = _tally_gains(encoded, symbols)
-        symbols = [s for s, _ in gains.most_common(FSST_MAX_SYMBOLS)]
+        symbols = _top_symbols(*_tally_gains(encoded, symbols))
     return symbols
 
 
@@ -199,15 +238,16 @@ def decompress(table_blob: bytes, stream: bytes) -> bytes:
     return b"".join(out)
 
 
-def estimate_plan(data: bytes) -> tuple[float, int, list[bytes]]:
-    """Sample-compress -> (ratio, table bytes, symbol table). The table
-    is built ONCE here and reusable for the full encode (the sample IS
-    the table-build input, so rebuilding yields the same table)."""
+def estimate_plan(data: bytes) -> tuple[float, int, list[bytes], bytes | None]:
+    """Sample-compress -> (ratio, table bytes, symbol table, stream).
+    The table is built ONCE here and reusable for the full encode (the
+    sample IS the table-build input, so rebuilding yields the same
+    table). When the sample is all of ``data``, ``stream`` is its
+    finished encoding, else None."""
     sample = data[:FSST_SAMPLE_BYTES]
     if not sample:
-        return 1.0, 1, []
+        return 1.0, 1, [], None
     symbols = build_symbol_table(sample)
     tbl, enc = compress(sample, symbols)
-    return len(enc) / len(sample), len(tbl), symbols
-
-
+    stream = enc if len(sample) == len(data) else None
+    return len(enc) / len(sample), len(tbl), symbols, stream

@@ -43,58 +43,53 @@ from ..constants import FSST_ESCAPE
 
 BLOCK = 512
 SEG = BLOCK * 16384  # 8 MB segments -> 64 MB window buffer, bounded
+_HASH_MULS = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
+                       0xFF51AFD7ED558CCD, 0x2545F4914F6CDD1D],
+                      dtype=np.uint64)
 
 
 class _Matcher:
     """Greedy longest-match lookup vectorized over cursor positions."""
 
     def __init__(self, symbols: list[bytes]):
+        k = len(symbols)
+        lens = np.fromiter(map(len, symbols), dtype=np.int64, count=k)
+        # symbols left-aligned in big-endian words: the top byte is the
+        # first symbol byte, as in the 8-byte windows they match against
+        left = np.frombuffer(b"".join(s.ljust(8, b"\0") for s in symbols),
+                             dtype=">u8").astype(np.uint64)
+        codes = np.arange(k, dtype=np.int64)
         self.lut1 = np.full(256, -1, dtype=np.int16)
         self.lut2 = np.full(65536, -1, dtype=np.int16)
-        groups: dict[int, list[tuple[bytes, int]]] = {}
-        for code, s in enumerate(symbols):
-            if len(s) == 1:
-                self.lut1[s[0]] = code
-            elif len(s) == 2:
-                self.lut2[(s[0] << 8) | s[1]] = code
-            else:
-                groups.setdefault(int.from_bytes(s[:3], "big"),
-                                  []).append((s, code))
-        self.has2 = bool((self.lut2 >= 0).any())
+        one, two = lens == 1, lens == 2
+        self.lut1[(left[one] >> np.uint64(56)).astype(np.int64)] = codes[one]
+        at2 = (left[two] >> np.uint64(48)).astype(np.int64)
+        self.lut2[at2] = codes[two]
+        self.has2 = bool(len(at2))
         # fused short-code table over the FIRST TWO bytes (the real
         # FSST's shortCodes idea): one gather yields the best <=2-byte
         # match (code -1 never escapes the matcher: a zero length
         # routes the cursor to the escape path)
-        w = np.arange(65536, dtype=np.int64)
-        self.s_len = np.where(self.lut2 >= 0, 2,
-                              np.where(self.lut1[w >> 8] >= 0, 1, 0)) \
-            .astype(np.int8)
-        self.s_code = np.where(self.lut2 >= 0, self.lut2,
-                               self.lut1[w >> 8]).astype(np.int16)
-        if not groups:
+        self.s_code = np.repeat(self.lut1, 256)
+        self.s_len = (self.s_code >= 0).astype(np.int8)
+        self.s_code[at2] = codes[two]
+        self.s_len[at2] = 2
+        long_ = np.flatnonzero(lens >= 3)
+        if not len(long_):
             self.p3 = None
             return
-        keys = sorted(groups)
-        self.p3 = np.array(keys, dtype=np.uint64)
-        offs = [0]
-        m_cmp: list[int] = []
-        m_shift: list[int] = []
-        m_len: list[int] = []
-        m_code: list[int] = []
-        for k in keys:
-            # longest first within a group -> the first candidate hit
-            # per cursor IS the greedy longest match
-            for s, code in sorted(groups[k], key=lambda t: -len(t[0])):
-                m_cmp.append(int.from_bytes(s, "big"))
-                m_shift.append(8 * (8 - len(s)))
-                m_len.append(len(s))
-                m_code.append(code)
-            offs.append(len(m_cmp))
-        self.g_off = np.array(offs, dtype=np.int64)
-        self.m_cmp = np.array(m_cmp, dtype=np.uint64)
-        self.m_shift = np.array(m_shift, dtype=np.uint64)
-        self.m_len = np.array(m_len, dtype=np.int64)
-        self.m_code = np.array(m_code, dtype=np.uint8)
+        # length>=3 symbols grouped by their 3-byte prefix, groups in
+        # prefix order, longest first within a group -> the first
+        # candidate hit per cursor IS the greedy longest match
+        prefix = left[long_] >> np.uint64(40)
+        order = long_[np.lexsort((long_, -lens[long_], prefix))]
+        self.p3, counts = np.unique(prefix, return_counts=True)
+        self.g_off = np.zeros(len(self.p3) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.g_off[1:])
+        self.m_len = lens[order]
+        self.m_shift = (8 * (8 - self.m_len)).astype(np.uint64)
+        self.m_cmp = left[order] >> self.m_shift
+        self.m_code = order.astype(np.uint8)
         # has_long marks the 2-byte prefixes owning any longer symbol,
         # so only that cursor subset enters the group search
         self.has_long = np.zeros(65536, dtype=bool)
@@ -105,26 +100,31 @@ class _Matcher:
         # be collision-free among the table's OWN keys — a few K tries
         # over growing table sizes always lands (256 keys in <= 2^16
         # slots). Turns the per-iteration searchsorted (7 binary-search
-        # passes) into one multiply + shift + gather.
+        # passes) into one multiply + shift + gather. Every (bits, K)
+        # pair is tried in one batch; the first collision-free one in
+        # (bits, K) order wins.
         self.h_bits = None
-        for bits in range(max(8, int(np.ceil(np.log2(len(keys)))) + 2), 17):
-            for k_mul in (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
-                          0xFF51AFD7ED558CCD, 0x2545F4914F6CDD1D):
-                h = ((self.p3 * np.uint64(k_mul))
-                     >> np.uint64(64 - bits)).astype(np.int64)
-                if len(np.unique(h)) == len(keys):
-                    self.h_bits = np.uint64(64 - bits)
-                    self.h_mul = np.uint64(k_mul)
-                    self.h_slot = np.zeros(1 << bits, dtype=np.int64)
-                    # sentinel > any 24-bit prefix: empty slots never
-                    # match (v3 == 0 is a legal prefix of zero bytes)
-                    self.h_key = np.full(1 << bits, 1 << 63,
-                                         dtype=np.uint64)
-                    self.h_slot[h] = np.arange(len(keys), dtype=np.int64)
-                    self.h_key[h] = self.p3
-                    break
-            if self.h_bits is not None:
-                break
+        n_keys = len(self.p3)
+        bits = np.arange(max(8, int(np.ceil(np.log2(n_keys))) + 2), 17)
+        if not len(bits):  # pragma: no cover - at most 253 keys
+            return
+        shifts = (64 - bits).astype(np.uint64)
+        prod = self.p3[None, :] * _HASH_MULS[:, None]
+        h = np.sort(prod[None, :, :] >> shifts[:, None, None], axis=2)
+        clean = ~(h[:, :, 1:] == h[:, :, :-1]).any(axis=2)
+        if not clean.any():  # pragma: no cover - hash always lands
+            return
+        b_i, m_i = divmod(int(np.argmax(clean.ravel())), len(_HASH_MULS))
+        nbits = int(bits[b_i])
+        self.h_bits = shifts[b_i]
+        self.h_mul = _HASH_MULS[m_i]
+        h = ((self.p3 * self.h_mul) >> self.h_bits).astype(np.int64)
+        self.h_slot = np.zeros(1 << nbits, dtype=np.int64)
+        # sentinel > any 24-bit prefix: empty slots never match
+        # (v3 == 0 is a legal prefix of zero bytes)
+        self.h_key = np.full(1 << nbits, 1 << 63, dtype=np.uint64)
+        self.h_slot[h] = np.arange(n_keys, dtype=np.int64)
+        self.h_key[h] = self.p3
 
     def match(self, v8: np.ndarray, c_glob: np.ndarray, n: int,
               guard: bool):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..bitpack import bits_needed, pack_bits, packed_nbytes, unpack_bits
 from ..constants import ESTIMATE_SAMPLE_BYTES, PLAIN_DISTINCT_RATIO
@@ -206,10 +207,18 @@ def _dict_est(p: IntProfile, tag: str):
     return packed_nbytes(d - 1, wd) + packed_nbytes(p.n, wc) + 24
 
 
+def _dict_codes(uvals: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Position of each value in the sorted distinct set ``uvals``
+    (which holds every value), by hash lookup: a binary search costs
+    log2(d) passes over the stream."""
+    return pc.index_in(vals, value_set=pa.array(uvals)).to_numpy() \
+        .astype(np.uint64)
+
+
 def _dict_enc(vals: np.ndarray, p: IntProfile, tag: str):
     uvals = p.unique
     d = len(uvals)
-    codes = np.searchsorted(uvals, vals).astype(np.uint64)
+    codes = _dict_codes(uvals, vals)
     deltas = _dict_deltas(uvals) if d > 1 else np.empty(0, np.uint64)
     wd = bits_needed(int(deltas.max())) if len(deltas) else 0
     wc = bits_needed(d - 1)
@@ -316,10 +325,6 @@ def _alp_build(vals: np.ndarray, p: IntProfile, tag: str):
     return payload, meta
 
 
-def _alp_est(p: IntProfile, tag: str):
-    return None  # needs values; probed in choose_int_codec
-
-
 def _alp_enc(vals: np.ndarray, p: IntProfile, tag: str):
     built = _alp_build(vals, p, tag)
     if built is None:
@@ -356,15 +361,10 @@ _zstd = pa.Codec("zstd", 1)
 _GP = {"snappy": _snappy, "zstd": _zstd}
 
 
-def _gp_est(p: IntProfile, tag: str):
-    if p.n == 0:
-        return None
-    # sample-based ratio over the plain representation
-    itemsize = _ITEMSIZE[tag]
-    total = p.n * itemsize
-    if total < 1024:
-        return None
-    return None  # estimated lazily in choose_int_codec (needs values)
+def _no_est(p: IntProfile, tag: str):
+    """gp and alp need the values: choose_int_codec sample-compresses
+    (gp) or builds the stream outright (alp)."""
+    return None
 
 
 def _gp_enc(vals: np.ndarray, p: IntProfile, tag: str):
@@ -387,8 +387,8 @@ INT_CODECS = {
     "delta": (_delta_est, _delta_enc, _delta_dec),
     "rle": (_rle_est, _rle_enc, _rle_dec),
     "dict": (_dict_est, _dict_enc, _dict_dec),
-    "gp": (_gp_est, _gp_enc, _gp_dec),
-    "alp": (_alp_est, _alp_enc, _alp_dec),
+    "gp": (_no_est, _gp_enc, _gp_dec),
+    "alp": (_no_est, _alp_enc, _alp_dec),
 }
 
 

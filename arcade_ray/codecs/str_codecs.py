@@ -16,7 +16,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..bitpack import bits_needed, pack_bits, packed_nbytes, unpack_bits
-from ..constants import ESTIMATE_SAMPLE_BYTES, PLAIN_DISTINCT_RATIO
+from ..constants import PLAIN_DISTINCT_RATIO
 from ..profile import StrProfile, profile_str
 from . import fsst
 
@@ -25,9 +25,11 @@ _zstd = pa.Codec("zstd", 1)  # gp codec: strictly better ratio than snappy
 _GP = {"snappy": _snappy, "zstd": _zstd}
 
 # FSST must beat the gp codec by this factor to be chosen when only
-# the pure-numpy encoder is available (~25 MB/s; a near-tie is not
-# worth it). With the native kernel (~300 MB/s, codecs/native.py) FSST
-# contests at parity — it additionally buys random access.
+# the pure-numpy encoder is available (~20 MB/s against ~300 MB/s for
+# zstd-1; a near-tie is not worth it). With the native kernel (~200
+# MB/s, codecs/native.py) FSST contests at parity — it additionally
+# buys random access. (Encode speeds of 2 MB doc-id and word-text
+# streams, one core of an Intel Xeon cloud VM.)
 FSST_WIN_FACTOR = 0.9
 
 _native_ok: bool | None = None
@@ -70,10 +72,13 @@ def encode_str_values(lengths: np.ndarray, data: bytes) -> tuple[str, bytes, dic
         # projected win (a clear one when only the numpy encoder is
         # available — it is ~10x slower than zstd)
         win = 1.0 if _fsst_fast() else FSST_WIN_FACTOR
-        ratio, tbl_bytes, symbols = fsst.estimate_plan(data)
+        ratio, tbl_bytes, symbols, stream = fsst.estimate_plan(data)
         fsst_est = int(ratio * len(data)) + tbl_bytes
         if fsst_est < best_data_bytes * win:
-            tbl, stream = fsst.compress(data, symbols)
+            if stream is None:
+                tbl, stream = fsst.compress(data, symbols)
+            else:  # the estimate already encoded all of data
+                tbl = fsst.serialize_table(symbols)
             if len(tbl) + len(stream) < best_data_bytes:
                 return "fsst", len_payload + tbl + stream, {
                     "wl": wl, "n": len(lengths), "tl": len(tbl)
