@@ -194,7 +194,7 @@ def _routed_blocks(routed, mode: str):
     store all at once."""
     if mode == "disk":
         return (list(b.block_refs) for b in routed.iter_internal_ref_bundles())
-    return [[r] for r in routed.to_arrow_refs()]
+    return [[r] for r in iter_arrow_refs(routed)]
 
 
 def distributed_pair_verify(ds, cand_tab: pa.Table, id_col: str,
@@ -396,7 +396,7 @@ def _distributed_candidate_verify(ds, sig_ds, id_col: str,
         return pairs, vb, unique_rows2(np.concatenate([a, b]),
                                        np.concatenate([vb, vb]))
 
-    coarse = stage(route_coarse, hot_ds.to_arrow_refs(), n_coarse,
+    coarse = stage(route_coarse, iter_arrow_refs(hot_ds), n_coarse,
                    "objects", "coarse")
     pair_frags = stage(pairgen, [coarse.parts[c] for c in coarse.live()],
                        n_buckets, "objects", "pairs")
@@ -445,8 +445,40 @@ def fetch_by_ids(ds, id_col: str, ids, columns: list[str] | None = None) -> pa.T
     return collect_arrow(ds.map_batches(keep, batch_format="pyarrow"))
 
 
+def _block_to_arrow(block) -> pa.Table:
+    from ray.data.block import BlockAccessor
+
+    if isinstance(block, pa.Table):
+        return block
+    return BlockAccessor.for_block(block).to_arrow()
+
+
+def iter_arrow_refs(ds):
+    """Yield refs to ``ds``'s blocks as Arrow tables, running its plan
+    once, as the blocks stream off the executor. Blocks of a non-Arrow
+    bundle (pandas UDF output) are converted by a task, so a payload
+    never passes through the driver.
+
+    ``Dataset.to_arrow_refs()`` is not used: in Ray 2.49 it asks for the
+    schema after iterating, and that runs the whole plan a second time
+    under ``limit(1)`` (every UDF and shuffle upstream of it again)."""
+    import ray
+
+    convert = None
+    for bundle in ds.iter_internal_ref_bundles():
+        if bundle.schema is None or isinstance(bundle.schema, pa.Schema):
+            yield from bundle.block_refs
+            continue
+        if convert is None:
+            convert = ray.remote(_block_to_arrow)
+        for ref in bundle.block_refs:
+            yield convert.remote(ref)
+
+
 def collect_arrow(ds) -> pa.Table:
-    """Concat a Dataset's blocks, tolerating Ray's schemaless empties.
+    """Concat a Dataset's blocks into one Arrow table. The caller's own
+    ``ds`` runs once (so its ``stats()`` describe that run), and
+    non-Arrow blocks are converted on the driver.
 
     groupby/map_groups (and some map_batches paths) emit zero-row
     blocks with an EMPTY schema (0 columns); pa.concat_tables raises
@@ -454,7 +486,8 @@ def collect_arrow(ds) -> pa.Table:
     if no block carries a schema, return the first (empty) block."""
     import ray
 
-    return _concat_typed(ray.get(ds.to_arrow_refs()))
+    refs = [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
+    return _concat_typed([_block_to_arrow(b) for b in ray.get(refs)])
 
 
 def _concat_typed(tables: list) -> pa.Table:

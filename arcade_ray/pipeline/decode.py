@@ -1,9 +1,11 @@
-"""Decode pipeline: manifest -> streaming per-partition decode tasks.
+"""Decode pipeline: manifest -> streaming partition-group decode tasks.
 
 The Ray Data analogue of the reference's coroutine scan generator
 (src/reader.cpp:146-195): a Dataset over manifest rows, each task
-decodes one partition file back to Arrow (optionally a projection) and
-the streaming executor pipelines/backpressures the blocks downstream.
+decodes one contiguous group of partition files back to Arrow
+(optionally a projection) and the streaming executor
+pipelines/backpressures the blocks downstream. :func:`map_partitions`
+sets the group count for this and every other per-partition read.
 
 Schema evolution: generations appended over time may carry DIFFERENT
 column sets (a new metadata column added mid-corpus). The scan merges
@@ -32,11 +34,43 @@ def _partition_colsets(manifest) -> dict[str, list[str]]:
     return out
 
 
+def partition_tasks(rows: list[dict]) -> int:
+    """Task count for a per-partition read over manifest ``rows``: two
+    terms of Ray Data's own parallelism rule, a floor of 2x the
+    cluster's CPUs and enough tasks that a task's share of the rows'
+    ``raw_bytes`` stays within ``DataContext.target_max_block_size``,
+    capped at one task per partition. Ray's 200-block floor is dropped:
+    a task costs about as much CPU to dispatch (~25 ms) as an average
+    partition takes to decode."""
+    from ray.data import DataContext
+
+    from ..exchange import avail_cpus
+
+    raw = sum(int(r.get("raw_bytes") or 0) for r in rows)
+    cap = DataContext.get_current().target_max_block_size
+    by_size = -(-raw // cap) if cap else 0  # None: no block-size bound
+    return max(1, min(len(rows), max(2 * avail_cpus(), by_size)))
+
+
+def map_partitions(rows: list[dict], fn):
+    """-> ray.data.Dataset of ``fn`` over contiguous groups of the
+    manifest ``rows``, in manifest order, one task per group
+    (:func:`partition_tasks`). ``fn`` gets a table with a ``path``
+    column, one row per partition, and returns one table for the
+    group."""
+    import ray.data as rd
+
+    return rd.from_items(
+        [{"path": r["path"]} for r in rows],
+        override_num_blocks=partition_tasks(rows),
+    ).map_batches(fn, batch_format="pyarrow", batch_size=None)
+
+
 def decode_dataset(out_dir: str, columns: list[str] | None = None,
-                   concurrency: int | None = None,
                    generation: str | None = None):
     """-> ray.data.Dataset of decoded rows (streaming, one task per
-    partition file). ``generation`` restricts the scan to one append
+    group of partition files, :func:`map_partitions`); each partition's
+    rows keep their order. ``generation`` restricts the scan to one append
     generation's partitions ("" = the base generation, i.e. partitions
     written without a generation namespace). Heterogeneous partition
     schemas (columns added in later generations) merge read-time:
@@ -46,7 +80,8 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
     from .encode import generation_of_row
 
     manifest = load_manifest(out_dir)
-    cols = [c for c in ("path", "part_key", "generation", "rows")
+    cols = [c for c in ("path", "part_key", "generation", "rows",
+                        "raw_bytes")
             if c in manifest.column_names]
     rows = manifest.select(cols).to_pylist()
     if generation is not None:
@@ -117,8 +152,6 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
                     pad_types[c] = _col_type(h["columns"][c])
                 need_type -= here
 
-    items = [{"path": p} for p in keep_paths]
-    paths_ds = rd.from_items(items)
     want_f, sets_f, rows_f = want, sets, part_rows
 
     def decode_batch(batch: pa.Table) -> pa.Table:
@@ -141,9 +174,4 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
             tables.append(t.select(want_f))
         return pa.concat_tables(tables)
 
-    # batch_size=1: one partition per task call; a partition is already
-    # a full Ray-block-sized unit of work.
-    return paths_ds.map_batches(
-        decode_batch, batch_format="pyarrow", batch_size=1,
-        concurrency=concurrency,
-    )
+    return map_partitions(rows, decode_batch)

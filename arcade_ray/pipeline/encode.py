@@ -244,6 +244,7 @@ def encode_dataset(ds, out_dir: str, key_col: str = "source",
     - ``"groupby"``: idiomatic ``groupby(_pid).map_groups`` — same
       semantics, kept as the parity reference.
     """
+    from ..collect import iter_arrow_refs
     from ..exchange import auto_mode, avail_cpus, dataset_bytes
 
     if exchange is None:
@@ -305,7 +306,7 @@ def encode_dataset(ds, out_dir: str, key_col: str = "source",
     def split_inputs():
         if mode == "disk":
             return _ref_groups(ds)
-        return _group(list(ds.to_arrow_refs()), max(16, avail_cpus()))
+        return _group(list(iter_arrow_refs(ds)), max(16, avail_cpus()))
 
     return _encode(out_dir, set(in_sch.names), arrow_schema, key_plan,
                    range_parts, split_inputs, mode, ds=ds,
@@ -387,14 +388,13 @@ def _encode(out_dir: str, names: set, schema: pa.Schema | None, key_plan,
     if all(k in done for k in pid_keys):
         pass  # resume of a finished run: the input is never read
     elif mode == "groupby":
-        import ray
+        from ..collect import collect_arrow
 
         encoded = ds.map_batches(assign, batch_format="pyarrow") \
             .groupby("_pid").map_groups(
                 lambda g: _manifest_schema_table(encode(0, g)),
                 batch_format="pyarrow")
-        for t in ray.get(encoded.to_arrow_refs()):
-            rows.extend(t.to_pylist())
+        rows.extend(collect_arrow(encoded).to_pylist())
     else:
         # encode-bucket count: >= 32 for balance, scaling with the
         # cluster. Over-granular fan-out (buckets >> cores) measurably
@@ -525,9 +525,11 @@ def _map_pieces(fn, group: list, columns: list[str]) -> list:
 def _ref_groups(ds, per: int = 4):
     """Block refs streamed off the executor in small groups — the
     input never materializes in the object store all at once."""
+    from ..collect import iter_arrow_refs
+
     group: list = []
-    for bundle in ds.iter_internal_ref_bundles():
-        group.extend(bundle.block_refs)
+    for ref in iter_arrow_refs(ds):
+        group.append(ref)
         if len(group) >= per:
             yield group
             group = []
@@ -892,8 +894,11 @@ def all_generations(out_dir: str) -> set[str]:
 
 
 def load_manifest(out_dir: str) -> pa.Table:
-    """Committed-partition manifest: prefers the consolidated parquet,
-    falls back to scanning row files (mid-run / crashed state)."""
+    """Committed-partition manifest: the per-partition row files,
+    sorted by ``part_key``, whenever any exist (commits, appends and
+    compactions write them); else the consolidated ``manifest.parquet``.
+    Paths are rebased onto ``out_dir`` either way. See
+    :func:`ensure_row_files` for why row files win."""
     import pyarrow.parquet as pq
 
     consolidated = os.path.join(out_dir, "manifest.parquet")

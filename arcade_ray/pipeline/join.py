@@ -10,10 +10,10 @@ shaped:
   placed in the object store with ``ray.put``, and fetched once per
   probe task — zero-copy from shared memory for same-node tasks,
   shipped once per node on a cluster. It is never re-sent per batch.
-- the PROBE side streams: one task per encoded partition decodes only
-  the projected columns (+ key), maps probe keys to build rows with a
-  vectorized ``pc.index_in``, and gathers the build columns with
-  ``take``.
+- the PROBE side streams: one task per group of encoded partitions
+  decodes only the projected columns (+ key), maps probe keys to build
+  rows with a vectorized ``pc.index_in``, and gathers the build columns
+  with ``take``.
 
 No shuffle: the join moves only the build table (once) and the
 matching output rows. The scale assumption — build side fits a worker
@@ -33,6 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..format import decode_partition
+from .decode import map_partitions
 from .encode import load_manifest
 
 DEFAULT_MAX_BUILD_ROWS = 50_000_000  # ~hundreds of MB of keys; guardrail
@@ -283,7 +284,6 @@ def broadcast_join(probe_dir: str, build_dir: str, probe_key,
     partition (the build-side hash table costs O(build) per task —
     the same class as index_in's per-call value-set hash)."""
     import ray
-    import ray.data as rd
 
     if how not in ("inner", "left"):
         raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
@@ -316,8 +316,7 @@ def broadcast_join(probe_dir: str, build_dir: str, probe_key,
         )
     build_ref = ray.put(build)
 
-    probe_paths = [r["path"] for r in load_manifest(probe_dir).to_pylist()]
-    ds = rd.from_items([{"path": p} for p in probe_paths])
+    probe_rows = load_manifest(probe_dir).to_pylist()
     need = list(dict.fromkeys(probe_cols + probe_keys))
     out_cols = list(dict.fromkeys(probe_cols + build_cols))
 
@@ -347,16 +346,16 @@ def broadcast_join(probe_dir: str, build_dir: str, probe_key,
                 outs.append(joined.select(out_cols))
         return pa.concat_tables(outs)
 
-    return ds.map_batches(probe, batch_format="pyarrow", batch_size=1)
+    return map_partitions(probe_rows, probe)
 
 
 def _as_key_array(keys) -> pa.ChunkedArray:
     """Coerce a key set (pa.Array/ChunkedArray, single-column pa.Table,
     or ray Dataset) to a deduplicated, null-free ChunkedArray."""
-    import ray
+    if hasattr(keys, "iter_internal_ref_bundles"):  # ray.data.Dataset
+        from ..collect import collect_arrow
 
-    if hasattr(keys, "to_arrow_refs"):  # ray.data.Dataset
-        keys = pa.concat_tables(ray.get(keys.to_arrow_refs()))
+        keys = collect_arrow(keys)
     if isinstance(keys, pa.Table):
         if keys.num_columns != 1:
             raise ValueError(
@@ -440,7 +439,6 @@ def semi_join(probe_dir: str, probe_key: str, probe_cols: list[str],
     if not survivors:
         return rd.from_arrow(_typed_empty(rows[0]["path"], probe_cols))
     keys_ref = ray.put(keyset)
-    ds = rd.from_items([{"path": r["path"]} for r in survivors])
 
     def probe(batch: pa.Table) -> pa.Table:
         ks = ray.get(keys_ref).combine_chunks()
@@ -455,7 +453,7 @@ def semi_join(probe_dir: str, probe_key: str, probe_cols: list[str],
             outs.append(t.filter(hit).select(probe_cols))
         return pa.concat_tables(outs)
 
-    return ds.map_batches(probe, batch_format="pyarrow", batch_size=1)
+    return map_partitions(survivors, probe)
 
 
 def semi_join_large(probe_dir: str, probe_key: str, probe_cols: list[str],
@@ -562,7 +560,6 @@ def semi_join_large(probe_dir: str, probe_key: str, probe_cols: list[str],
             raise KeyError(
                 f"column {c!r} not in encoded dataset (columns: {known})")
     need = list(dict.fromkeys(probe_cols + [probe_key]))
-    paths = rd.from_items([{"path": r["path"]} for r in rows])
 
     def prefilter(batch: pa.Table) -> pa.Table:
         outs = []
@@ -597,8 +594,7 @@ def semi_join_large(probe_dir: str, probe_key: str, probe_cols: list[str],
                 }))
         return pa.concat_tables(outs)
 
-    survivors = paths.map_batches(prefilter, batch_format="pyarrow",
-                                  batch_size=1)
+    survivors = map_partitions(rows, prefilter)
 
     # exact verify: co-partition pending probe rows + keys by key hash
     def tag_probe(b: pa.Table) -> pa.Table:
@@ -885,13 +881,14 @@ def dataset_join(left, right, left_key, right_key,
         raise ValueError(f"strategy must be broadcast/copartition, "
                          f"got {strategy!r}")
 
+    from ..collect import iter_arrow_refs
     from ..exchange import auto_mode, dataset_bytes, read, stage
 
     if left_is_dir:
         l_srcs: list = l_paths
     else:
         mds = left.materialize()
-        l_srcs = mds.to_arrow_refs()
+        l_srcs = list(iter_arrow_refs(mds))
         l_bytes = dataset_bytes(mds) or 0
         if l_srcs:
             first = ray.get(l_srcs[0])

@@ -21,7 +21,9 @@ Ray Data translations of the reference's three read operators
 - ``lookup``        — id-value point lookup (doc_id IN set) with
                        zone-map partition/chunk pruning.
 
-Each partition is processed by one stateless Ray task; results stream.
+Per-partition reads run as one stateless Ray task per contiguous group
+of partitions (``decode.map_partitions`` sets the group count); results
+stream.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import pyarrow.compute as pc
 from ..codecs.str_codecs import decode_codes
 from ..column import make_column_decoder
 from ..format import decode_partition, read_exact, read_header
+from .decode import map_partitions
 from .encode import load_manifest
 
 
@@ -338,12 +341,11 @@ def equi_filter(out_dir: str, col: str, literal, project: list[str]):
             continue
         if _bloom_excludes(stats, lit_hash):
             continue
-        survivors.append({"path": r["path"]})
+        survivors.append(r)
     if not survivors:
         # produce an empty, correctly-typed dataset from any partition
         header, _ = read_header(rows[0]["path"])
         return rd.from_arrow(_empty_projection(header, project, col))
-    ds = rd.from_items(survivors)
 
     def run(batch: pa.Table) -> pa.Table:
         tables = [
@@ -352,7 +354,7 @@ def equi_filter(out_dir: str, col: str, literal, project: list[str]):
         ]
         return pa.concat_tables(tables)
 
-    return ds.map_batches(run, batch_format="pyarrow", batch_size=1)
+    return map_partitions(survivors, run)
 
 
 def range_filter(out_dir: str, col: str, lo, hi, project: list[str]):
@@ -379,10 +381,9 @@ def range_filter(out_dir: str, col: str, lo, hi, project: list[str]):
                 and ((hi is not None and hi < zlo)
                      or (lo is not None and lo > zhi)):
             continue
-        survivors.append({"path": r["path"]})
+        survivors.append(r)
     if not survivors:
         return rd.from_arrow(_empty_projection(header0, project, col))
-    ds = rd.from_items(survivors)
 
     def run(batch: pa.Table) -> pa.Table:
         tables = []
@@ -390,7 +391,7 @@ def range_filter(out_dir: str, col: str, lo, hi, project: list[str]):
             tables.append(_range_filter_partition(p.as_py(), col, lo, hi, project))
         return pa.concat_tables(tables)
 
-    return ds.map_batches(run, batch_format="pyarrow", batch_size=1)
+    return map_partitions(survivors, run)
 
 
 def _range_match_idx(path: str, header: dict, base: int, col: str,
@@ -1089,7 +1090,7 @@ def compound_filter(out_dir: str, preds, project: list[str]):
         stats = json.loads(r["col_stats"])
         if _zone_excluded(header0, stats, tree):
             continue
-        survivors.append({"path": r["path"]})
+        survivors.append(r)
     if not survivors:
         empty = _empty_projection(
             header0, [c for c in project if c in header0["columns"]], "")
@@ -1097,7 +1098,6 @@ def compound_filter(out_dir: str, preds, project: list[str]):
             if c not in empty.column_names:
                 empty = empty.append_column(c, pa.nulls(0, pad_types[c]))
         return rd.from_arrow(empty.select(project))
-    ds = rd.from_items(survivors)
 
     def run(batch: pa.Table) -> pa.Table:
         tables = []
@@ -1106,7 +1106,7 @@ def compound_filter(out_dir: str, preds, project: list[str]):
                                                      project, pad_types))
         return pa.concat_tables(tables)
 
-    return ds.map_batches(run, batch_format="pyarrow", batch_size=1)
+    return map_partitions(survivors, run)
 
 
 def _set_union(a, b):
@@ -1299,11 +1299,9 @@ def dict_value_counts(out_dir: str, col: str) -> pa.Table:
     codes are bincounted and mapped through the (shared) dictionary;
     plain chunks fall back to value counts. The decode-free aggregation
     the reference roadmap promises (README.md:130-131). One Ray task
-    per partition emits its value->count partial; the driver merges the
-    tiny partials."""
-    import ray.data as rd
-
-    paths = rd.from_items([{"path": r["path"]} for r in _manifest_paths(out_dir)])
+    per partition group emits its value->count partial; the driver
+    merges the tiny partials."""
+    rows = _manifest_paths(out_dir)
 
     def run(batch: pa.Table) -> pa.Table:
         totals: dict = {}
@@ -1316,7 +1314,7 @@ def dict_value_counts(out_dir: str, col: str) -> pa.Table:
         })
 
     partials = _tree_combine_partials(
-        paths.map_batches(run, batch_format="pyarrow", batch_size=1),
+        map_partitions(rows, run),
         lambda b: _merge_count_partials(b, [col]))
     totals: dict = {}
     for row in partials.take_all():
@@ -1400,15 +1398,13 @@ def dict_group_aggregate(out_dir: str, key_col, value_col: str) -> pa.Table:
     combine into one mixed-radix code per row); only the value column
     decodes. Extends the decode-free aggregation family
     (dict_value_counts) to real aggregates. One Ray task per partition
-    emits key->partial rows; the driver merges the tiny partials.
+    group emits key->partial rows; the driver merges the tiny partials.
 
     ``key_col``: a string column name or a list of them (composite
     GROUP BY). Integer value columns accumulate in int64 (per-chunk
     reduceat) and merge as Python ints — EXACT at any scale, where a
     float64 accumulator silently loses low bits past 2^53 (round-2
     review finding). Float columns keep the float64 path."""
-    import ray.data as rd
-
     key_cols = [key_col] if isinstance(key_col, str) else list(key_col)
     rows = _manifest_paths(out_dir)
     if not rows:  # empty table: zero groups
@@ -1423,8 +1419,6 @@ def dict_group_aggregate(out_dir: str, key_col, value_col: str) -> pa.Table:
     header0, _ = read_header(rows[0]["path"])
     integral = header0["columns"][value_col].get("tag") not in ("f32", "f64")
     agg_t = pa.int64() if integral else pa.float64()
-
-    paths = rd.from_items([{"path": r["path"]} for r in rows])
 
     def to_table(sums, mins, maxs, counts) -> pa.Table:
         # counts carries every group (incl. all-null-value groups and
@@ -1451,7 +1445,7 @@ def dict_group_aggregate(out_dir: str, key_col, value_col: str) -> pa.Table:
         return to_table(sums, mins, maxs, counts)
 
     partials = _tree_combine_partials(
-        paths.map_batches(run, batch_format="pyarrow", batch_size=1),
+        map_partitions(rows, run),
         lambda b: _merge_agg_partials(b, key_cols, agg_t))
     sums: dict = {}
     mins: dict = {}
@@ -2068,8 +2062,6 @@ def dict_group_topk(out_dir: str, key_col: str, value_col: str,
     bit-unpacked dictionary codes; per chunk a single lexsort + run
     scan keeps k candidates per key, so partition partials are tiny
     and the driver merge is groups x k x partitions rows."""
-    import ray.data as rd
-
     rows = _manifest_paths(out_dir)
     if not rows:  # empty table: zero groups
         probe = _sidecar_empty(out_dir, [key_col, id_col, value_col])
@@ -2080,8 +2072,6 @@ def dict_group_topk(out_dir: str, key_col: str, value_col: str,
     vt = _col_type(header0["columns"][value_col])
     it = _col_type(header0["columns"][id_col])
 
-    paths = rd.from_items([{"path": r["path"]} for r in rows])
-
     def run(batch: pa.Table) -> pa.Table:
         parts = [_group_topk_partition(p.as_py(), key_col, value_col,
                                        id_col, k) for p in batch["path"]]
@@ -2089,8 +2079,7 @@ def dict_group_topk(out_dir: str, key_col: str, value_col: str,
 
     from ..collect import collect_arrow
 
-    partials = collect_arrow(
-        paths.map_batches(run, batch_format="pyarrow", batch_size=1))
+    partials = collect_arrow(map_partitions(rows, run))
     if partials.num_rows == 0:
         return pa.table({key_col: pa.array([], pa.string()),
                          id_col: pa.array([], it),
@@ -2327,10 +2316,7 @@ def sample_ids(out_dir: str, id_col: str, modulus: int, residue: int,
     """Deterministic systematic sample: rows where id % modulus ==
     residue (reproducible sampling the reference lacks; SQL-checkable).
     -> ray.data.Dataset."""
-    import ray.data as rd
-
     rows = _manifest_paths(out_dir)
-    ds = rd.from_items([{"path": r["path"]} for r in rows])
     want = columns
 
     def run(batch: pa.Table) -> pa.Table:
@@ -2346,7 +2332,7 @@ def sample_ids(out_dir: str, id_col: str, modulus: int, residue: int,
             outs.append(t.filter(mask).select(cols))
         return pa.concat_tables(outs)
 
-    return ds.map_batches(run, batch_format="pyarrow", batch_size=1)
+    return map_partitions(rows, run)
 
 
 # ---------------------------------------------------------------------------
@@ -2437,13 +2423,12 @@ def lookup(out_dir: str, id_col: str, values: list,
         if lit_hashes is not None and "bloom" in stats \
                 and all(_bloom_excludes(stats, h) for h in lit_hashes):
             continue
-        survivors.append({"path": r["path"]})
+        survivors.append(r)
     if not survivors:
         header, _ = read_header(rows[0]["path"])
         return rd.from_arrow(
             _empty_projection(header, columns or list(header["columns"]), "")
         )
-    ds = rd.from_items(survivors)
     want = columns
     value_arr = pa.array(values)
 
@@ -2454,7 +2439,7 @@ def lookup(out_dir: str, id_col: str, values: list,
             tables.append(t)
         return pa.concat_tables(tables)
 
-    return ds.map_batches(run, batch_format="pyarrow", batch_size=1)
+    return map_partitions(survivors, run)
 
 
 def _lookup_partition(path: str, id_col: str, value_arr: pa.Array,

@@ -108,6 +108,7 @@ def encode_streaming(ds, out_dir: str, key_col: str = "source",
 
     import ray
 
+    from ..collect import iter_arrow_refs
     from ..exchange import avail_cpus
     from .encode import MANIFEST_DIR, PARTS_DIR
 
@@ -120,7 +121,7 @@ def encode_streaming(ds, out_dir: str, key_col: str = "source",
         for i in range(n)
     ]
     adds = []
-    for i, ref in enumerate(ds.to_arrow_refs()):
+    for i, ref in enumerate(iter_arrow_refs(ds)):
         adds.append(actors[i % n].add.remote(ref))
     ray.get(adds)
     rows = [r for a in actors for r in ray.get(a.flush.remote())]
