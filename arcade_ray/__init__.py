@@ -54,7 +54,6 @@ _install_empty_schema_log_filter()
 _API = {
     "encode_parquet": "arcade_ray.pipeline.encode",
     "encode_dataset": "arcade_ray.pipeline.encode",
-    "encode_streaming": "arcade_ray.pipeline.streaming",
     "load_manifest": "arcade_ray.pipeline.encode",
     "decode_dataset": "arcade_ray.pipeline.decode",
     "scan": "arcade_ray.pipeline.query",

@@ -100,11 +100,3 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     out[ends[:-1]] = starts[1:] - (starts[:-1] + lens[:-1]) + 1
     return np.cumsum(out)
 
-
-def write_corpus_parquet(path: str, rows: int, n_sources: int = 8,
-                         seed: int = 42) -> str:
-    import pyarrow.parquet as pq
-
-    table = generate_corpus(rows, n_sources, seed)
-    pq.write_table(table, path)
-    return path

@@ -1,6 +1,6 @@
 """Partition compaction — merge undersized partitions per source.
 
-Long 10^12-sequence runs (and streaming-actor encodes) accumulate
+Long 10^12-sequence runs and appended generations accumulate
 small tail partitions; compaction re-encodes groups of them into
 full-size partitions, improving dictionary sharing and read fan-out.
 
@@ -263,7 +263,7 @@ def delete_rows(out_dir: str, preds, run_remote: bool = True) -> dict:
     import numpy as np
 
     from ..format import read_header
-    from .query import _eval_match_idx, _normalize_pred, _zone_excluded
+    from .query import _eval_match_idx, _normalize_pred, _zone_pruner
 
     tree = _normalize_pred(preds)
     rows = load_manifest(out_dir).to_pylist()
@@ -274,9 +274,10 @@ def delete_rows(out_dir: str, preds, run_remote: bool = True) -> dict:
 
     candidates = []
     pruned = 0
+    excluded = _zone_pruner(header0, tree)
     for r in rows:
         stats = json.loads(r["col_stats"])
-        if _zone_excluded(header0, stats, tree):
+        if excluded(stats):
             pruned += 1
             continue
         candidates.append(r)
@@ -371,7 +372,7 @@ def update_rows(out_dir: str, preds, assignments: dict,
     import numpy as np
 
     from ..format import read_header
-    from .query import _eval_match_idx, _normalize_pred, _zone_excluded
+    from .query import _eval_match_idx, _normalize_pred, _zone_pruner
 
     tree = _normalize_pred(preds)
     rows = load_manifest(out_dir).to_pylist()
@@ -385,9 +386,10 @@ def update_rows(out_dir: str, preds, assignments: dict,
 
     candidates = []
     pruned = 0
+    excluded = _zone_pruner(header0, tree)
     for r in rows:
         stats = json.loads(r["col_stats"])
-        if _zone_excluded(header0, stats, tree):
+        if excluded(stats):
             pruned += 1
             continue
         # validate every CANDIDATE before any task commits (the
@@ -498,7 +500,7 @@ def merge_rows(out_dir: str, key_col: str, src: pa.Table,
     import numpy as np
 
     from ..format import read_header
-    from .query import _eval_match_idx, _normalize_pred, _zone_excluded
+    from .query import _eval_match_idx, _normalize_pred, _zone_pruner
 
     keys = src[key_col].combine_chunks() if src.num_rows else None
     if src.num_rows == 0:
@@ -542,6 +544,7 @@ def merge_rows(out_dir: str, key_col: str, src: pa.Table,
                     "source — refuse before any rewrite commits")
 
     candidates, pruned = [], 0
+    excluded = _zone_pruner(header0, tree) if rows else None
     for r in rows:
         stats = json.loads(r["col_stats"])
         # a partition lacking the MATCH KEY can't be zone-checked:
@@ -551,7 +554,7 @@ def merge_rows(out_dir: str, key_col: str, src: pa.Table,
                 f"partition {r['part_key']!r} (generation "
                 f"{generation_of_row(r)!r}) lacks the match key "
                 f"{key_col!r} — MERGE refuses rather than guess")
-        if _zone_excluded(header0, stats, tree):
+        if excluded(stats):
             pruned += 1
             continue
         # validate every CANDIDATE before any task commits: a

@@ -59,9 +59,6 @@ class Plan:
             base += nb
         return out
 
-    def pid_to_key(self) -> list[str]:
-        return self.part_keys()
-
 
 def key_weights(batch: pa.Table, key_col: str,
                 weight_col: str | None) -> pa.Table:

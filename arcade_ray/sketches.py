@@ -106,19 +106,19 @@ def bloom_build(hashes: np.ndarray) -> dict | None:
             "m": m}
 
 
-def bloom_maybe_contains(bloom: dict, h: int) -> bool:
-    """False -> the value is DEFINITELY absent from the partition."""
+def bloom_maybe_contains(bloom: dict, hashes: np.ndarray) -> np.ndarray:
+    """Per hash: False -> that value is DEFINITELY absent from the
+    partition. The filter decompresses once for all ``hashes``."""
     import base64
     import zlib
 
     bits = np.frombuffer(zlib.decompress(base64.b64decode(bloom["b"])),
                          dtype=np.uint8)
-    m = int(bloom["m"])
-    for pos in _bloom_positions(np.array([h], dtype=np.uint64), m):
-        p = int(pos[0])
-        if not (bits[p >> 3] >> (p & 7)) & 1:
-            return False
-    return True
+    h = np.asarray(hashes, dtype=np.uint64)
+    out = np.ones(len(h), dtype=bool)
+    for pos in _bloom_positions(h, int(bloom["m"])):
+        out &= ((bits[pos >> 3] >> (pos & 7).astype(np.uint8)) & 1).astype(bool)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4593,16 +4593,14 @@ def _pruning_counts(out_dir: str, tree) -> tuple[int, int]:
     compound_filter will actually schedule tasks for."""
     from .format import read_header
     from .pipeline.query import (_manifest_paths, _normalize_pred,
-                                 _zone_excluded)
+                                 _zone_pruner)
 
     rows = _manifest_paths(out_dir)
     if not rows:
         return 0, 0
     header0, _ = read_header(rows[0]["path"])
-    nt = _normalize_pred(tree)
-    surv = sum(1 for r in rows
-               if not _zone_excluded(header0,
-                                     json.loads(r["col_stats"]), nt))
+    excluded = _zone_pruner(header0, _normalize_pred(tree))
+    surv = sum(1 for r in rows if not excluded(json.loads(r["col_stats"])))
     return surv, len(rows)
 
 
@@ -5988,17 +5986,6 @@ def _has_subquery(x) -> bool:
         return any(_has_subquery(v) for v in x.values())
     if isinstance(x, list):
         return any(_has_subquery(v) for v in x)
-    return False
-
-
-def _has_scalar_subquery(x) -> bool:
-    if isinstance(x, dict):
-        if x.get("class") == "SUBQUERY" \
-                and x.get("subquery_type") == "SCALAR":
-            return True
-        return any(_has_scalar_subquery(v) for v in x.values())
-    if isinstance(x, list):
-        return any(_has_scalar_subquery(v) for v in x)
     return False
 
 

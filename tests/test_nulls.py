@@ -69,10 +69,10 @@ def test_null_filter_semantics(tmp_path):
                       type=pa.string()),
     })
     path = roundtrip(t, tmp_path, "nf")
-    got = filter_partition(path, "k", 0, ["k", "doc_id"])
+    got = filter_partition(path, [("eq", "k", 0)], ["k", "doc_id"])
     expect = t.filter(pc.fill_null(pc.equal(t["k"], 0), False))
     assert got.num_rows == expect.num_rows
-    got_s = filter_partition(path, "s", "v0", ["s", "doc_id"])
+    got_s = filter_partition(path, [("eq", "s", "v0")], ["s", "doc_id"])
     expect_s = t.filter(pc.fill_null(pc.equal(t["s"], "v0"), False))
     assert set(got_s["doc_id"].to_pylist()) == set(expect_s["doc_id"].to_pylist())
 
@@ -94,12 +94,14 @@ def test_null_filter_plain_mode_and_empty_literal(tmp_path):
         "k": pa.array(dict_col, type=pa.string()),
     })
     path = roundtrip(t, tmp_path, "pm")
-    got = filter_partition(path, "p", "unique-00018", ["p", "doc_id"])
+    got = filter_partition(path, [("eq", "p", "unique-00018")],
+                           ["p", "doc_id"])
     assert got.num_rows == 0  # index 18 is a null slot (18 % 9 == 0)
-    got2 = filter_partition(path, "p", "unique-00017", ["p", "doc_id"])
+    got2 = filter_partition(path, [("eq", "p", "unique-00017")],
+                            ["p", "doc_id"])
     assert got2.num_rows == 1
     # empty-string literal on the null-bearing dict column
-    got3 = filter_partition(path, "k", "", ["k", "doc_id"])
+    got3 = filter_partition(path, [("eq", "k", "")], ["k", "doc_id"])
     expect3 = t.filter(pc.fill_null(pc.equal(t["k"], ""), False))
     assert got3.num_rows == expect3.num_rows
     assert set(got3["doc_id"].to_pylist()) == set(expect3["doc_id"].to_pylist())

@@ -43,7 +43,7 @@ def chunked_partition(tmp_path, monkeypatch):
 def test_filter_multichunk_string(chunked_partition):
     out_dir, path, table = chunked_partition
     for literal in ("src-000", "src-003", "src-005", "nope"):
-        got = filter_partition(path, "source", literal,
+        got = filter_partition(path, [("eq", "source", literal)],
                                ["source", "doc_id", "n_tok"])
         expect = table.filter(pc.equal(table["source"], literal))
         assert got.num_rows == expect.num_rows, literal
@@ -52,7 +52,7 @@ def test_filter_multichunk_string(chunked_partition):
 
 def test_filter_multichunk_int(chunked_partition):
     out_dir, path, table = chunked_partition
-    got = filter_partition(path, "n_tok", 1, ["n_tok", "doc_id"])
+    got = filter_partition(path, [("eq", "n_tok", 1)], ["n_tok", "doc_id"])
     expect = table.filter(pc.equal(table["n_tok"], 1))
     assert got.num_rows == expect.num_rows
     assert set(got["doc_id"].to_pylist()) == set(expect["doc_id"].to_pylist())
@@ -103,6 +103,7 @@ def test_filter_unique_column_multichunk(chunked_partition):
     """doc_id is all-distinct -> plain/gp chunks; filter still exact."""
     out_dir, path, table = chunked_partition
     target = table["doc_id"][3456].as_py()
-    got = filter_partition(path, "doc_id", target, ["doc_id", "source"])
+    got = filter_partition(path, [("eq", "doc_id", target)],
+                           ["doc_id", "source"])
     assert got.num_rows == 1
     assert got["source"][0].as_py() == table["source"][3456].as_py()

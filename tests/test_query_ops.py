@@ -838,7 +838,7 @@ class TestPartitionBloom:
 
         from arcade_ray.format import read_header
         from arcade_ray.pipeline.query import (_bloom_excludes,
-                                               _literal_bloom_hash,
+                                               _literal_bloom_hashes,
                                                _manifest_paths)
 
         table, out = self._encode(tmp_path_factory)
@@ -849,7 +849,7 @@ class TestPartitionBloom:
         ids = table["doc_id"].to_pylist()
         touched = []
         for lit in ids[:: max(1, len(ids) // 40)]:
-            lh = _literal_bloom_hash(cm, lit)
+            lh = _literal_bloom_hashes(cm, [lit])
             assert lh is not None
             touched.append(sum(
                 1 for r in rows
@@ -881,8 +881,7 @@ class TestPartitionBloom:
         import json
 
         from arcade_ray.format import read_header
-        from arcade_ray.pipeline.query import (_bloom_excludes,
-                                               _literal_bloom_hash,
+        from arcade_ray.pipeline.query import (_literal_bloom_hashes,
                                                _manifest_paths,
                                                equi_filter)
 
@@ -899,7 +898,7 @@ class TestPartitionBloom:
 
         expect = pc.sum(pc.equal(table["n_tok"], lit)).as_py()
         assert len(got) == expect
-        lh = _literal_bloom_hash(cm, int(lit))
+        lh = _literal_bloom_hashes(cm, [int(lit)])
         assert lh is not None
 
     def test_wide_column_opts_out(self):
@@ -917,7 +916,7 @@ class TestPartitionBloom:
 
         from arcade_ray.format import read_header
         from arcade_ray.pipeline.query import (_manifest_paths,
-                                               _zone_excluded,
+                                               _zone_pruner,
                                                compound_filter)
 
         table, out = self._encode(tmp_path_factory, rows=4000)
@@ -926,9 +925,9 @@ class TestPartitionBloom:
         lit = table["doc_id"][0].as_py()
         tree = ("and", [("eq", "doc_id", lit),
                         ("between", "n_tok", 0, 10**6)])
+        excluded = _zone_pruner(header0, tree)
         kept = [r for r in rows
-                if not _zone_excluded(header0, json.loads(r["col_stats"]),
-                                      tree)]
+                if not excluded(json.loads(r["col_stats"]))]
         assert len(kept) < len(rows), "bloom should prune eq leaves"
         got = compound_filter(out, tree, ["doc_id"]).take_all()
         assert [r["doc_id"] for r in got] == [lit]
@@ -936,6 +935,37 @@ class TestPartitionBloom:
         none = compound_filter(out, [("eq", "doc_id", "absent-doc")],
                                ["doc_id"]).take_all()
         assert none == []
+
+    def test_literals_hashed_once_per_query(self, ray_session,
+                                            tmp_path_factory, monkeypatch):
+        """Bloom literals are hashed once per query, an IN-list in one
+        vectorised call: the hashed-value count equals the literal
+        count, whatever the partition count."""
+        import arcade_ray.hashing as hashing
+        from arcade_ray.collect import collect_arrow
+        from arcade_ray.pipeline.query import _manifest_paths
+
+        table, out = self._encode(tmp_path_factory, rows=4000)
+        assert len(_manifest_paths(out)) >= 4, "fixture must be multi-partition"
+        ids = table["doc_id"].to_pylist()
+        calls = []
+        orig = hashing.hash_strings
+
+        def counting(lengths, data, *a, **k):
+            calls.append(len(lengths))
+            return orig(lengths, data, *a, **k)
+
+        monkeypatch.setattr(hashing, "hash_strings", counting)
+        ds = equi_filter(out, "doc_id", ids[17], ["doc_id"])
+        assert calls == [1]
+        assert collect_arrow(ds)["doc_id"].to_pylist() == [ids[17]]
+
+        calls.clear()
+        wanted = ids[::80][:50]
+        ds = lookup(out, "doc_id", wanted, columns=["doc_id"])
+        assert calls == [50]
+        assert sorted(collect_arrow(ds)["doc_id"].to_pylist()) == \
+            sorted(wanted)
 
 
 def test_group_aggregate_tree_combine_high_cardinality(ray_session,

@@ -56,7 +56,6 @@ def test_collect_decodes_each_partition_once(ray_session, one_partition,
     enc, t = one_partition
     log = tmp_path / "calls"
     _counted(monkeypatch, query, "filter_partition", log)
-    _counted(monkeypatch, query, "_lookup_partition", log)
 
     src = t["source"][0].as_py()
     out = collect_arrow(query.equi_filter(enc, "source", src,
@@ -165,25 +164,34 @@ def _check_grouped(ds, rows: list[dict], columns) -> None:
         assert g.select(w.column_names).equals(w)
 
 
-@pytest.fixture(scope="module")
-def many_partitions(ray_session, tmp_path_factory):
-    """A base generation of 12 single-source partitions without
-    ``lang``, plus a ``g1`` generation of 6 partitions with it. Part
-    keys interleave (``src-003`` < ``src-003@g1#...``), so manifest-order
-    groups mix partitions with and without ``lang``."""
-    import ray.data as rd
-
+def _many_tables() -> tuple[pa.Table, pa.Table]:
+    """The base and ``g1`` inputs of :func:`many_partitions`."""
     from arcade_ray.corpus import generate_corpus
-    from arcade_ray.pipeline import encode_dataset
 
-    out = str(tmp_path_factory.mktemp("many") / "enc")
     base = generate_corpus(2400, 12, seed=11)
-    encode_dataset(rd.from_arrow(base), out, weight_col=None)
     newer = generate_corpus(600, 6, seed=12)
     newer = newer.set_column(0, "doc_id", pa.array(
         [f"g1:{v}" for v in newer["doc_id"].to_pylist()]))
     newer = newer.append_column("lang", pa.array(
         [("en", "de", "fr")[i % 3] for i in range(newer.num_rows)]))
+    newer = newer.append_column("rank", pa.array(
+        [i * 7 % 500 for i in range(newer.num_rows)], type=pa.int64()))
+    return base, newer
+
+
+@pytest.fixture(scope="module")
+def many_partitions(ray_session, tmp_path_factory):
+    """A base generation of 12 single-source partitions without
+    ``lang`` and ``rank``, plus a ``g1`` generation of 6 partitions
+    with them. Part keys interleave (``src-003`` < ``src-003@g1#...``),
+    so manifest-order groups mix partitions with and without ``lang``."""
+    import ray.data as rd
+
+    from arcade_ray.pipeline import encode_dataset
+
+    out = str(tmp_path_factory.mktemp("many") / "enc")
+    base, newer = _many_tables()
+    encode_dataset(rd.from_arrow(base), out, weight_col=None)
     encode_dataset(rd.from_arrow(newer), out, weight_col=None,
                    generation="g1")
     return out
@@ -242,6 +250,47 @@ def test_grouped_decode_generation(ray_session, many_partitions):
     assert len(rows) == 12
     _check_grouped(decode_dataset(many_partitions, generation=""), rows,
                    None)
+
+
+def test_filters_on_evolved_column(ray_session, many_partitions):
+    """equi_filter, range_filter and lookup on columns only the ``g1``
+    generation has match a pyarrow oracle over both inputs; base rows
+    come back with NULL ``lang``."""
+    import pyarrow.compute as pc
+
+    from arcade_ray.collect import collect_arrow
+    from arcade_ray.format import read_header
+    from arcade_ray.pipeline.encode import load_manifest
+    from arcade_ray.pipeline.query import equi_filter, lookup, range_filter
+
+    every = pa.concat_tables(_many_tables(), promote_options="default")
+
+    def check(ds, mask, cols):
+        want = every.filter(pc.fill_null(mask, False)).select(cols)
+        got = collect_arrow(ds)
+        assert got.column_names == cols
+        assert want.num_rows > 0
+        assert got.sort_by("doc_id").to_pylist() == \
+            want.sort_by("doc_id").to_pylist()
+
+    cols = ["doc_id", "lang", "n_tok"]
+    check(equi_filter(many_partitions, "lang", "de", cols),
+          pc.equal(every["lang"], "de"), cols)
+    cols = ["doc_id", "rank", "lang"]
+    check(range_filter(many_partitions, "rank", 40, 90, cols),
+          pc.and_(pc.greater_equal(every["rank"], 40),
+                  pc.less_equal(every["rank"], 90)), cols)
+    ids = every["doc_id"].to_pylist()[::150]
+    assert any(i.startswith("g1:") for i in ids) and \
+        any(not i.startswith("g1:") for i in ids)
+    cols = ["doc_id", "n_tok", "lang"]
+    check(lookup(many_partitions, "doc_id", ids, columns=cols),
+          pc.is_in(every["doc_id"], value_set=pa.array(ids)), cols)
+    # no projection: every column of the first partition, in its order
+    first = load_manifest(many_partitions)["path"][0].as_py()
+    cols = list(read_header(first)[0]["columns"])
+    check(lookup(many_partitions, "doc_id", ids),
+          pc.is_in(every["doc_id"], value_set=pa.array(ids)), cols)
 
 
 # ---------------------------------------------------------------------------

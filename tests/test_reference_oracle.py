@@ -122,7 +122,7 @@ def test_read_side_parity_filter_and_random_access(fixture_cols, tmp_path):
     # equi-filter parity: match counts agree for several literals
     for literal in ("src-002", "src-007", "zzz-none"):
         ref_n = reference_filter_count(arcade, 1, literal, [0, 1])
-        ours = filter_partition(row["path"], "source", literal,
+        ours = filter_partition(row["path"], [("eq", "source", literal)],
                                 ["source", "doc_id"])
         assert ours.num_rows == ref_n, literal
         expect = sum(1 for s in source if s == literal)

@@ -316,7 +316,7 @@ def test_bloom_hash_version_gate(ray_session, tmp_path):
 
     from arcade_ray.hashing import HASH_VERSION
     from arcade_ray.pipeline.encode import encode_parquet, load_manifest
-    from arcade_ray.pipeline.query import _bloom_excludes, _literal_bloom_hash
+    from arcade_ray.pipeline.query import _bloom_excludes, _literal_bloom_hashes
 
     n = 2000
     t = pa.table({
@@ -331,7 +331,33 @@ def test_bloom_hash_version_gate(ray_session, tmp_path):
     m = load_manifest(enc)
     stats = _json.loads(m["col_stats"][0].as_py())["doc_id"]
     assert stats["hv"] == HASH_VERSION
-    h = _literal_bloom_hash({"kind": "str", "tag": "str"}, "definitely-absent")
+    h = _literal_bloom_hashes({"kind": "str", "tag": "str"},
+                              ["definitely-absent"])
     assert _bloom_excludes(stats, h)          # current version prunes
     stale = dict(stats, hv=HASH_VERSION - 1)
     assert not _bloom_excludes(stale, h)      # stale bloom never does
+
+
+def test_bloom_probe_matches_per_hash_loop():
+    """The vectorised probe answers each hash exactly as a per-hash
+    bit loop over the same positions does, and never misses a member."""
+    import base64
+    import zlib
+
+    from arcade_ray.hashing import hash_ints
+    from arcade_ray.sketches import (_bloom_positions, bloom_build,
+                                     bloom_maybe_contains)
+
+    members = hash_ints(np.arange(0, 3000, 3))
+    bloom = bloom_build(members)
+    probes = hash_ints(np.arange(6000))
+    got = bloom_maybe_contains(bloom, probes)
+    bits = np.frombuffer(zlib.decompress(base64.b64decode(bloom["b"])),
+                         dtype=np.uint8)
+    want = [all((bits[int(p[0]) >> 3] >> (int(p[0]) & 7)) & 1
+                for p in _bloom_positions(np.array([h], np.uint64),
+                                          bloom["m"]))
+            for h in probes]
+    assert got.tolist() == want
+    assert got[np.arange(0, 3000, 3)].all()
+    assert 0 < got.sum() < len(probes)

@@ -1,73 +1,10 @@
-"""Streaming encoder actor pool + cached decoder actor."""
+"""Cached decoder actor, windows and interval/as-of joins."""
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
-import pytest
 
 from arcade_ray.corpus import generate_corpus
-from arcade_ray.pipeline.decode import decode_dataset
-from arcade_ray.pipeline.streaming import (
-    CachedDecoderActor,
-    _StreamingEncoderState,
-    encode_streaming,
-    lookup_service,
-)
-
-
-def test_streaming_state_unit(tmp_path):
-    """Actor body without Ray: buffering, cap-triggered commits, flush."""
-    import os
-
-    out = str(tmp_path / "enc")
-    os.makedirs(out + "/parts"), os.makedirs(out + "/manifest")
-    st = _StreamingEncoderState(out, 0, weight_cap=50_000)
-    table = generate_corpus(3000, 4, seed=3)
-    for lo in range(0, 3000, 500):
-        st.add(table.slice(lo, 500))
-    rows = st.flush()
-    assert sum(r["rows"] for r in rows) == 3000
-    # cap forced multiple partitions for the hot source
-    keys = [r["part_key"] for r in rows]
-    assert len(keys) == len(set(keys))
-    assert any("#0001" in k for k in keys)
-
-
-def test_streaming_roundtrip(ray_session, tmp_path):
-    import ray
-    import ray.data as rd
-
-    table = generate_corpus(8000, 6, seed=11)
-    out_dir = str(tmp_path / "enc")
-    manifest = encode_streaming(rd.from_arrow(table), out_dir,
-                                weight_cap=100_000, n_actors=3)
-    assert sum(manifest["rows"].to_pylist()) == 8000
-    decoded = pa.concat_tables(ray.get(decode_dataset(out_dir).to_arrow_refs()))
-    a = decoded.take(pc.sort_indices(decoded["doc_id"]))
-    b = table.take(pc.sort_indices(table["doc_id"]))
-    for name in table.schema.names:
-        assert a[name].combine_chunks().equals(
-            b[name].combine_chunks().cast(a[name].type)), name
-
-
-def test_query_over_streaming_encode(ray_session, tmp_path):
-    """Queries run unchanged over actor-chain partitions (keys with
-    '@aNNN#seq' and diff-dict chunks from the streaming path)."""
-    import ray
-    import ray.data as rd
-
-    from arcade_ray.pipeline.query import equi_filter
-
-    table = generate_corpus(6000, 5, seed=17)
-    out_dir = str(tmp_path / "enc")
-    encode_streaming(rd.from_arrow(table), out_dir,
-                     weight_cap=60_000, n_actors=2)
-    got = pa.concat_tables(ray.get(
-        equi_filter(out_dir, "source", "src-001",
-                    project=["source", "doc_id"]).to_arrow_refs()))
-    expect = table.filter(pc.equal(table["source"], "src-001"))
-    assert got.num_rows == expect.num_rows
-    assert set(got["doc_id"].to_pylist()) == set(expect["doc_id"].to_pylist())
+from arcade_ray.pipeline.streaming import CachedDecoderActor, lookup_service
 
 
 def test_cached_decoder_lru(ray_session, tmp_path):
