@@ -7,7 +7,11 @@ dictionary content a ``width``-bit code buffer is strictly <= the
 reference's byte-aligned buffer, which underwrites the
 "<= reference compressed size" criterion (SURVEY.md §7.3 item 2).
 
-All functions are pure numpy — unit-testable without Ray.
+Packing is numpy. The decode side (unpack, unpack fused with a
+frame-of-reference add or a dictionary gather, run expansion, and the
+equality compare on packed codes) runs in the C kernels of
+codecs/native.py when they are available, and in numpy otherwise; the
+two give identical results. Unit-testable without Ray.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ _CHUNK = 1 << 18
 # cache (a multiple of 64, so every chunk is whole words).
 _WORD_MIN_BITS = 1 << 17
 _WORD_CHUNK = 1 << 17
+_MASK = (1 << 64) - 1
 
 
 def bits_needed(max_value: int) -> int:
@@ -89,8 +94,56 @@ def _pack_words(v: np.ndarray, width: int) -> bytes:
     return packed.tobytes()[: packed_nbytes(n, width)]
 
 
-def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`; returns uint64 array of ``count``."""
+def _check_payload(data, width: int, count: int) -> None:
+    if width < 0 or width > 64:
+        raise ValueError(f"width out of range: {width}")
+    need = packed_nbytes(count, width)
+    if len(data) < need:
+        raise ValueError(
+            f"truncated bit-packed payload: {count} values of {width} bits "
+            f"need {need} bytes, got {len(data)}")
+
+
+def _native():
+    from .codecs.native import get_lib
+
+    return get_lib() is not None
+
+
+def as_dtype(u: np.ndarray, dtype) -> np.ndarray:
+    """Integer values -> ``dtype``. 64-bit input converts by two's
+    complement truncation, as the native kernels write: a view for
+    8-byte types, else an int64 -> ``dtype`` astype. Narrower input
+    widens with its sign."""
+    dtype = np.dtype(dtype)
+    if u.dtype == dtype:
+        return u
+    if u.itemsize != 8:
+        return u.astype(dtype)
+    if dtype.itemsize == 8:
+        return u.view(dtype)
+    return u.view(np.int64).astype(dtype)
+
+
+def unpack_bits(data, width: int, count: int, ref: int = 0,
+                dtype=np.uint64) -> np.ndarray:
+    """Inverse of :func:`pack_bits`: ``count`` values, each plus ``ref``
+    (mod 2**64, the frame-of-reference add), as ``dtype`` (narrower
+    types keep the low bytes). ``data`` is any bytes-like object; a
+    payload shorter than ``count`` values raises ValueError."""
+    _check_payload(data, width, count)
+    if width and _native():
+        from .codecs.native import unpack_native
+
+        return unpack_native(data, width, count, ref & _MASK,
+                             np.dtype(dtype))
+    u = _unpack_numpy(data, width, count)
+    if ref & _MASK:
+        u += np.uint64(ref & _MASK)
+    return as_dtype(u, dtype)
+
+
+def _unpack_numpy(data, width: int, count: int) -> np.ndarray:
     if width == 0:
         return np.zeros(count, dtype=np.uint64)
     if width in (8, 16, 32, 64):
@@ -110,6 +163,58 @@ def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
             acc |= bits[:, j].astype(np.uint64) << np.uint64(j)
         out[s : s + n] = acc
     return out
+
+
+def unpack_gather(data, width: int, count: int,
+                  table: np.ndarray) -> np.ndarray:
+    """``table[code]`` for each of ``count`` width-bit codes, in
+    ``table``'s dtype, without materializing the codes when the native
+    kernel is available. A code past the table raises IndexError."""
+    _check_payload(data, width, count)
+    if width == 0:
+        if count and not len(table):
+            raise IndexError("dictionary code 0 is out of range for 0 entries")
+        return np.full(count, table[0] if count else 0, dtype=table.dtype)
+    if _native():
+        from .codecs.native import unpack_gather_native
+
+        return unpack_gather_native(data, width, count, table)
+    return table[_unpack_numpy(data, width, count).astype(np.int64)]
+
+
+def match_packed(data, width: int, count: int, code: int) -> np.ndarray:
+    """Ascending int64 positions of the width-bit codes equal to
+    ``code``, compared on the packed stream (the native kernel never
+    builds the code array)."""
+    _check_payload(data, width, count)
+    if code < 0 or code >> width:
+        return np.empty(0, dtype=np.int64)
+    if width and _native():
+        from .codecs.native import match_eq_native
+
+        return match_eq_native(data, width, count, code)
+    return np.flatnonzero(_unpack_numpy(data, width, count) == np.uint64(code))
+
+
+def run_lengths(lens_m1: np.ndarray, n: int) -> np.ndarray:
+    """Stored RLE lengths (length - 1, uint64) -> int64 lengths; they
+    must add up to exactly ``n`` rows."""
+    lens_m1 = np.asarray(lens_m1, dtype=np.uint64)
+    # max first: it bounds the sum, so the int64 total cannot wrap
+    if (len(lens_m1) and int(lens_m1.max()) >= n) or \
+            int(lens_m1.sum()) + len(lens_m1) != n:
+        raise ValueError(f"RLE runs do not add up to {n} rows")
+    return lens_m1.astype(np.int64) + 1
+
+
+def expand_runs(vals: np.ndarray, lens_m1: np.ndarray, n: int) -> np.ndarray:
+    """RLE expansion: ``vals[k]`` repeated ``lens_m1[k] + 1`` times, in
+    ``vals``' dtype. The runs must add up to exactly ``n`` rows."""
+    if _native():
+        from .codecs.native import rle_expand_native
+
+        return rle_expand_native(vals, lens_m1, n)
+    return np.repeat(vals, run_lengths(lens_m1, n))
 
 
 def packed_nbytes(count: int, width: int) -> int:

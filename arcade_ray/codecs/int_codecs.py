@@ -12,7 +12,10 @@ minimum wins, and the reference's distinct-ratio gate for dictionaries
 All values travel as int64 (see streams.py); ``tag`` carries the
 original arrow type so plain encoding uses the native width.
 Arithmetic is done in uint64 with two's-complement wraparound so any
-int64 min/max range is handled without overflow.
+int64 min/max range is handled without overflow. Decoders return int64
+by default, or the column's storage dtype when asked
+(``decode_int(..., dtype=)``): the bit-pack, FoR, RLE and dictionary
+kernels then write that dtype directly (bitpack.py, codecs/native.py).
 """
 
 from __future__ import annotations
@@ -21,19 +24,25 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..bitpack import bits_needed, pack_bits, packed_nbytes, unpack_bits
+from ..bitpack import (
+    as_dtype,
+    bits_needed,
+    expand_runs,
+    pack_bits,
+    packed_nbytes,
+    unpack_bits,
+    unpack_gather,
+)
 from ..constants import ESTIMATE_SAMPLE_BYTES, PLAIN_DISTINCT_RATIO
 from ..profile import IntProfile, profile_int
+from ..streams import STORAGE_DTYPES
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 _ITEMSIZE = {"i8": 1, "i16": 2, "i32": 4, "i64": 8, "u32": 4, "u64": 8,
              "ts_us": 8, "ts_ns": 8, "date32": 4, "f32": 4, "f64": 8}
 
-_NP_OF_TAG = {"i8": np.int8, "i16": np.int16, "i32": np.int32, "i64": np.int64,
-              "u32": np.uint32, "u64": np.uint64, "ts_us": np.int64,
-              "ts_ns": np.int64, "date32": np.int32, "f32": np.uint32,
-              "f64": np.uint64}
+_I64 = np.dtype(np.int64)
 
 
 def _u(vals: np.ndarray) -> np.ndarray:
@@ -45,10 +54,6 @@ def _sub(vals: np.ndarray, ref: int) -> np.ndarray:
     return _u(vals) - np.uint64(ref & _MASK)
 
 
-def _add(offs: np.ndarray, ref: int) -> np.ndarray:
-    return (offs + np.uint64(ref & _MASK)).view(np.int64)
-
-
 # --- plain ------------------------------------------------------------------
 
 def _plain_est(p: IntProfile, tag: str) -> int:
@@ -56,7 +61,7 @@ def _plain_est(p: IntProfile, tag: str) -> int:
 
 
 def _plain_enc(vals: np.ndarray, p: IntProfile, tag: str):
-    np_t = _NP_OF_TAG[tag]
+    np_t = STORAGE_DTYPES[tag]
     v = np.ascontiguousarray(vals, dtype=np.int64)
     if np.dtype(np_t).itemsize == 8:
         payload = v.tobytes()  # same bytes regardless of signedness
@@ -66,12 +71,11 @@ def _plain_enc(vals: np.ndarray, p: IntProfile, tag: str):
     return payload, {"t": tag}
 
 
-def _plain_dec(payload: bytes, meta: dict, n: int) -> np.ndarray:
-    np_t = _NP_OF_TAG[meta["t"]]
-    raw = np.frombuffer(payload, dtype=np_t, count=n)
-    if np.dtype(np_t).itemsize == 8:
-        return raw.view(np.int64)
-    return raw.astype(np.int64)
+def _plain_dec(payload: bytes, meta: dict, n: int,
+               dtype: np.dtype = _I64) -> np.ndarray:
+    # the stored width is usually the wanted one: then no copy
+    return as_dtype(np.frombuffer(payload, dtype=STORAGE_DTYPES[meta["t"]],
+                                  count=n), dtype)
 
 
 # --- bit-pack (non-negative values, width from max) -------------------------
@@ -87,8 +91,9 @@ def _bitpack_enc(vals: np.ndarray, p: IntProfile, tag: str):
     return pack_bits(_u(vals), w), {"w": w}
 
 
-def _bitpack_dec(payload: bytes, meta: dict, n: int) -> np.ndarray:
-    return unpack_bits(payload, meta["w"], n).view(np.int64)
+def _bitpack_dec(payload: bytes, meta: dict, n: int,
+                 dtype: np.dtype = _I64) -> np.ndarray:
+    return unpack_bits(payload, meta["w"], n, dtype=dtype)
 
 
 # --- frame-of-reference -----------------------------------------------------
@@ -104,8 +109,9 @@ def _for_enc(vals: np.ndarray, p: IntProfile, tag: str):
     return pack_bits(_sub(vals, p.vmin), w), {"ref": p.vmin, "w": w}
 
 
-def _for_dec(payload: bytes, meta: dict, n: int) -> np.ndarray:
-    return _add(unpack_bits(payload, meta["w"], n), meta["ref"])
+def _for_dec(payload: bytes, meta: dict, n: int,
+             dtype: np.dtype = _I64) -> np.ndarray:
+    return unpack_bits(payload, meta["w"], n, ref=meta["ref"], dtype=dtype)
 
 
 # --- delta (FoR over successive diffs) --------------------------------------
@@ -136,17 +142,18 @@ def _delta_enc(vals: np.ndarray, p: IntProfile, tag: str):
     }
 
 
-def _delta_dec(payload: bytes, meta: dict, n: int) -> np.ndarray:
+def _delta_dec(payload: bytes, meta: dict, n: int,
+               dtype: np.dtype = _I64) -> np.ndarray:
     out = np.empty(n, dtype=np.uint64)
     if n == 0:
-        return out.view(np.int64)
+        return as_dtype(out, dtype)
     first = np.uint64(meta["f"] & _MASK)
     out[0] = first
     if n > 1:
-        d = unpack_bits(payload, meta["w"], n - 1) + np.uint64(meta["ref"] & _MASK)
+        d = unpack_bits(payload, meta["w"], n - 1, ref=meta["ref"])
         np.cumsum(d, out=out[1:])  # uint64 wraparound: exact mod 2^64
         out[1:] += first
-    return out.view(np.int64)
+    return as_dtype(out, dtype)
 
 
 # --- RLE --------------------------------------------------------------------
@@ -178,12 +185,13 @@ def _rle_enc(vals: np.ndarray, p: IntProfile, tag: str):
     return payload, {"ref": p.vmin, "wv": wv, "wl": wl, "r": int(p.n_runs)}
 
 
-def _rle_dec(payload: bytes, meta: dict, n: int) -> np.ndarray:
+def _rle_dec(payload: bytes, meta: dict, n: int,
+             dtype: np.dtype = _I64) -> np.ndarray:
     r, wv, wl = meta["r"], meta["wv"], meta["wl"]
     vb = packed_nbytes(r, wv)
-    run_vals = _add(unpack_bits(payload[:vb], wv, r), meta["ref"])
-    run_lens = unpack_bits(payload[vb:], wl, r).astype(np.int64) + 1
-    return np.repeat(run_vals, run_lens)
+    mv = memoryview(payload)
+    run_vals = unpack_bits(mv[:vb], wv, r, ref=meta["ref"], dtype=dtype)
+    return expand_runs(run_vals, unpack_bits(mv[vb:], wl, r), n)
 
 
 # --- dictionary (sorted dict stored delta+bit-packed; codes bit-packed) -----
@@ -226,17 +234,19 @@ def _dict_enc(vals: np.ndarray, p: IntProfile, tag: str):
     return payload, {"first": int(uvals[0]), "wd": wd, "wc": wc, "d": d}
 
 
-def _dict_dec(payload: bytes, meta: dict, n: int) -> np.ndarray:
+def _dict_dec(payload: bytes, meta: dict, n: int,
+              dtype: np.dtype = _I64) -> np.ndarray:
+    """Rebuild the sorted dictionary from its deltas, then unpack the
+    codes and gather from it in one pass (no code array)."""
     d, wd, wc = meta["d"], meta["wd"], meta["wc"]
     db = packed_nbytes(d - 1, wd)
-    deltas = unpack_bits(payload[:db], wd, d - 1)
+    mv = memoryview(payload)
     uvals = np.empty(d, dtype=np.uint64)
     uvals[0] = np.uint64(meta["first"] & _MASK)
     if d > 1:
-        np.cumsum(deltas, out=uvals[1:])
+        np.cumsum(unpack_bits(mv[:db], wd, d - 1), out=uvals[1:])
         uvals[1:] += uvals[0]
-    codes = unpack_bits(payload[db:], wc, n).astype(np.int64)
-    return uvals.view(np.int64)[codes]
+    return unpack_gather(mv[db:], wc, n, as_dtype(uvals, dtype))
 
 
 # --- ALP: decimal-scaled floats ---------------------------------------------
@@ -332,7 +342,8 @@ def _alp_enc(vals: np.ndarray, p: IntProfile, tag: str):
     return built
 
 
-def _alp_dec(payload: bytes, meta: dict, n: int) -> np.ndarray:
+def _alp_dec(payload: bytes, meta: dict, n: int,
+             dtype: np.dtype = _I64) -> np.ndarray:
     ib, tag = meta["ib"], meta["t"]
     ints = decode_int(meta["ic"], payload[:ib], meta["im"], n)
     out = _alp_recon_bits(ints, meta["e"], tag)
@@ -340,7 +351,7 @@ def _alp_dec(payload: bytes, meta: dict, n: int) -> np.ndarray:
     if nx:
         xw = meta["xw"]
         xb = packed_nbytes(nx, xw)
-        idx = unpack_bits(payload[ib:ib + xb], xw, nx).astype(np.int64)
+        idx = unpack_bits(payload[ib:ib + xb], xw, nx, dtype=np.int64)
         raw = payload[ib + xb:]
         if tag == "f32":
             pats = np.frombuffer(raw, dtype=np.uint32, count=nx).astype(np.int64)
@@ -348,7 +359,7 @@ def _alp_dec(payload: bytes, meta: dict, n: int) -> np.ndarray:
             pats = np.frombuffer(raw, dtype=np.int64, count=nx)
         out = np.ascontiguousarray(out)
         out[idx] = pats
-    return out
+    return as_dtype(out, dtype)
 
 
 # --- general-purpose fallback over plain bytes ------------------------------
@@ -374,10 +385,11 @@ def _gp_enc(vals: np.ndarray, p: IntProfile, tag: str):
     }
 
 
-def _gp_dec(payload: bytes, meta: dict, n: int) -> np.ndarray:
+def _gp_dec(payload: bytes, meta: dict, n: int,
+            dtype: np.dtype = _I64) -> np.ndarray:
     codec = _GP[meta.get("c", "snappy")]
     plain = codec.decompress(payload, meta["n0"])
-    return _plain_dec(plain, meta, n)
+    return _plain_dec(plain, meta, n, dtype)
 
 
 INT_CODECS = {
@@ -390,6 +402,9 @@ INT_CODECS = {
     "gp": (_no_est, _gp_enc, _gp_dec),
     "alp": (_no_est, _alp_enc, _alp_dec),
 }
+# the built-in decoders take a fourth argument, the dtype to write;
+# registered plugin decoders (codecs/registry.py) return int64
+_TYPED_DECODERS = frozenset(dec for _, _, dec in INT_CODECS.values())
 
 
 def choose_int_codec(vals: np.ndarray, p: IntProfile, tag: str,
@@ -441,8 +456,15 @@ def choose_int_codec(vals: np.ndarray, p: IntProfile, tag: str,
     return best_name, payload, meta
 
 
-def decode_int(codec: str, payload: bytes, meta: dict, n: int) -> np.ndarray:
+def decode_int(codec: str, payload: bytes, meta: dict, n: int,
+               dtype=np.int64) -> np.ndarray:
+    """-> ``n`` values as int64, or as ``dtype`` (a column's storage
+    dtype, streams.STORAGE_DTYPES: the same bytes int_stream_to_arrow
+    would make of the int64 stream)."""
     if "_zw" in meta:
         payload = _zstd.decompress(payload, meta["_zw"]).to_pybytes()
         meta = {k: v for k, v in meta.items() if k != "_zw"}
-    return INT_CODECS[codec][2](payload, meta, n)
+    dec, dtype = INT_CODECS[codec][2], np.dtype(dtype)
+    if dec in _TYPED_DECODERS:
+        return dec(payload, meta, n, dtype)
+    return as_dtype(dec(payload, meta, n), dtype)

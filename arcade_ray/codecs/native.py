@@ -1,23 +1,35 @@
-"""Optional native (C) kernels for the FSST hot loops.
+"""Optional native (C) kernels for the sequential hot loops of encode
+and decode.
 
-The FSST encode walk and decode expansion are inherently sequential
-byte-cursor loops — the one shape numpy cannot express efficiently
-(fsst_vec.py gets to ~25 MB/s with block-parallel cursors; the real
-FSST runs GB/s in C, VLDB 2020 §6). This module compiles a ~100-line
-C kernel with the system compiler ON FIRST USE, caches the shared
-object under /tmp keyed by a source hash, and loads it via ctypes.
+Two kinds of loop are compiled here, because numpy cannot express them
+without a large intermediate:
 
-Strictly optional: any failure (no compiler, sandboxed /tmp, load
-error) returns None and callers fall back to the pure-numpy path
-(fsst_vec.encode_stream's lock-step walk, fsst.decompress's Python
-loop). Set ARCADE_NO_NATIVE=1 to force the fallback (used by tests to
-exercise both paths). The kernel reuses fsst_vec._Matcher's tables —
-the fused 2-byte short-code table and the hashed 3-byte prefix groups
-— so the two encoders share one greedy-match definition; the C walk
-is TRUE greedy (no block clamping), so its output is never larger
-than the numpy walk's and decodes through the same stream format.
+- FSST encode walk and decode expansion: byte-cursor loops (fsst_vec.py
+  gets to ~25 MB/s with block-parallel cursors; the real FSST runs GB/s
+  in C, VLDB 2020 §6). The encode kernel reuses fsst_vec._Matcher's
+  tables (the fused 2-byte short-code table and the hashed 3-byte
+  prefix groups), so both encoders share one greedy-match definition;
+  the C walk is TRUE greedy (no block clamping), so its output is never
+  larger than the numpy walk's and decodes through the same format.
+- Fixed-width code loops of the read path (bitpack.py): bit-unpack
+  with a fused frame-of-reference add, unpack fused with a dictionary
+  gather, run expansion for RLE, and an equality compare on packed
+  codes that returns match positions without building the code array
+  (ARCADE's code-domain compare, SIGMOD 2021). numpy's path for these
+  builds an n x width bit matrix. Each kernel writes the caller's
+  output dtype (the column's Arrow storage type), so no int64 copy sits
+  between the payload and the Arrow buffer.
 
-ctypes releases the GIL for the call, so encoder actors overlap.
+The kernels are compiled with the system compiler ON FIRST USE; the
+shared object is cached under the temp dir keyed by a source hash and
+loaded via ctypes. Strictly optional: any failure (no compiler,
+sandboxed temp dir, load error, big-endian host) returns None and
+every caller falls back to its numpy path, which gives bit-identical
+results. Setting ARCADE_NO_NATIVE=1 forces the fallback (used by tests
+to exercise both paths).
+
+ctypes releases the GIL for the call, so decoder tasks and encoder
+actors overlap.
 """
 
 from __future__ import annotations
@@ -126,6 +138,125 @@ int64_t fsst_decode(
     }
     return o;
 }
+
+/* ---- fixed-width code kernels (bitpack.py layout) -------------------
+   Value i is bits [i*width, (i+1)*width) of the LSB-first stream,
+   1 <= width <= 64. The caller checks nbytes >= ceil(count*width/8).
+   Values whose 9-byte window lies inside the buffer take an unaligned
+   8-byte load (plus the 9th byte when the value straddles it); the
+   tail is assembled byte by byte, so nothing past nbytes is read. */
+
+static inline uint64_t bits_tail(const uint8_t* d, int64_t nbytes,
+                                 int64_t bit, int64_t width)
+{
+    int64_t p = bit >> 3;
+    int s = (int)(bit & 7);
+    uint64_t w = 0;
+    for (int64_t k = 0; k < 8 && p + k < nbytes; k++)
+        w |= (uint64_t)d[p + k] << (8 * k);
+    uint64_t v = w >> s;
+    if (s + width > 64 && p + 8 < nbytes)
+        v |= (uint64_t)d[p + 8] << (64 - s);
+    return v;
+}
+
+/* Runs BODY once per value with `i` (index) and `v` (value) bound. */
+#define FOR_EACH_VALUE(...)                                              \
+    do {                                                                 \
+        uint64_t mask_ = width == 64 ? ~(uint64_t)0                      \
+                                     : (((uint64_t)1 << width) - 1);     \
+        int64_t fast_ = nbytes >= 9 ? (nbytes - 9) * 8 / width + 1 : 0;  \
+        if (fast_ > count) fast_ = count;                                \
+        int64_t i = 0, bit_ = 0;                                         \
+        for (; i < fast_; i++, bit_ += width) {                          \
+            int64_t p_ = bit_ >> 3;                                      \
+            int s_ = (int)(bit_ & 7);                                    \
+            uint64_t w_;                                                 \
+            memcpy(&w_, data + p_, 8);                                   \
+            uint64_t v = w_ >> s_;                                       \
+            if (s_ + width > 64)                                         \
+                v |= (uint64_t)data[p_ + 8] << (64 - s_);                \
+            v &= mask_;                                                  \
+            __VA_ARGS__                                                  \
+        }                                                                \
+        for (; i < count; i++, bit_ += width) {                          \
+            uint64_t v = bits_tail(data, nbytes, bit_, width) & mask_;   \
+            __VA_ARGS__                                                  \
+        }                                                                \
+    } while (0)
+
+/* out[i] = (value_i + ref) truncated to `size` bytes (1, 2, 4 or 8):
+   bit-pack (ref 0) and frame-of-reference decode. */
+void arc_unpack(const uint8_t* data, int64_t nbytes, int64_t width,
+                int64_t count, uint64_t ref, void* out, int64_t size)
+{
+    switch (size) {
+    case 1: { uint8_t* o = out; FOR_EACH_VALUE(o[i] = (uint8_t)(v + ref);); break; }
+    case 2: { uint16_t* o = out; FOR_EACH_VALUE(o[i] = (uint16_t)(v + ref);); break; }
+    case 4: { uint32_t* o = out; FOR_EACH_VALUE(o[i] = (uint32_t)(v + ref);); break; }
+    default: { uint64_t* o = out; FOR_EACH_VALUE(o[i] = v + ref;); break; }
+    }
+}
+
+/* out[i] = table[value_i], entries of `size` bytes. Returns -1, or the
+   index of the first value >= d (nothing past it is written). */
+int64_t arc_unpack_gather(const uint8_t* data, int64_t nbytes,
+                          int64_t width, int64_t count,
+                          const void* table, int64_t d,
+                          void* out, int64_t size)
+{
+    uint64_t ud = (uint64_t)d;
+    switch (size) {
+    case 1: { const uint8_t* t = table; uint8_t* o = out;
+              FOR_EACH_VALUE(if (v >= ud) return i; o[i] = t[v];); break; }
+    case 2: { const uint16_t* t = table; uint16_t* o = out;
+              FOR_EACH_VALUE(if (v >= ud) return i; o[i] = t[v];); break; }
+    case 4: { const uint32_t* t = table; uint32_t* o = out;
+              FOR_EACH_VALUE(if (v >= ud) return i; o[i] = t[v];); break; }
+    default: { const uint64_t* t = table; uint64_t* o = out;
+               FOR_EACH_VALUE(if (v >= ud) return i; o[i] = t[v];); break; }
+    }
+    return -1;
+}
+
+/* Positions i with value_i == code, ascending, into idx (room for
+   count). Returns the number of matches. */
+int64_t arc_match_eq(const uint8_t* data, int64_t nbytes, int64_t width,
+                     int64_t count, uint64_t code, int64_t* idx)
+{
+    int64_t m = 0;
+    FOR_EACH_VALUE(idx[m] = i; m += (v == code););
+    return m;
+}
+
+/* Run k repeats vals[k] (entries of `size` bytes) lens_m1[k] + 1
+   times. Returns the number of values written, or -1 when the runs
+   would overflow n (nothing past n is written). */
+#define RLE_EXPAND(T)                                                    \
+    do {                                                                 \
+        const T* v_ = vals;                                              \
+        T* o_ = out;                                                     \
+        for (int64_t k = 0; k < r; k++) {                                \
+            if (lens_m1[k] >= (uint64_t)(n - pos))                       \
+                return -1;                                               \
+            int64_t end = pos + (int64_t)lens_m1[k] + 1;                 \
+            for (; pos < end; pos++)                                     \
+                o_[pos] = v_[k];                                         \
+        }                                                                \
+    } while (0)
+
+int64_t arc_rle_expand(const void* vals, const uint64_t* lens_m1,
+                       int64_t r, void* out, int64_t n, int64_t size)
+{
+    int64_t pos = 0;
+    switch (size) {
+    case 1: RLE_EXPAND(uint8_t); break;
+    case 2: RLE_EXPAND(uint16_t); break;
+    case 4: RLE_EXPAND(uint32_t); break;
+    default: RLE_EXPAND(uint64_t); break;
+    }
+    return pos;
+}
 """
 
 _lib = None
@@ -138,7 +269,8 @@ def _compile() -> str | None:
     tag = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
     cache = os.path.join(
         tempfile.gettempdir(), f"arcade_native-{os.getuid()}")
-    so_path = os.path.join(cache, f"fsst-{tag}-{sys.implementation.name}.so")
+    so_path = os.path.join(
+        cache, f"kernels-{tag}-{sys.implementation.name}.so")
     os.makedirs(cache, mode=0o700, exist_ok=True)
     st = os.stat(cache)
     if st.st_uid != os.getuid() or (st.st_mode & 0o022):
@@ -148,7 +280,7 @@ def _compile() -> str | None:
         return None
     if os.path.exists(so_path):
         return so_path
-    src = os.path.join(cache, f"fsst-{tag}.c")
+    src = os.path.join(cache, f"kernels-{tag}.c")
     with open(src, "w") as f:
         f.write(_C_SOURCE)
     tmp = so_path + f".tmp.{os.getpid()}"
@@ -170,8 +302,8 @@ def get_lib():
     if _tried:
         return _lib
     _tried = True
-    if os.environ.get("ARCADE_NO_NATIVE"):
-        return None
+    if os.environ.get("ARCADE_NO_NATIVE") or sys.byteorder != "little":
+        return None  # the kernels load words little-endian
     try:
         so_path = _compile()
         if so_path is None:
@@ -187,6 +319,15 @@ def get_lib():
             u64, u64, i64, u8, u8]
         lib.fsst_decode.restype = ctypes.c_int64
         lib.fsst_decode.argtypes = [u8, ctypes.c_int64, u8, i64, u8]
+        vp, c64, cu64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
+        lib.arc_unpack.restype = None
+        lib.arc_unpack.argtypes = [vp, c64, c64, c64, cu64, vp, c64]
+        lib.arc_unpack_gather.restype = c64
+        lib.arc_unpack_gather.argtypes = [vp, c64, c64, c64, vp, c64, vp, c64]
+        lib.arc_match_eq.restype = c64
+        lib.arc_match_eq.argtypes = [vp, c64, c64, c64, cu64, vp]
+        lib.arc_rle_expand.restype = c64
+        lib.arc_rle_expand.argtypes = [vp, vp, c64, vp, c64, c64]
         _lib = lib
     except Exception:
         _lib = None
@@ -258,3 +399,76 @@ def decode_native(stream: bytes, symbols: list[bytes]) -> bytes | None:
         _ptr(sym_data, ctypes.c_uint8), _ptr(sym_len, ctypes.c_int64),
         _ptr(out, ctypes.c_uint8))
     return out[:olen].tobytes()
+
+
+# --- fixed-width code kernels ------------------------------------------------
+# bitpack.py validates widths, payload lengths and the uint64 range of
+# ref/code before calling these; each returns None when the kernel is
+# unavailable (the caller falls back to numpy).
+
+
+def _addr(buf) -> int:
+    """Address of a bytes-like object's first byte (no copy)."""
+    return np.frombuffer(buf, dtype=np.uint8).ctypes.data
+
+
+def unpack_native(data, width: int, count: int, ref: int,
+                  dtype: np.dtype) -> np.ndarray | None:
+    """(value + ref) mod 2**64 of each width-bit code, truncated to
+    ``dtype``; ``ref`` is given as a uint64."""
+    lib = get_lib()
+    if lib is None:
+        return None
+    out = np.empty(count, dtype=dtype)
+    lib.arc_unpack(_addr(data), len(data), width, count, ref,
+                   out.ctypes.data, out.itemsize)
+    return out
+
+
+def unpack_gather_native(data, width: int, count: int,
+                         table: np.ndarray) -> np.ndarray | None:
+    """table[code] for each width-bit code, in ``table``'s dtype."""
+    lib = get_lib()
+    if lib is None:
+        return None
+    table = np.ascontiguousarray(table)
+    out = np.empty(count, dtype=table.dtype)
+    bad = lib.arc_unpack_gather(_addr(data), len(data), width, count,
+                                table.ctypes.data, len(table),
+                                out.ctypes.data, out.itemsize)
+    if bad >= 0:
+        raise IndexError(
+            f"dictionary code at row {bad} is out of range for "
+            f"{len(table)} entries")
+    return out
+
+
+def match_eq_native(data, width: int, count: int,
+                    code: int) -> np.ndarray | None:
+    """Ascending positions of the width-bit codes equal to ``code``."""
+    lib = get_lib()
+    if lib is None:
+        return None
+    # only the slots up to the match count are ever written, so the
+    # untouched rest of a large buffer is never paged in
+    idx = np.empty(count, dtype=np.int64)
+    m = lib.arc_match_eq(_addr(data), len(data), width, count,
+                         code, idx.ctypes.data)
+    return idx[:m].copy()
+
+
+def rle_expand_native(vals: np.ndarray, lens_m1: np.ndarray,
+                      n: int) -> np.ndarray | None:
+    """vals[k] repeated lens_m1[k] + 1 times, in ``vals``' dtype; the
+    runs must add up to exactly ``n``."""
+    lib = get_lib()
+    if lib is None:
+        return None
+    vals = np.ascontiguousarray(vals)
+    lens_m1 = np.ascontiguousarray(lens_m1, dtype=np.uint64)
+    out = np.empty(n, dtype=vals.dtype)
+    got = lib.arc_rle_expand(vals.ctypes.data, lens_m1.ctypes.data,
+                             len(vals), out.ctypes.data, n, out.itemsize)
+    if got != n:
+        raise ValueError(f"RLE runs do not add up to {n} rows")
+    return out

@@ -15,7 +15,15 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..bitpack import bits_needed, pack_bits, packed_nbytes, unpack_bits
+from ..bitpack import (
+    bits_needed,
+    expand_runs,
+    match_packed,
+    pack_bits,
+    packed_nbytes,
+    run_lengths,
+    unpack_bits,
+)
 from ..constants import PLAIN_DISTINCT_RATIO
 from ..profile import StrProfile, profile_str
 from . import fsst
@@ -92,7 +100,7 @@ def encode_str_values(lengths: np.ndarray, data: bytes) -> tuple[str, bytes, dic
 def decode_str_values(codec: str, payload: bytes, meta: dict) -> tuple[np.ndarray, bytes]:
     n, wl = meta["n"], meta["wl"]
     nb = packed_nbytes(n, wl)
-    lengths = unpack_bits(payload[:nb], wl, n).view(np.int64)
+    lengths = unpack_bits(payload[:nb], wl, n, dtype=np.int64)
     rest = payload[nb:]
     if codec == "plain":
         return lengths, rest
@@ -135,12 +143,38 @@ def encode_codes(codes: np.ndarray, d: int) -> tuple[str, bytes, dict]:
 def decode_codes(codec: str, payload: bytes, meta: dict) -> np.ndarray:
     n, wc = meta["n"], meta["wc"]
     if codec == "bitpack":
-        return unpack_bits(payload, wc, n).view(np.int64)
+        return unpack_bits(payload, wc, n, dtype=np.int64)
     r, wl = meta["r"], meta["wl"]
     vb = packed_nbytes(r, wc)
-    run_vals = unpack_bits(payload[:vb], wc, r).view(np.int64)
-    run_lens = unpack_bits(payload[vb:], wl, r).astype(np.int64) + 1
-    return np.repeat(run_vals, run_lens)
+    mv = memoryview(payload)
+    run_vals = unpack_bits(mv[:vb], wc, r, dtype=np.int64)
+    return expand_runs(run_vals, unpack_bits(mv[vb:], wl, r), n)
+
+
+def match_codes(codec: str, payload: bytes, meta: dict,
+                code: int) -> np.ndarray:
+    """Ascending row positions whose code equals ``code``, found on the
+    packed codes (ARCADE's code-domain compare): bit-packed codes are
+    compared without building the code array, RLE codes compare the
+    run values and expand only the matching runs."""
+    n, wc = meta["n"], meta["wc"]
+    if codec == "bitpack":
+        return match_packed(payload, wc, n, code)
+    r, wl = meta["r"], meta["wl"]
+    vb = packed_nbytes(r, wc)
+    mv = memoryview(payload)
+    runs = match_packed(mv[:vb], wc, r, code)
+    lens = run_lengths(unpack_bits(mv[vb:], wl, r), n)
+    ends = np.cumsum(lens)
+    lens = lens[runs]
+    if not len(lens):
+        return np.empty(0, dtype=np.int64)
+    # position j of the output sits in matching run k: start_k + the
+    # offset of j inside that run
+    starts = ends[runs] - lens
+    first = np.cumsum(lens) - lens
+    return np.arange(int(lens.sum()), dtype=np.int64) + \
+        np.repeat(starts - first, lens)
 
 
 # --- full string-stream codecs ----------------------------------------------

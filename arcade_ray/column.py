@@ -57,6 +57,7 @@ from .constants import (
 )
 from .profile import profile_int
 from .streams import (
+    STORAGE_DTYPES,
     int_stream_from_arrow,
     int_stream_to_arrow,
     str_stream_from_arrow,
@@ -123,8 +124,12 @@ class IntColumnEncoder:
         return SegmentOut(payload, desc)
 
 
-def decode_int_chunk(desc: dict, payload: bytes) -> np.ndarray:
-    return decode_int(desc["codec"], payload, desc["meta"], desc["n"])
+def decode_int_chunk(desc: dict, payload: bytes,
+                     tag: str | None = None) -> np.ndarray:
+    """int64 values, or with ``tag`` the tag's storage dtype (what
+    int_stream_to_arrow wraps without a copy)."""
+    dtype = np.int64 if tag is None else STORAGE_DTYPES[tag]
+    return decode_int(desc["codec"], payload, desc["meta"], desc["n"], dtype)
 
 
 # --------------------------------------------------------------------------
@@ -575,7 +580,8 @@ class ColumnDecoder:
             if self.list_str:
                 elem = self._str.decode_chunk(desc["values"], payload[vlen:])
             else:
-                vals = decode_int_chunk(desc["values"], payload[vlen:])
+                vals = decode_int_chunk(desc["values"], payload[vlen:],
+                                        self.elem_tag)
                 elem = int_stream_to_arrow(vals, self.elem_tag)
             offsets = np.empty(len(lengths) + 1, dtype=np.int64)
             offsets[0] = 0
@@ -586,7 +592,8 @@ class ColumnDecoder:
             from .streams import tag_type
 
             return out.cast(pa.list_(tag_type(self.elem_tag)))
-        return int_stream_to_arrow(decode_int_chunk(desc, payload), self.tag)
+        return int_stream_to_arrow(decode_int_chunk(desc, payload, self.tag),
+                                   self.tag)
 
 
 def _apply_validity(arr: pa.Array, validity: bytes, n_nulls: int) -> pa.Array:

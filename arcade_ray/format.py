@@ -294,10 +294,13 @@ def decode_partition(path: str, columns: list[str] | None = None,
                     if hi > lo:
                         f.seek(base + ch["off"] + lo)
                         dec.advance(ch, read_exact(f, hi - lo, name))
-            arrays[name] = (
-                pa.concat_arrays([p.cast(parts[0].type) for p in parts])
-                if parts else _empty_array(cm)
-            )
+            if len(parts) == 1:
+                arrays[name] = parts[0]  # concat_arrays would copy it
+            elif parts:
+                arrays[name] = pa.concat_arrays(
+                    [p.cast(parts[0].type) for p in parts])
+            else:
+                arrays[name] = _empty_array(cm)
     return pa.table({n: arrays[n] for n in want})
 
 

@@ -39,7 +39,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..codecs.str_codecs import decode_codes
+from ..codecs.str_codecs import decode_codes, match_codes
 from ..column import make_column_decoder
 from ..format import decode_partition, read_exact, read_header
 from .decode import map_partitions
@@ -222,10 +222,9 @@ def _equi_match_idx(path: str, header: dict, base: int, col: str,
                     lit_code_dict_size = d_total
                 if lit_code < 0:
                     continue
-                codes = decode_codes(
-                    ch["ccodec"], payload[ch["vlen"]:], ch["cmeta"]
-                )
-                match_idx[i] = np.flatnonzero(codes == lit_code)
+                match_idx[i] = match_codes(
+                    ch["ccodec"], memoryview(payload)[ch["vlen"]:],
+                    ch["cmeta"], lit_code)
         else:
             # int-family column: decode per chunk (cheap fixed-width
             # kernels) with zone-map skipping
@@ -2200,7 +2199,8 @@ def topk(out_dir: str, col: str, k: int, descending: bool = True) -> pa.Table:
 
     refs = [part_topk.remote(r["path"]) for r in rows]
     parts = [p for p in ray.get(refs) if len(p)]
-    merged = pa.concat_arrays([p.cast(parts[0].type) for p in parts])
+    merged = parts[0] if len(parts) == 1 else \
+        pa.concat_arrays([p.cast(parts[0].type) for p in parts])
     order = pc.array_sort_indices(
         merged, order="descending" if descending else "ascending")
     return pa.table({col: merged.take(order[:k])})

@@ -12,6 +12,10 @@ KMV is the classic bottom-k estimator.)
 
 from __future__ import annotations
 
+import base64
+import functools
+import zlib
+
 import numpy as np
 
 DEFAULT_K = 256
@@ -76,6 +80,10 @@ def deserialize(vals: list[int]) -> np.ndarray:
 BLOOM_MAX_DISTINCT = 32768
 BLOOM_BITS_PER_KEY = 6
 BLOOM_K = 3
+# decoded filters kept per process (LRU): each is at most 2**18 bits =
+# 32 KiB (BLOOM_MAX_DISTINCT keys) plus its base64 key string, so the
+# cache stays within about 20 MiB
+BLOOM_CACHE_FILTERS = 256
 
 
 def _bloom_positions(h: np.ndarray, m: int) -> list[np.ndarray]:
@@ -91,9 +99,6 @@ def bloom_build(hashes: np.ndarray) -> dict | None:
     """Bitmap over distinct value hashes -> JSON-able manifest entry
     ``{"b": base64(zlib(bits)), "m": bits}``, or None when the column
     is too wide to filter usefully."""
-    import base64
-    import zlib
-
     u = np.unique(np.asarray(hashes, dtype=np.uint64))
     if len(u) == 0 or len(u) > BLOOM_MAX_DISTINCT:
         return None
@@ -106,14 +111,20 @@ def bloom_build(hashes: np.ndarray) -> dict | None:
             "m": m}
 
 
+@functools.lru_cache(maxsize=BLOOM_CACHE_FILTERS)
+def _bloom_bits(b64: str) -> np.ndarray:
+    """Decoded filter bits of a manifest ``"b"`` string, memoized: every
+    pruning pass probes the same filters again. The array is read-only,
+    so cached entries cannot be changed by a caller."""
+    return np.frombuffer(zlib.decompress(base64.b64decode(b64)),
+                         dtype=np.uint8)
+
+
 def bloom_maybe_contains(bloom: dict, hashes: np.ndarray) -> np.ndarray:
     """Per hash: False -> that value is DEFINITELY absent from the
-    partition. The filter decompresses once for all ``hashes``."""
-    import base64
-    import zlib
-
-    bits = np.frombuffer(zlib.decompress(base64.b64decode(bloom["b"])),
-                         dtype=np.uint8)
+    partition. The filter decodes once for all ``hashes``, and once per
+    process while it stays in the small LRU of decoded filters."""
+    bits = _bloom_bits(bloom["b"])
     h = np.asarray(hashes, dtype=np.uint64)
     out = np.ones(len(h), dtype=bool)
     for pos in _bloom_positions(h, int(bloom["m"])):

@@ -19,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .bitpack import as_dtype
+
 # arrow type tag <-> pyarrow type
 _TYPE_TAGS = {
     "i8": pa.int8(),
@@ -38,6 +40,14 @@ _TYPE_TAGS = {
     "large_bin": pa.large_binary(),
 }
 _TAG_OF = {str(v): k for k, v in _TYPE_TAGS.items()}
+
+# numpy dtype whose bytes are the Arrow value buffer of each int-family
+# tag (floats as their IEEE bit patterns)
+STORAGE_DTYPES = {tag: np.dtype(t) for tag, t in {
+    "i8": np.int8, "i16": np.int16, "i32": np.int32, "i64": np.int64,
+    "u32": np.uint32, "u64": np.uint64, "ts_us": np.int64,
+    "ts_ns": np.int64, "date32": np.int32, "f32": np.uint32,
+    "f64": np.uint64}.items()}
 
 
 def type_tag(t: pa.DataType) -> str:
@@ -80,21 +90,14 @@ def int_stream_from_arrow(arr: pa.ChunkedArray | pa.Array) -> tuple[np.ndarray, 
 
 
 def int_stream_to_arrow(vals: np.ndarray, tag: str) -> pa.Array:
-    t = tag_type(tag)
-    if tag == "f32":
-        return pa.array(vals.astype(np.uint32).view(np.float32), type=t)
-    if tag == "f64":
-        return pa.array(np.ascontiguousarray(vals).view(np.float64), type=t)
-    if tag == "u64":
-        return pa.array(np.ascontiguousarray(vals).view(np.uint64), type=t)
-    if tag in ("ts_us", "ts_ns", "date32"):
-        np_dtype = {"ts_us": "datetime64[us]", "ts_ns": "datetime64[ns]", "date32": "int32"}[tag]
-        if tag == "date32":
-            return pa.array(vals.astype(np.int32), type=t)
-        return pa.array(vals.view("int64").astype(np_dtype), type=t)
-    np_dtype = {"i8": np.int8, "i16": np.int16, "i32": np.int32, "i64": np.int64,
-                "u32": np.uint32, "u64": np.uint64}[tag]
-    return pa.array(vals.astype(np_dtype), type=t)
+    """int64 stream (or an array already in the tag's storage dtype, as
+    the decoders write it) -> Arrow array, wrapping the buffer."""
+    st = STORAGE_DTYPES[tag]
+    if vals.dtype != st:
+        vals = as_dtype(vals, st)
+    vals = np.require(vals, requirements=["C", "A"])
+    return pa.Array.from_buffers(tag_type(tag), len(vals),
+                                 [None, pa.py_buffer(vals)])
 
 
 def str_stream_from_arrow(arr: pa.ChunkedArray | pa.Array) -> tuple[np.ndarray, bytes, str]:

@@ -79,8 +79,10 @@ def main() -> int:
     from arcade_ray.transforms import pack_sequences
 
     t0 = time.time()
+    # a bare read_parquet counts from the Parquet footers (Ray answers
+    # count() from metadata) instead of running the read-and-strip plan
+    n_in = rd.read_parquet(args.input, columns=[args.id_col]).count()
     ds = read_parquet_clean(args.input, columns=[args.id_col, args.text_col])
-    n_in = ds.count()
 
     ds = redact_pii(ds, text_col=args.text_col)
     ds = normalize_text(ds, text_col=args.text_col, out_col="text",

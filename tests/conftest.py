@@ -19,3 +19,22 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture(params=["native", "numpy"])
+def kernel_mode(request, monkeypatch):
+    """Run a test with the C kernels (codecs/native.py) and again with
+    the numpy fallback that ARCADE_NO_NATIVE=1 selects."""
+    import arcade_ray.codecs.native as nat
+    import arcade_ray.codecs.str_codecs as sc
+
+    if request.param == "numpy":
+        monkeypatch.setenv("ARCADE_NO_NATIVE", "1")
+    else:
+        monkeypatch.delenv("ARCADE_NO_NATIVE", raising=False)
+    monkeypatch.setattr(nat, "_tried", False)
+    monkeypatch.setattr(nat, "_lib", None)
+    monkeypatch.setattr(sc, "_native_ok", None)
+    if request.param == "native" and nat.get_lib() is None:
+        pytest.skip("no C compiler in this environment")
+    return request.param

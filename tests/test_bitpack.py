@@ -43,3 +43,28 @@ def test_chunk_boundary():
     vals = (np.arange(n, dtype=np.uint64) * 2654435761) % (1 << 13)
     out = unpack_bits(pack_bits(vals, 13), 13, n)
     np.testing.assert_array_equal(out, vals)
+
+
+@pytest.mark.parametrize("width", [1, 3, 8, 13, 16, 33, 64])
+def test_truncated_payload_raises(kernel_mode, width):
+    """A payload shorter than count values raises in every decode
+    entry point, for byte-aligned and unaligned widths alike (it used
+    to zero-fill the missing values for unaligned widths)."""
+    from arcade_ray.bitpack import match_packed, unpack_gather
+
+    vals = np.arange(100, dtype=np.uint64) % (1 << min(width, 7))
+    data = pack_bits(vals, width)
+    short = data[:10]
+    with pytest.raises(ValueError, match="truncated"):
+        unpack_bits(short, width, 100)
+    with pytest.raises(ValueError, match="truncated"):
+        unpack_bits(data[:-1], width, 100, ref=5, dtype=np.int32)
+    with pytest.raises(ValueError, match="truncated"):
+        match_packed(short, width, 100, 1)
+    with pytest.raises(ValueError, match="truncated"):
+        unpack_gather(short, width, 100, np.arange(128, dtype=np.int64))
+    # exactly packed_nbytes is enough, and extra bytes are ignored
+    np.testing.assert_array_equal(unpack_bits(data, width, 100), vals)
+    np.testing.assert_array_equal(unpack_bits(data + b"\xff" * 9, width, 100),
+                                  vals)
+

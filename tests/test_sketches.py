@@ -361,3 +361,30 @@ def test_bloom_probe_matches_per_hash_loop():
     assert got.tolist() == want
     assert got[np.arange(0, 3000, 3)].all()
     assert 0 < got.sum() < len(probes)
+
+
+def test_bloom_repeated_probe_decodes_once(monkeypatch):
+    """A filter probed again is served from the decoded-filter cache:
+    one decompression for many probes, the same answers each time, and
+    a different filter still decodes its own bits."""
+    from arcade_ray import sketches
+
+    sketches._bloom_bits.cache_clear()
+    calls = []
+    real = sketches.zlib.decompress
+    monkeypatch.setattr(sketches.zlib, "decompress",
+                        lambda b: calls.append(1) or real(b))
+    bloom = sketches.bloom_build(hash_ints(np.arange(0, 3000, 3)))
+    # a new but equal string, as a fresh json.loads of the manifest gives
+    again = dict(bloom, b="".join(list(bloom["b"])))
+    probes = hash_ints(np.arange(6000))
+    first = sketches.bloom_maybe_contains(bloom, probes)
+    for b in (bloom, again, bloom):
+        assert np.array_equal(sketches.bloom_maybe_contains(b, probes), first)
+    assert len(calls) == 1
+    other = sketches.bloom_build(hash_ints(np.arange(1, 3000, 3)))
+    got = sketches.bloom_maybe_contains(other, probes)
+    assert len(calls) == 2
+    assert got[np.arange(1, 3000, 3)].all()
+    assert not np.array_equal(got, first)
+    assert not sketches._bloom_bits(bloom["b"]).flags.writeable
