@@ -31,6 +31,9 @@ _CHUNK = 1 << 18
 _WORD_MIN_BITS = 1 << 17
 _WORD_CHUNK = 1 << 17
 _MASK = (1 << 64) - 1
+# widths whose codes are whole machine integers, as pack_bits writes them
+_ALIGNED = {8: np.dtype(np.uint8), 16: np.dtype(np.uint16),
+            32: np.dtype(np.uint32), 64: np.dtype(np.uint64)}
 
 
 def bits_needed(max_value: int) -> int:
@@ -132,6 +135,11 @@ def unpack_bits(data, width: int, count: int, ref: int = 0,
     types keep the low bytes). ``data`` is any bytes-like object; a
     payload shorter than ``count`` values raises ValueError."""
     _check_payload(data, width, count)
+    if width in _ALIGNED and not ref & _MASK:
+        # byte-aligned codes: one numpy cast is the unpack, and its
+        # vectorised loop beats the kernel's bit extraction
+        return np.frombuffer(data, dtype=_ALIGNED[width],
+                             count=count).astype(dtype)
     if width and _native():
         from .codecs.native import unpack_native
 
@@ -146,9 +154,9 @@ def unpack_bits(data, width: int, count: int, ref: int = 0,
 def _unpack_numpy(data, width: int, count: int) -> np.ndarray:
     if width == 0:
         return np.zeros(count, dtype=np.uint64)
-    if width in (8, 16, 32, 64):
-        np_t = {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}[width]
-        return np.frombuffer(data, dtype=np_t, count=count).astype(np.uint64)
+    if width in _ALIGNED:
+        return np.frombuffer(data, dtype=_ALIGNED[width],
+                             count=count).astype(np.uint64)
     raw = np.frombuffer(data, dtype=np.uint8)
     out = np.empty(count, dtype=np.uint64)
     for s in range(0, count, _CHUNK):
