@@ -200,8 +200,7 @@ def _routed_blocks(routed, mode: str):
 def distributed_pair_verify(ds, cand_tab: pa.Table, id_col: str,
                             payload_cols: list[str], verify_fn,
                             n_buckets: int | None = None,
-                            derive_fn=None, as_refs: bool = False,
-                            mode: str | None = None):
+                            derive_fn=None, as_refs: bool = False):
     """Exact-verify candidate (id_a, id_b) pairs WITHOUT materializing
     candidate payloads (texts/vectors) on the driver.
 
@@ -223,11 +222,9 @@ def distributed_pair_verify(ds, cand_tab: pa.Table, id_col: str,
     *payload_cols]) -> Table. Returns the concatenated verify outputs
     (small — the surviving pair rows).
 
-    ``mode``: the exchange's fragment sink, ``"objects"`` or
-    ``"disk"``; ``None`` applies the exchange's auto rule to the SOURCE
+    The exchange's auto rule picks the fragment sink from the SOURCE
     dataset's metadata size estimate (an upper bound on the routed
     payload; objects when the plan does not know its size)."""
-    from .exchange import auto_mode, dataset_bytes
     from .hashing import hash_ints
 
     n_buckets = _verify_buckets(n_buckets)
@@ -241,18 +238,17 @@ def distributed_pair_verify(ds, cand_tab: pa.Table, id_col: str,
     return _run_verify_exchange(
         ds, cand_tab.append_column("_vb", pa.array(bucket)),
         need_ids, need_bks, id_col, payload_cols, verify_fn,
-        n_buckets, derive_fn, as_refs, mode or auto_mode(dataset_bytes(ds)))
+        n_buckets, derive_fn, as_refs)
 
 
 def distributed_group_verify(ds, memb_tab: pa.Table, id_col: str,
                              payload_cols: list[str], verify_fn,
                              group_hash, n_buckets: int | None = None,
-                             derive_fn=None, as_refs: bool = False,
-                             mode: str | None = None):
+                             derive_fn=None, as_refs: bool = False):
     """Exact-verify candidate GROUPS (e.g. exact-dedup hash runs)
     without materializing candidate payloads on the driver — the
     group-shaped sibling of :func:`distributed_pair_verify` (same
-    ``mode`` rule).
+    sink rule).
 
     ``memb_tab``: one row per candidate group MEMBER (group key
     columns + ``id_col``); fixed-width, driver-held — never text.
@@ -262,8 +258,6 @@ def distributed_group_verify(ds, memb_tab: pa.Table, id_col: str,
     exactly one group, so the need-list maps each id to ONE bucket.
     ``verify_fn(membs, payload) -> Table`` runs once per bucket with
     that bucket's member rows and their routed payloads."""
-    from .exchange import auto_mode, dataset_bytes
-
     n_buckets = _verify_buckets(n_buckets)
     bucket = (np.asarray(group_hash).astype(np.uint64)
               % np.uint64(n_buckets)).astype(np.int64)
@@ -272,20 +266,21 @@ def distributed_group_verify(ds, memb_tab: pa.Table, id_col: str,
     return _run_verify_exchange(
         ds, memb_tab.append_column("_vb", pa.array(bucket)),
         need_ids, need_bks, id_col, payload_cols, verify_fn,
-        n_buckets, derive_fn, as_refs, mode or auto_mode(dataset_bytes(ds)))
+        n_buckets, derive_fn, as_refs)
 
 
 def _run_verify_exchange(ds, tagged_tab: pa.Table, need_ids, need_bks,
                          id_col: str, payload_cols: list[str],
                          verify_fn, n_buckets: int, derive_fn,
-                         as_refs: bool, mode: str):
+                         as_refs: bool):
     """Shared core of the two verify shapes: route candidate payloads
     to their ``_vb`` buckets, then one verify task per bucket over (its
     tagged rows, its payloads)."""
     import ray
 
-    from .exchange import run
+    from .exchange import auto_mode, dataset_bytes, run
 
+    mode = auto_mode(dataset_bytes(ds))
     pairs_ref = ray.put(tagged_tab)
     need_ref = ray.put((need_ids, need_bks))
     routed = ds.map_batches(
@@ -426,23 +421,6 @@ def _distributed_candidate_verify(ds, sig_ds, id_col: str,
             and pair_frags.parts[b] is not None]
     outs = consume(verify, [pay_frags, pair_frags], live, as_refs)
     return outs if as_refs else _concat_typed(outs)
-
-
-def fetch_by_ids(ds, id_col: str, ids, columns: list[str] | None = None) -> pa.Table:
-    """Map-side semi-join: stream the dataset, keep rows whose id is in
-    ``ids`` (a small candidate set), collect the survivors. The id set
-    ships once per task in the closure; the big payload columns only
-    move for matching rows — the second-keyed-fetch pattern used after
-    a payload-free candidate shuffle."""
-    value_set = pa.array(sorted(set(ids)))
-
-    def keep(batch: pa.Table) -> pa.Table:
-        m = pa.compute.is_in(batch[id_col],
-                             value_set=value_set.cast(batch[id_col].type))
-        out = batch.filter(m)
-        return out.select(columns) if columns else out
-
-    return collect_arrow(ds.map_batches(keep, batch_format="pyarrow"))
 
 
 def _block_to_arrow(block) -> pa.Table:

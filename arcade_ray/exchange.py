@@ -20,11 +20,14 @@ Two fragment sinks:
   is O(in-flight splits) whatever the input size. On a multi-node
   cluster the shuffle dir must live on shared storage.
 
-One auto rule (:func:`auto_mode`): disk above ``DISK_EXCHANGE_BYTES``
-(env ``ARCADE_DISK_EXCHANGE_BYTES``, default 8 GiB) of an input size
-known WITHOUT executing the input — manifest ``raw_bytes``, parquet
-file sizes, or a Dataset's metadata estimate (:func:`dataset_bytes`);
-objects when the size is unknown.
+One auto rule (:func:`auto_mode`) picks the sink, and no public
+function lets its caller override it: disk above
+``DISK_EXCHANGE_BYTES`` (env ``ARCADE_DISK_EXCHANGE_BYTES``, default
+8 GiB) of an input size known WITHOUT executing the input — manifest
+``raw_bytes``, parquet file sizes, or a Dataset's metadata estimate
+(:func:`dataset_bytes`); objects when the size is unknown. Every caller
+applies the rule on the driver, so lowering the threshold sends a whole
+run through the disk sink.
 """
 
 from __future__ import annotations

@@ -15,7 +15,11 @@ which is the checkpoint: on resume, committed partitions are dropped
 *before* the shuffle, so finished work is neither re-encoded nor
 re-shuffled. :func:`encode_parquet` and :func:`encode_dataset` are thin
 front ends over one driver (``_encode``); they differ only in how they
-build split inputs and run the planning pass.
+build split inputs and run the planning pass. Neither takes a sink
+option: the exchange's auto rule picks the object store or disk from an
+input size known before the run. ``tests/test_exchange_parity.py``
+holds both sinks byte-identical to a ``groupby(_pid).map_groups``
+reference encode that lives in the test.
 """
 
 from __future__ import annotations
@@ -194,7 +198,6 @@ def encode_dataset(ds, out_dir: str, key_col: str = "source",
                    id_col: str = "doc_id", weight_col: str | None = "n_tok",
                    weight_cap: int | None = None, resume: bool = True,
                    sort_partitions_by: str | None = None,
-                   exchange: str | None = None,
                    generation: str | None = None,
                    range_partition_col: str | None = None,
                    zorder_cols: list[str] | None = None) -> pa.Table:
@@ -221,35 +224,15 @@ def encode_dataset(ds, out_dir: str, key_col: str = "source",
     ``sort_partitions_by`` defaults to ``id_col`` for deterministic,
     resume-stable partition contents.
 
-    ``exchange`` selects the rebalance shuffle:
-
-    - ``None`` (default): the partitioned hash exchange of
-      ``arcade_ray/exchange.py``, its fragment sink picked by the
-      exchange's auto rule from the Dataset's metadata size estimate
-      (the object store when the size is unknown).
-    - ``"direct"``: that exchange with the object-store sink — one
-      split task per group of input blocks fans rows out to one
-      fragment per encode bucket; one encode task per bucket fetches
-      exactly its fragments. No sort comparisons, one materialization
-      round, encode parallelism = #buckets. This is the documented
-      drop-to-Ray-core case: Dataset's groupby shuffle is a SORT
-      exchange whose post-shuffle blocks coalesce many groups per task,
-      serializing the encode stage.
-    - ``"disk"``: the same exchange with the disk sink (Arrow IPC
-      shuffle files under ``out_dir/_shuffle``, bounded in-flight
-      splits) — peak object-store usage is O(in-flight splits) instead
-      of O(dataset); input blocks are consumed as the streaming
-      executor produces them. The scale path for inputs far beyond
-      store capacity.
-    - ``"groupby"``: idiomatic ``groupby(_pid).map_groups`` — same
-      semantics, kept as the parity reference.
+    The rebalance runs through the fragment exchange
+    (``arcade_ray/exchange.py``); its auto rule picks the sink from the
+    Dataset's metadata size estimate (the object store when the size
+    is unknown).
     """
     from ..collect import iter_arrow_refs
     from ..exchange import auto_mode, avail_cpus, dataset_bytes
 
-    if exchange is None:
-        exchange = auto_mode(dataset_bytes(ds))
-    mode = "objects" if exchange == "direct" else exchange
+    mode = auto_mode(dataset_bytes(ds))
     if zorder_cols is not None:
         if range_partition_col is not None:
             raise ValueError(
@@ -309,7 +292,7 @@ def encode_dataset(ds, out_dir: str, key_col: str = "source",
         return _group(list(iter_arrow_refs(ds)), max(16, avail_cpus()))
 
     return _encode(out_dir, set(in_sch.names), arrow_schema, key_plan,
-                   range_parts, split_inputs, mode, ds=ds,
+                   range_parts, split_inputs, mode,
                    key_col=key_col, id_col=id_col, weight_col=weight_col,
                    weight_cap=weight_cap, resume=resume,
                    sort_partitions_by=sort_partitions_by,
@@ -319,7 +302,7 @@ def encode_dataset(ds, out_dir: str, key_col: str = "source",
 
 
 def _encode(out_dir: str, names: set, schema: pa.Schema | None, key_plan,
-            range_parts, split_inputs, mode: str, *, ds=None,
+            range_parts, split_inputs, mode: str, *,
             key_col: str, id_col: str, weight_col: str | None,
             weight_cap: int | None, resume: bool,
             sort_partitions_by: str | None, generation: str | None,
@@ -331,8 +314,7 @@ def _encode(out_dir: str, names: set, schema: pa.Schema | None, key_plan,
     ``range_parts(cols) -> [(samples, weight)]``, one entry per input
     piece, both reading only ``cols`` — and ``split_inputs()``, the
     exchange's split inputs (never called when every partition is
-    already committed). ``mode`` is the exchange sink, or ``"groupby"``
-    to encode through ``ds.groupby`` instead."""
+    already committed). ``mode`` is the exchange sink."""
     from ..exchange import avail_cpus, run
 
     os.makedirs(os.path.join(out_dir, PARTS_DIR), exist_ok=True)
@@ -382,20 +364,9 @@ def _encode(out_dir: str, names: set, schema: pa.Schema | None, key_plan,
             out = out.filter(keep)
         return out
 
-    encode = functools.partial(_encode_bucket, pid_keys, out_dir, sort_by,
-                               generation or "")
     rows = list(done.values())
-    if all(k in done for k in pid_keys):
-        pass  # resume of a finished run: the input is never read
-    elif mode == "groupby":
-        from ..collect import collect_arrow
-
-        encoded = ds.map_batches(assign, batch_format="pyarrow") \
-            .groupby("_pid").map_groups(
-                lambda g: _manifest_schema_table(encode(0, g)),
-                batch_format="pyarrow")
-        rows.extend(collect_arrow(encoded).to_pylist())
-    else:
+    # a resume of a finished run never reads the input
+    if not all(k in done for k in pid_keys):
         # encode-bucket count: >= 32 for balance, scaling with the
         # cluster. Over-granular fan-out (buckets >> cores) measurably
         # HURTS: the per-object store/scheduler overhead outweighs the
@@ -408,6 +379,8 @@ def _encode(out_dir: str, names: set, schema: pa.Schema | None, key_plan,
             return table, bucket_of_pid[
                 table["_pid"].to_numpy(zero_copy_only=False)]
 
+        encode = functools.partial(_encode_bucket, pid_keys, out_dir,
+                                   sort_by, generation or "")
         for bucket_rows in run(route, split_inputs(), encode, n_buckets,
                                mode, "encode", parent=out_dir):
             rows.extend(bucket_rows)
@@ -709,7 +682,6 @@ def encode_parquet(paths: list[str] | str, out_dir: str,
                    weight_col: str | None = "n_tok",
                    weight_cap: int | None = None, resume: bool = True,
                    sort_partitions_by: str | None = None,
-                   exchange: str | None = None,
                    generation: str | None = None,
                    range_partition_col: str | None = None,
                    zorder_cols: list[str] | None = None) -> pa.Table:
@@ -718,12 +690,11 @@ def encode_parquet(paths: list[str] | str, out_dir: str,
     and the planning pass reads only the key/weight columns per shard.
     One split task per file group, one encode task per bucket.
 
-    ``exchange``: None (auto) lets the exchange's auto rule pick the
-    sink from the files' on-disk bytes — the object store below
-    ARCADE_DISK_EXCHANGE_BYTES, the disk-staged, bounded-in-flight
-    sink above it (uncompressed fragments of a giant input would
-    otherwise only be survivable via object-store spilling);
-    ``"direct"`` / ``"disk"`` force one.
+    The exchange's auto rule picks the fragment sink from the files'
+    on-disk bytes: the object store below ARCADE_DISK_EXCHANGE_BYTES,
+    the disk-staged, bounded-in-flight sink above it (uncompressed
+    fragments of a giant input would otherwise only be survivable via
+    object-store spilling).
 
     ``range_partition_col``: CLUSTERED layout — partitions cover
     disjoint quantile ranges of this (numeric/timestamp) column
@@ -753,8 +724,6 @@ def encode_parquet(paths: list[str] | str, out_dir: str,
         files = list(paths)
     if not files:
         raise FileNotFoundError(paths)
-    if exchange is None:
-        exchange = auto_mode(sum(os.path.getsize(f) for f in files))
     if zorder_cols is not None:
         # z-order needs a computed clustering column — route through
         # the generic dataset path. range_partition_col forwards so
@@ -765,9 +734,10 @@ def encode_parquet(paths: list[str] | str, out_dir: str,
             read_parquet_clean(files), out_dir, key_col=key_col,
             id_col=id_col, weight_col=weight_col, weight_cap=weight_cap,
             resume=resume, sort_partitions_by=sort_partitions_by,
-            exchange=exchange, generation=generation,
+            generation=generation,
             range_partition_col=range_partition_col,
             zorder_cols=zorder_cols)
+    mode = auto_mode(sum(os.path.getsize(f) for f in files))
     schema = pq.read_schema(files[0])
     # one split task per core: the split wave (parquet read + assign +
     # hash-partition) is the pipeline's other parallel phase — capping
@@ -807,8 +777,7 @@ def encode_parquet(paths: list[str] | str, out_dir: str,
             weight_col=weight_col), cols)
 
     return _encode(out_dir, set(schema.names), schema, key_plan,
-                   range_parts, lambda: groups,
-                   "disk" if exchange == "disk" else "objects",
+                   range_parts, lambda: groups, mode,
                    key_col=key_col, id_col=id_col, weight_col=weight_col,
                    weight_cap=weight_cap, resume=resume,
                    sort_partitions_by=sort_partitions_by,

@@ -20,7 +20,10 @@ matching output rows. The scale assumption — build side fits a worker
 heap — is asserted loudly (``max_build_rows``); for two large tables
 use :func:`copartition_join`, which co-partitions both sides on the
 key through the fragment exchange (arcade_ray/exchange.py) and joins
-bucket by bucket instead.
+bucket by bucket instead; the exchange picks its own fragment sink.
+:func:`shuffle_join` is its public alias. The decoded-scan
+``Dataset.join`` it is checked against is a reference implementation
+in ``tests/test_join_compound.py``.
 """
 
 from __future__ import annotations
@@ -62,61 +65,32 @@ def null_safe_buckets(col, n_buckets: int) -> "np.ndarray":
 def shuffle_join(left_dir: str, right_dir: str, left_key: str,
                  right_key: str, left_cols: list[str],
                  right_cols: list[str], join_type: str = "inner",
-                 num_partitions: int | None = None,
-                 _native: bool = False):
-    """Large-large join of two ENCODED datasets. This is now an ALIAS
-    for :func:`copartition_join` (measured 8-25x faster at sf0.1: no
-    sort comparisons, one data movement per side) — kept so existing
-    callers and the CLI keep working with one public large-large join,
-    and it is the fast one.
-
-    ``_native=True`` (tests only) runs the original implementation:
-    decoded scans into Ray Data's hash-partitioned ``Dataset.join`` —
-    retained as a parity oracle for copartition_join, not a user path.
+                 num_partitions: int | None = None):
+    """Large-large join of two ENCODED datasets: the public alias of
+    :func:`copartition_join` (measured 8-25x faster at sf0.1 than a
+    decoded scan into Ray Data's hash-partitioned ``Dataset.join``: no
+    sort comparisons, one data movement per side). Accepts the
+    ``*_outer`` join-type spellings as well.
 
     Returns a streaming Dataset with columns left_cols + right_cols."""
-    if not _native:
-        # normalize the *_outer aliases both entry points accept
-        jt = {"left_outer": "left", "right_outer": "right",
-              "full_outer": "full"}.get(join_type, join_type)
-        return copartition_join(left_dir, right_dir, left_key, right_key,
-                                left_cols, right_cols, join_type=jt,
-                                n_buckets=num_partitions)
-
-    import ray
-
-    from .query import scan
-
-    # accept the same names broadcast_join uses; Ray's enum wants
-    # *_outer forms
-    join_type = {"left": "left_outer", "right": "right_outer",
-                 "full": "full_outer"}.get(join_type, join_type)
-    left_need = list(dict.fromkeys(left_cols + [left_key]))
-    right_need = list(dict.fromkeys(right_cols + [right_key]))
-    lds = scan(left_dir, columns=left_need)
-    rds = scan(right_dir, columns=right_need)
-    if num_partitions is None:
-        num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
-    out = lds.join(
-        rds, join_type=join_type, num_partitions=num_partitions,
-        on=(left_key,), right_on=(right_key,),
-    )
-    keep = list(dict.fromkeys(left_cols + right_cols))
-    return out.map_batches(lambda b: b.select(keep), batch_format="pyarrow")
+    jt = {"left_outer": "left", "right_outer": "right",
+          "full_outer": "full"}.get(join_type, join_type)
+    return copartition_join(left_dir, right_dir, left_key, right_key,
+                            left_cols, right_cols, join_type=jt,
+                            n_buckets=num_partitions)
 
 
 def copartition_join(left_dir: str, right_dir: str, left_key: str,
                      right_key: str, left_cols: list[str],
                      right_cols: list[str], join_type: str = "inner",
                      n_buckets: int | None = None,
-                     mode: str | None = None,
                      salt=None, salt_factor: int = 8):
     """Hash CO-PARTITIONED join of two large ENCODED datasets: one
     split task per encoded partition per side decodes key+projection
     columns and fans rows out to per-key-hash bucket fragments
     (the fragment exchange, arcade_ray/exchange.py: object-store
-    fragments, or Arrow-IPC shuffle files in ``mode="disk"``), then
-    one task per bucket joins its two
+    fragments, or Arrow-IPC shuffle files above its auto rule's size
+    threshold), then one task per bucket joins its two
     fragment sets with Arrow's vectorized hash join. One data
     movement per side, no sort comparisons, join parallelism =
     n_buckets; ``salt="auto"`` spreads hot left keys (see
@@ -127,7 +101,7 @@ def copartition_join(left_dir: str, right_dir: str, left_key: str,
     Returns a streaming Dataset with columns left_cols + right_cols."""
     return dataset_join(left_dir, right_dir, left_key, right_key,
                         left_cols, right_cols, join_type=join_type,
-                        n_buckets=n_buckets, mode=mode,
+                        n_buckets=n_buckets,
                         strategy="copartition", salt=salt,
                         salt_factor=salt_factor)
 
@@ -675,7 +649,7 @@ def _keys_list(k) -> list[str]:
 def dataset_join(left, right, left_key, right_key,
                  left_cols: list[str], right_cols: list[str],
                  join_type: str = "inner", n_buckets: int | None = None,
-                 mode: str | None = None, strategy: str | None = None,
+                 strategy: str | None = None,
                  left_types: dict | None = None,
                  salt=None, salt_factor: int = 8):
     """General join: each side is an ENCODED dir (str), the LEFT side
@@ -700,10 +674,10 @@ def dataset_join(left, right, left_key, right_key,
       fragments (one split task per encoded partition or stream
       block; NULL keys bucket null-safely) and one Arrow join runs
       per bucket, through the fragment exchange
-      (arcade_ray/exchange.py). ``mode`` is its sink: ``"objects"``,
-      or ``"disk"`` for Arrow-IPC shuffle files (bounded object-store
-      footprint); ``None`` applies the exchange's auto rule to both
-      sides' manifest raw_bytes (a stream's metadata size).
+      (arcade_ray/exchange.py). Its auto rule picks the sink from
+      both sides' manifest raw_bytes (a stream's metadata size):
+      object-store fragments, or Arrow-IPC shuffle files (bounded
+      object-store footprint) above the threshold.
 
     ``left_key`` / ``right_key`` may be a single column or a list
     (multi-equality ON): fragments bucket on the FIRST key pair (rows
@@ -909,8 +883,7 @@ def dataset_join(left, right, left_key, right_key,
             l_empty = pa.table({
                 c: pa.array([], type=types[names.index(c)])
                 for c in left_need})
-    if mode is None:
-        mode = auto_mode(l_bytes + r_bytes)
+    mode = auto_mode(l_bytes + r_bytes)
 
     def route(keys: list[str], cols: list[str], rep: bool, src):
         t = decode_partition(src, columns=cols) \

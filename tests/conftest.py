@@ -38,3 +38,30 @@ def kernel_mode(request, monkeypatch):
     if request.param == "native" and nat.get_lib() is None:
         pytest.skip("no C compiler in this environment")
     return request.param
+
+
+@pytest.fixture
+def sink(monkeypatch):
+    """``sink("objects")`` / ``sink("disk")`` sends every fragment
+    exchange that runs afterwards in the test through that sink. No
+    library function takes the sink as an option; this moves the
+    threshold of the exchange's auto rule, which every caller applies
+    on the driver. Returns the list of shuffle-dir tags the disk sink
+    creates from then on, so a test can check which sink ran."""
+    import arcade_ray.exchange as ex
+
+    real = ex.make_shuffle_dir
+
+    def use(mode):
+        tags = []
+
+        def spy(tag, parent=None):
+            tags.append(tag)
+            return real(tag, parent)
+
+        monkeypatch.setattr(ex, "make_shuffle_dir", spy)
+        monkeypatch.setattr(ex, "DISK_EXCHANGE_BYTES",
+                            {"objects": 1 << 62, "disk": 1}[mode])
+        return tags
+
+    return use

@@ -1,5 +1,10 @@
-"""The two exchange implementations (direct partitioned hash exchange
-vs idiomatic groupby().map_groups) must produce identical partitions."""
+"""The fragment exchange's two sinks (object store and disk-staged
+Arrow IPC files) and a test-local reference encode that shuffles with
+Ray Data's ``groupby(_pid).map_groups`` must produce identical
+partitions."""
+
+import functools
+import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -9,15 +14,51 @@ from arcade_ray.corpus import generate_corpus
 from arcade_ray.pipeline import decode_dataset, encode_dataset
 
 
-@pytest.mark.parametrize("exchange", ["direct", "groupby", "disk"])
-def test_exchange_roundtrip(ray_session, tmp_path, exchange):
+def groupby_encode(ds, out_dir: str, weight_cap: int) -> pa.Table:
+    """Reference encode: the engine's key plan and partition encoder,
+    with ``groupby(_pid).map_groups`` as the shuffle in place of the
+    fragment exchange. Commits partitions like ``encode_dataset`` and
+    returns the manifest table sorted by ``part_key``."""
+    from arcade_ray.collect import collect_arrow
+    from arcade_ray.pipeline.encode import (MANIFEST_DIR, PARTS_DIR,
+                                            _encode_bucket,
+                                            _manifest_schema_table)
+    from arcade_ray.planner import assign_part_keys, build_plan
+
+    plan = build_plan(ds.select_columns(["source", "n_tok"]), "source",
+                      "doc_id", "n_tok", weight_cap)
+    for d in (PARTS_DIR, MANIFEST_DIR):
+        os.makedirs(os.path.join(out_dir, d), exist_ok=True)
+    encode = functools.partial(_encode_bucket, plan.part_keys(), out_dir,
+                               "doc_id", "")
+    encoded = ds.map_batches(lambda b: assign_part_keys(b, plan),
+                             batch_format="pyarrow") \
+        .groupby("_pid").map_groups(
+            lambda g: _manifest_schema_table(encode(0, g)),
+            batch_format="pyarrow")
+    m = collect_arrow(encoded)
+    return m.take(pc.sort_indices(m["part_key"]))
+
+
+def _encode_via(exchange: str, sink, ds, out_dir: str,
+                weight_cap: int) -> pa.Table:
+    if exchange == "groupby":
+        return groupby_encode(ds, out_dir, weight_cap)
+    tags = sink(exchange)
+    m = encode_dataset(ds, out_dir, weight_cap=weight_cap)
+    assert bool(tags) == (exchange == "disk"), tags
+    return m
+
+
+@pytest.mark.parametrize("exchange", ["objects", "groupby", "disk"])
+def test_exchange_roundtrip(ray_session, tmp_path, sink, exchange):
     import ray
     import ray.data as rd
 
     table = generate_corpus(6000, 6, seed=21)
     out_dir = str(tmp_path / exchange)
-    manifest = encode_dataset(rd.from_arrow(table), out_dir,
-                              weight_cap=120_000, exchange=exchange)
+    manifest = _encode_via(exchange, sink, rd.from_arrow(table), out_dir,
+                           weight_cap=120_000)
     assert sum(manifest["rows"].to_pylist()) == 6000
     decoded = pa.concat_tables(ray.get(decode_dataset(out_dir).to_arrow_refs()))
     a = decoded.take(pc.sort_indices(decoded["doc_id"]))
@@ -27,18 +68,19 @@ def test_exchange_roundtrip(ray_session, tmp_path, exchange):
             b[name].combine_chunks().cast(a[name].type)), name
 
 
-def test_exchanges_identical_bytes(ray_session, tmp_path):
+def test_exchanges_identical_bytes(ray_session, tmp_path, sink):
     """Same plan + sorted partitions -> byte-identical partition files
-    from both exchanges (determinism check)."""
+    from the auto-picked sink, the disk sink and the groupby reference
+    (determinism check)."""
     import ray.data as rd
 
     table = generate_corpus(4000, 4, seed=22)
     m1 = encode_dataset(rd.from_arrow(table), str(tmp_path / "d"),
-                        weight_cap=100_000, exchange="direct")
-    m2 = encode_dataset(rd.from_arrow(table), str(tmp_path / "g"),
-                        weight_cap=100_000, exchange="groupby")
-    m3 = encode_dataset(rd.from_arrow(table), str(tmp_path / "k"),
-                        weight_cap=100_000, exchange="disk")
+                        weight_cap=100_000)
+    m2 = groupby_encode(rd.from_arrow(table), str(tmp_path / "g"),
+                        weight_cap=100_000)
+    m3 = _encode_via("disk", sink, rd.from_arrow(table),
+                     str(tmp_path / "k"), weight_cap=100_000)
     a = {k: (s, c) for k, s, c in zip(m1["part_key"].to_pylist(),
                                       m1["enc_bytes"].to_pylist(),
                                       m1["crc32"].to_pylist())}
@@ -52,19 +94,16 @@ def test_exchanges_identical_bytes(ray_session, tmp_path):
     assert a == c
 
 
-def test_disk_exchange_cleans_shuffle_dir(ray_session, tmp_path):
-    import os
-
+def test_disk_exchange_cleans_shuffle_dir(ray_session, tmp_path, sink):
     import ray.data as rd
 
     table = generate_corpus(2000, 3, seed=23)
     out = str(tmp_path / "disk")
-    encode_dataset(rd.from_arrow(table), out, weight_cap=80_000,
-                   exchange="disk")
+    _encode_via("disk", sink, rd.from_arrow(table), out, weight_cap=80_000)
     assert not os.path.exists(os.path.join(out, "_shuffle"))
 
 
-def test_parquet_disk_exchange_parity(ray_session, tmp_path):
+def test_parquet_disk_exchange_parity(ray_session, tmp_path, sink):
     """encode_parquet's disk-staged exchange matches the object-store
     exchange byte for byte."""
     import pyarrow.parquet as pq
@@ -78,14 +117,18 @@ def test_parquet_disk_exchange_parity(ray_session, tmp_path):
     for i in range(4):
         pq.write_table(table.slice(i * per, per),
                        str(src_dir / f"p{i}.parquet"))
-    m1 = encode_parquet(str(src_dir), str(tmp_path / "a"), exchange="direct")
-    m2 = encode_parquet(str(src_dir), str(tmp_path / "b"), exchange="disk")
+    obj_tags = sink("objects")
+    m1 = encode_parquet(str(src_dir), str(tmp_path / "a"))
+    assert not obj_tags
+    tags = sink("disk")
+    m2 = encode_parquet(str(src_dir), str(tmp_path / "b"))
+    assert tags == ["encode"]
     a = dict(zip(m1["part_key"].to_pylist(), m1["crc32"].to_pylist()))
     b = dict(zip(m2["part_key"].to_pylist(), m2["crc32"].to_pylist()))
     assert a == b
 
 
-def test_group_verify_disk_objects_parity(ray_session):
+def test_group_verify_disk_objects_parity(ray_session, sink):
     """distributed_group_verify (exact-dedup's routed-text resolve)
     yields the identical loser set in objects mode and disk-staged
     mode, and both match the driver-computed reference."""
@@ -103,23 +146,11 @@ def test_group_verify_disk_objects_parity(ray_session):
     t = pa.table({"doc_id": pa.array(list(range(n)), type=pa.int64()),
                   "text": pa.array(texts)})
 
-    import arcade_ray.collect as collect
-
-    orig = collect.distributed_group_verify
-
-    def force(mode):
-        def wrapped(*a, **k):
-            k["mode"] = mode
-            return orig(*a, **k)
-        return wrapped
-
     ref = None
     for mode in ("objects", "disk"):
-        collect.distributed_group_verify = force(mode)
-        try:
-            losers = dedup_loser_ids(rd.from_arrow(t))
-        finally:
-            collect.distributed_group_verify = orig
+        tags = sink(mode)
+        losers = dedup_loser_ids(rd.from_arrow(t))
+        assert ("verify" in tags) == (mode == "disk"), tags
         got = losers["doc_id"].to_pylist()
         if ref is None:
             ref = got
@@ -182,6 +213,7 @@ def _encode_dataset_case(tmp_path, out):
 def _copartition_join_case(tmp_path, out):
     import ray.data as rd
 
+    import arcade_ray.exchange as ex
     from arcade_ray.collect import collect_arrow
     from arcade_ray.pipeline.join import copartition_join
 
@@ -193,12 +225,16 @@ def _copartition_join_case(tmp_path, out):
                        "o_flag": [f"f{i % 3}" for i in range(800)]})
     c_dir, o_dir = tmp_path / "cust", tmp_path / "ord"
     if not c_dir.exists():
-        encode_dataset(rd.from_arrow(cust), str(c_dir), key_col="c_seg",
-                       id_col="c_custkey", weight_col=None,
-                       exchange="direct")
-        encode_dataset(rd.from_arrow(orders), str(o_dir), key_col="o_flag",
-                       id_col="o_orderkey", weight_col=None,
-                       exchange="direct")
+        # the inputs encode through the object store whatever the test
+        # set, so only the join can create a shuffle dir
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ex, "DISK_EXCHANGE_BYTES", 1 << 62)
+            encode_dataset(rd.from_arrow(cust), str(c_dir),
+                           key_col="c_seg", id_col="c_custkey",
+                           weight_col=None)
+            encode_dataset(rd.from_arrow(orders), str(o_dir),
+                           key_col="o_flag", id_col="o_orderkey",
+                           weight_col=None)
     t = collect_arrow(copartition_join(
         str(o_dir), str(c_dir), left_key="o_custkey",
         right_key="c_custkey", left_cols=["o_orderkey"],
@@ -253,13 +289,15 @@ def test_auto_mode_threshold(ray_session, tmp_path, monkeypatch, case):
     assert disk == objects and disk
 
 
-def test_verify_auto_mode_runs_source_once_per_pass(ray_session, tmp_path):
+def test_verify_auto_mode_runs_source_once_per_pass(ray_session, tmp_path,
+                                                    monkeypatch):
     """The verify exchange's auto rule reads only sizes known without
     executing the input: over a lazy source, exact_dedup runs the
-    source UDF exactly as often in auto mode as with objects forced."""
+    source UDF exactly as often with the size probe as without it
+    (objects either way)."""
     import ray.data as rd
 
-    import arcade_ray.collect as collect
+    import arcade_ray.exchange as ex
     from arcade_ray.textops import exact_dedup
 
     log = tmp_path / "udf_calls"
@@ -273,38 +311,30 @@ def test_verify_auto_mode_runs_source_once_per_pass(ray_session, tmp_path):
              for i in range(400)]
     t = pa.table({"doc_id": pa.array(range(400), pa.int64()),
                   "text": texts})
-    orig = collect.distributed_group_verify
 
-    def run(mode):
+    def run():
         log.write_text("")
-
-        def wrapped(*a, **k):
-            k["mode"] = mode
-            return orig(*a, **k)
-
-        collect.distributed_group_verify = wrapped
-        try:
-            ds = rd.from_arrow([t.slice(i * 100, 100) for i in range(4)]) \
-                .map_batches(counting, batch_format="pyarrow")
-            rows = exact_dedup(ds).count()
-        finally:
-            collect.distributed_group_verify = orig
+        ds = rd.from_arrow([t.slice(i * 100, 100) for i in range(4)]) \
+            .map_batches(counting, batch_format="pyarrow")
+        rows = exact_dedup(ds).count()
         return len(log.read_text()), rows
 
-    auto_calls, auto_rows = run(None)
-    obj_calls, obj_rows = run("objects")
+    auto_calls, auto_rows = run()
+    # an unknown size is the object store's case, so the auto rule
+    # then takes the sink a forced objects run took
+    monkeypatch.setattr(ex, "dataset_bytes", lambda ds: None)
+    obj_calls, obj_rows = run()
     assert auto_rows == obj_rows == 400 - (134 - 7)
     assert auto_calls == obj_calls
 
 
-@pytest.mark.parametrize("exchange", ["direct", "disk"])
-def test_failed_split_commits_nothing(ray_session, tmp_path, exchange):
+@pytest.mark.parametrize("exchange", ["objects", "disk"])
+def test_failed_split_commits_nothing(ray_session, tmp_path, sink,
+                                      exchange):
     """A split that raises surfaces its error from encode_parquet
     before any bucket is encoded — no partition is committed from a
     bucket that missed a fragment — and the disk sink's
     out_dir/_shuffle is removed on the failure path too."""
-    import os
-
     import pyarrow.parquet as pq
 
     from arcade_ray.pipeline.encode import encode_parquet
@@ -318,9 +348,10 @@ def test_failed_split_commits_nothing(ray_session, tmp_path, exchange):
             part = part.drop_columns(["doc_id"])
         pq.write_table(part, str(src / f"p{i}.parquet"))
     out = tmp_path / "enc"
+    tags = sink(exchange)
     with pytest.raises(Exception, match="doc_id"):
-        encode_parquet(str(src), str(out), weight_cap=40_000,
-                       exchange=exchange)
+        encode_parquet(str(src), str(out), weight_cap=40_000)
+    assert bool(tags) == (exchange == "disk"), tags
     assert not os.listdir(out / "manifest")
     assert not os.listdir(out / "parts")
     assert not os.path.exists(out / "_shuffle")

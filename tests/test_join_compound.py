@@ -423,26 +423,45 @@ def test_semi_join_large_anti_nulls(ray_session, tmp_path):
     assert sorted(got_s["pid"].to_pylist()) == exp_s
 
 
+def ray_data_join(left_dir: str, right_dir: str, left_key: str,
+                  right_key: str, left_cols: list[str],
+                  right_cols: list[str]):
+    """Reference large-large inner join: decoded scans of both encoded
+    dirs into Ray Data's hash-partitioned ``Dataset.join``."""
+    import ray
+
+    from arcade_ray.pipeline.query import scan
+
+    lds = scan(left_dir, columns=list(dict.fromkeys(left_cols + [left_key])))
+    rds = scan(right_dir,
+               columns=list(dict.fromkeys(right_cols + [right_key])))
+    out = lds.join(
+        rds, join_type="inner",
+        num_partitions=max(8, int(ray.cluster_resources().get("CPU", 8))),
+        on=(left_key,), right_on=(right_key,))
+    keep = list(dict.fromkeys(left_cols + right_cols))
+    return out.map_batches(lambda b: b.select(keep), batch_format="pyarrow")
+
+
 def test_shuffle_join_aliases_copartition(two_tables):
-    """shuffle_join is an alias for copartition_join; the Ray-native
-    sort-shuffle variant survives only as a _native=True parity
-    oracle. Both must produce identical multisets."""
+    """shuffle_join is an alias for copartition_join; it must produce
+    the identical multiset to the Ray Data sort-shuffle reference."""
     from arcade_ray.pipeline.join import shuffle_join
 
     o_dir, c_dir, orders, cust = two_tables
     kw = dict(left_key="o_custkey", right_key="c_custkey",
               left_cols=["o_orderkey"], right_cols=["c_seg"])
     fast = collect_arrow(shuffle_join(o_dir, c_dir, **kw))
-    native = collect_arrow(shuffle_join(o_dir, c_dir, _native=True, **kw))
+    ref = collect_arrow(ray_data_join(o_dir, c_dir, **kw))
 
     def key(t):
         return sorted(zip(t["o_orderkey"].to_pylist(),
                           t["c_seg"].to_pylist()))
 
-    assert key(fast) == key(native)
+    assert key(fast) == key(ref)
 
 
-def test_copartition_join_disk_parity(two_tables):
+def test_copartition_join_disk_parity(two_tables, sink):
     """Disk-staged copartition_join (Arrow-IPC shuffle files, bounded
     in-flight splits) must produce the identical multiset to objects
     mode, for inner and full outer joins."""
@@ -459,10 +478,14 @@ def test_copartition_join_disk_parity(two_tables):
                           [v or "" for v in t["c_seg"].to_pylist()]))
 
     for jt in ("inner", "full"):
+        obj_tags = sink("objects")
         obj = collect_arrow(copartition_join(
-            o_dir, c_dir, join_type=jt, mode="objects", **kw))
+            o_dir, c_dir, join_type=jt, **kw))
+        assert not obj_tags
+        tags = sink("disk")
         dsk = collect_arrow(copartition_join(
-            o_dir, c_dir, join_type=jt, mode="disk", **kw))
+            o_dir, c_dir, join_type=jt, **kw))
+        assert tags == ["joinL", "joinR"], tags
         assert obj.schema == dsk.schema
         assert key(obj) == key(dsk), jt
 
@@ -655,7 +678,8 @@ class TestSaltedJoin:
             got[cols].sort_values(cols).reset_index(drop=True),
             exp[cols].sort_values(cols).reset_index(drop=True))
 
-    def test_salted_disk_parity(self, ray_session, tmp_path_factory):
+    def test_salted_disk_parity(self, ray_session, tmp_path_factory,
+                                sink):
         import pandas as pd
 
         from arcade_ray.collect import collect_arrow
@@ -664,10 +688,14 @@ class TestSaltedJoin:
         _, _, ld, rd_ = self._skewed_dirs(tmp_path_factory, n_left=2000)
         kw = dict(left_cols=["doc_id", "k"], right_cols=["label"],
                   salt=[7], salt_factor=4, n_buckets=16)
+        obj_tags = sink("objects")
         a = collect_arrow(copartition_join(ld, rd_, "k", "k",
-                                           mode="objects", **kw)).to_pandas()
+                                           **kw)).to_pandas()
+        assert not obj_tags
+        tags = sink("disk")
         b = collect_arrow(copartition_join(ld, rd_, "k", "k",
-                                           mode="disk", **kw)).to_pandas()
+                                           **kw)).to_pandas()
+        assert tags == ["joinL", "joinR"], tags
         cols = ["doc_id", "k", "label"]
         pd.testing.assert_frame_equal(
             a[cols].sort_values(cols).reset_index(drop=True),
@@ -721,23 +749,27 @@ def test_dataset_join_three_way_broadcast(two_tables, seg_table):
         _canon(pa.Table.from_pandas(exp), ["o_orderkey"]))
 
 
-def test_dataset_join_copartition_parity(two_tables, seg_table):
+def test_dataset_join_copartition_parity(two_tables, seg_table, sink):
     from arcade_ray.pipeline.join import copartition_join, dataset_join
 
     o_dir, c_dir, orders, cust = two_tables
     s_dir, seg = seg_table
 
-    def run(strategy, mode=None):
+    def run(strategy):
         stream = copartition_join(o_dir, c_dir, "o_custkey", "c_custkey",
                                   ["o_orderkey"], ["c_seg"])
         return _canon(collect_arrow(dataset_join(
             stream, s_dir, "c_seg", "s_seg",
             ["o_orderkey", "c_seg"], ["s_region"],
-            strategy=strategy, mode=mode)), ["o_orderkey"])
+            strategy=strategy)), ["o_orderkey"])
 
     a = run("broadcast")
-    b = run("copartition", mode="objects")
-    c = run("copartition", mode="disk")
+    obj_tags = sink("objects")
+    b = run("copartition")
+    assert not obj_tags
+    tags = sink("disk")
+    c = run("copartition")
+    assert tags.count("joinL") == tags.count("joinR") == 2, tags
     assert a.equals(b) and b.equals(c)
 
 

@@ -26,10 +26,6 @@ ENTRY_DIRS = [REPO / "jobs", REPO / "perfbench", REPO / "tools"]
 # as reached through them. Delete an entry together with the code it
 # names, or when an entry point starts using it.
 ALLOWED = {
-    # the read-side dictionary cache is deferred until the native
-    # decode kernels decide whether a cache pays (ROADMAP item 1)
-    "CachedDecoderActor": "decoded-partition cache, decided after item 1",
-    "lookup_service": "actor-pool front end of CachedDecoderActor",
     # test references: slow, obviously-correct paths that tests check
     # the fast engine paths against
     "compress_scalar": "per-byte FSST encoder; test_codecs checks fsst_vec",
@@ -50,9 +46,6 @@ ALLOWED = {
     "sorted_scan": "globally ordered scan; no driver query yet",
     "resize_images": "media operator; no driver query yet",
     "kmv_overlap": "KMV Jaccard estimate; no caller yet",
-    # no caller: test_textops patches it to prove the near-dup verify
-    # stages never collect candidates on the driver
-    "fetch_by_ids": "dead; delete together with those test patches",
 }
 
 

