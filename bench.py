@@ -96,6 +96,8 @@ def run_bench(num_cpus: int, sf_dir: str) -> dict:
     encode_parquet(corpus_path, enc_dir)
 
     queries: dict[str, float] = {}
+    # output rows of the entries that record them, next to their times
+    query_rows: dict[str, int] = {}
 
     def _best_of(fn, n: int = 2, setup=None) -> float:
         """min-of-n timing: the sandbox host is multi-tenant — a single
@@ -294,7 +296,11 @@ def run_bench(num_cpus: int, sf_dir: str) -> dict:
         # vocab build + tokenize -> pack -> write. Timed once (it IS
         # the composition of already-best-of'd stages); clean_job's
         # own report line goes to stderr so the bench contract (one
-        # JSON line on stdout) holds.
+        # JSON line on stdout) holds. The sf0.1 documents draw on 31
+        # distinct words, so every document shares its trigrams with
+        # other documents and the corpus top-100 list holds every word:
+        # a passage-dup or top-word gate below 1.0 drops every document.
+        # At 1.0 both stages still run and keep all documents.
         import contextlib
         import importlib.util as _ilu
         import tempfile
@@ -310,8 +316,8 @@ def run_bench(num_cpus: int, sf_dir: str) -> dict:
         sys.argv = ["clean_job", "--input",
                     os.path.join(sf_dir, "documents.parquet"),
                     "--out", clean_out, "--max-len", "1024",
-                    "--max-passage-dup", "0.9",
-                    "--max-top-frac", "0.9"]
+                    "--max-passage-dup", "1.0",
+                    "--max-top-frac", "1.0"]
         t0 = time.perf_counter()
         try:
             with contextlib.redirect_stdout(sys.stderr):
@@ -319,13 +325,23 @@ def run_bench(num_cpus: int, sf_dir: str) -> dict:
         finally:
             sys.argv = argv_save
         queries["clean_pipeline"] = round(time.perf_counter() - t0, 3)
+        import pyarrow.parquet as pq
+
+        query_rows["clean_pipeline"] = sum(
+            pq.read_metadata(os.path.join(clean_out, f)).num_rows
+            for f in os.listdir(clean_out) if f.endswith(".parquet")) \
+            if os.path.isdir(clean_out) else 0
         shutil.rmtree(os.path.dirname(clean_out), ignore_errors=True)
+        if not query_rows["clean_pipeline"]:
+            raise RuntimeError("clean_pipeline wrote 0 packed examples: "
+                               "its gates dropped every document")
 
     return {
         "metric": "corpus encode wall-clock (tokens/s headline)",
         "value": round(t_encode, 3),
         "unit": "sec",
         "queries": queries,
+        "query_rows": query_rows,
         "sf": sf_dir,
         "num_cpus": num_cpus,
         "rows": CORPUS_ROWS,
