@@ -1229,12 +1229,12 @@ def q_group_topk(sf_dir: str) -> pa.Table:
 
 
 def q_percentiles(sf_dir: str) -> pa.Table:
-    """Exact p50/p90/p99 of n_chars from mergeable per-partition
-    histograms (no sort, no shuffle)."""
-    from .pipeline.query import int_percentiles
+    """Exact p50/p90/p99 of n_chars by distributed histogram
+    selection (no sort, no shuffle)."""
+    from .pipeline.query import exact_percentiles
 
     out = encoded_dir(sf_dir, "documents")
-    return int_percentiles(out, "n_chars", [0.5, 0.9, 0.99])
+    return exact_percentiles(out, "n_chars", [0.5, 0.9, 0.99])
 
 
 def q_group_percentiles(sf_dir: str) -> pa.Table:
@@ -1265,8 +1265,8 @@ def q_ts_range_filter(sf_dir: str) -> pa.Table:
 def q_float_percentiles(sf_dir: str) -> pa.Table:
     """EXACT percentiles of a FLOAT column (events.value) via
     distributed iterative histogram selection on the IEEE-754
-    total-order key — the unbounded-domain path the dense histogram
-    (int_percentiles) rejects. <= 4 passes, no sort, no shuffle."""
+    total-order key, the same selection q_percentiles runs on an
+    integer column. <= 4 passes, no sort, no shuffle."""
     from .pipeline.query import exact_percentiles
 
     out = encoded_dir(sf_dir, "events")

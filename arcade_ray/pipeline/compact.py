@@ -21,10 +21,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..constants import DEFAULT_PART_TOKEN_CAP
+from ..exchange import pin_arrow_threads
 from ..format import decode_partition, encode_partition
+from .decode import gather_partitions
 from .encode import (
     _manifest_schema_table,
-    _pin_arrow_threads,
     _write_consolidated,
     commit_partition,
     committed_parts,
@@ -42,7 +43,7 @@ def _source_of(part_key: str) -> str:
 
 def _compact_group(rows: list[dict], out_dir: str, new_key: str,
                    sort_by: str | None) -> dict:
-    _pin_arrow_threads()
+    pin_arrow_threads()
     tables = [decode_partition(r["path"]) for r in rows]
     table = pa.concat_tables(tables, promote_options="default") \
         .combine_chunks()
@@ -72,7 +73,6 @@ def _true_source(r: dict) -> str:
 
 def compact(out_dir: str, weight_cap: int | None = None,
             small_fraction: float = 0.5, sort_by: str | None = "doc_id",
-            run_remote: bool = True,
             collapse_generations: bool = False) -> pa.Table:
     """Compact partitions whose raw bytes < small_fraction x the
     largest sibling (same source), binning greedily up to the cap.
@@ -178,11 +178,8 @@ def compact(out_dir: str, weight_cap: int | None = None,
         prefix = f"{source}@{gen}" if collapse_generations and gen \
             else source
         new_key = f"{prefix}#c{digest}"
-        if run_remote:
-            refs.append(task.remote(group, out_dir, new_key, sort_by))
-        else:
-            refs.append(_compact_group(group, out_dir, new_key, sort_by))
-    new_rows = ray.get(refs) if run_remote else refs
+        refs.append(task.remote(group, out_dir, new_key, sort_by))
+    new_rows = ray.get(refs)
 
     # retire replaced partitions: manifest rows first, then files
     replaced = {k for r in new_rows for k in r.get("replaces", [])}
@@ -239,19 +236,20 @@ def _clear_stale_tombstones(out_dir: str) -> None:
             os.replace(tmp, p)
 
 
-def delete_rows(out_dir: str, preds, run_remote: bool = True) -> dict:
+def delete_rows(out_dir: str, preds) -> dict:
     """Predicate DELETE with partition rewrite + lineage — the
     right-to-be-forgotten / decontamination path a training corpus
     needs (drop every row matching a compound predicate tree, same
     grammar as ``compound_filter``).
 
     Scale shape: manifest zone maps prune partitions that provably
-    contain NO match (untouched, no task spawns). Each candidate
-    partition runs one task: the decode-free per-chunk match indices
-    decide; a no-match partition is left byte-identical, an all-match
-    partition is retired outright, and a partial-match partition
-    decodes once, filters, and re-encodes under a ``#dNNN`` key whose
-    manifest row ``replaces`` the original — the same crash-safe
+    contain NO match (untouched, no task spawns). Candidate
+    partitions run in :func:`gather_partitions` tasks: the decode-free
+    per-chunk match indices decide; a no-match partition is left
+    byte-identical, an all-match partition is retired outright, and a
+    partial-match partition decodes once, filters, and re-encodes
+    under a ``#dNNN`` key whose manifest row ``replaces`` the
+    original — the same crash-safe
     commit order as compaction (new row committed before old row/file
     removal), so a crash mid-delete never loses surviving rows; at
     worst the delete re-runs on the original partition.
@@ -283,7 +281,6 @@ def delete_rows(out_dir: str, preds, run_remote: bool = True) -> dict:
         candidates.append(r)
 
     def _delete_one(row: dict):
-        _pin_arrow_threads()
         header, base = read_header(row["path"])
         match_idx = _eval_match_idx(row["path"], header, base, tree)
         chunk_rows = [ch["n"] for ch in
@@ -310,13 +307,7 @@ def delete_rows(out_dir: str, preds, run_remote: bool = True) -> dict:
         commit_partition(out_dir, new_key, blob, new_row)
         return ("rewritten", row["part_key"], n_match, new_key)
 
-    if run_remote and candidates:
-        import ray
-
-        task = ray.remote(_delete_one)
-        results = ray.get([task.remote(r) for r in candidates])
-    else:
-        results = [_delete_one(r) for r in candidates]
+    results = gather_partitions(candidates, _delete_one)
 
     from .encode import _manifest_row_path
 
@@ -347,8 +338,7 @@ def delete_rows(out_dir: str, preds, run_remote: bool = True) -> dict:
             "rows_deleted": rows_deleted}
 
 
-def update_rows(out_dir: str, preds, assignments: dict,
-                run_remote: bool = True) -> dict:
+def update_rows(out_dir: str, preds, assignments: dict) -> dict:
     """Predicate UPDATE with partition rewrite + lineage: SET each
     ``assignments`` column to a constant (or to ``fn(table) ->
     Array`` for computed updates) on every row matching a compound
@@ -357,13 +347,13 @@ def update_rows(out_dir: str, preds, assignments: dict,
     corpus (e.g. SET lang = 'und' WHERE quality < t).
 
     Scale shape mirrors delete_rows: manifest zone maps prune
-    partitions that provably contain no match; candidates run one
-    task each; the decode-free match indices decide; a no-match
-    partition stays byte-identical; a matching partition decodes
-    once, applies the assignments through one vectorized if_else per
-    column, and re-encodes under a ``#uNNN`` key whose manifest row
-    ``replaces`` the original (crash-safe commit order: new row
-    lands before the old row/file is removed).
+    partitions that provably contain no match; candidates run in
+    :func:`gather_partitions` tasks; the decode-free match indices
+    decide; a no-match partition stays byte-identical; a matching
+    partition decodes once, applies the assignments through one
+    vectorized if_else per column, and re-encodes under a ``#uNNN``
+    key whose manifest row ``replaces`` the original (crash-safe
+    commit order: new row lands before the old row/file is removed).
 
     Returns {"partitions": n, "pruned": n, "rewritten": n,
     "rows_updated": n}."""
@@ -406,7 +396,6 @@ def update_rows(out_dir: str, preds, assignments: dict,
         candidates.append(r)
 
     def _update_one(row: dict):
-        _pin_arrow_threads()
         header, base = read_header(row["path"])
         match_idx = _eval_match_idx(row["path"], header, base, tree)
         chunk_rows = [ch["n"] for ch in
@@ -444,13 +433,7 @@ def update_rows(out_dir: str, preds, assignments: dict,
         commit_partition(out_dir, new_key, blob, new_row)
         return ("rewritten", row["part_key"], n_match, new_key)
 
-    if run_remote and candidates:
-        import ray
-
-        task = ray.remote(_update_one)
-        results = ray.get([task.remote(r) for r in candidates])
-    else:
-        results = [_update_one(r) for r in candidates]
+    results = gather_partitions(candidates, _update_one)
 
     from .encode import _manifest_row_path
 
@@ -477,8 +460,7 @@ def update_rows(out_dir: str, preds, assignments: dict,
 
 
 def merge_rows(out_dir: str, key_col: str, src: pa.Table,
-               set_cols: list[str], insert_unmatched: bool = True,
-               run_remote: bool = True) -> dict:
+               set_cols: list[str], insert_unmatched: bool = True) -> dict:
     """Upsert (SQL MERGE INTO core): for each ``src`` row whose
     ``key_col`` matches a target row, SET every ``set_cols`` column to
     the src value (partition rewrite under ``replaces`` lineage, the
@@ -487,11 +469,12 @@ def merge_rows(out_dir: str, key_col: str, src: pa.Table,
 
     ``src`` is driver-resident by contract — an updates batch, bounded
     like the broadcast side of a join, shipped to the rewrite tasks
-    via ``ray.put`` once. Duplicate keys in src raise (SQL MERGE's
-    ambiguous-match rule). Matching is decode-free where possible: an
-    ``("in", key_col, src_keys)`` predicate prunes partitions through
-    zone maps + Bloom filters and selects match indices inside the
-    survivors; only partitions with actual matches decode and rewrite.
+    once with the per-partition function (:func:`gather_partitions`).
+    Duplicate keys in src raise (SQL MERGE's ambiguous-match rule).
+    Matching is decode-free where possible: an ``("in", key_col,
+    src_keys)`` predicate prunes partitions through zone maps + Bloom
+    filters and selects match indices inside the survivors; only
+    partitions with actual matches decode and rewrite.
 
     Returns {"partitions": n, "pruned": n, "rewritten": n,
     "rows_updated": n, "rows_inserted": n, "generation": str|None}."""
@@ -569,13 +552,7 @@ def merge_rows(out_dir: str, key_col: str, src: pa.Table,
                 "— MERGE refuses rather than half-apply")
         candidates.append(r)
 
-    import ray
-
-    src_ref = ray.put(src) if run_remote and candidates else src
-
     def _merge_one(row: dict):
-        _pin_arrow_threads()
-        s = ray.get(src_ref) if isinstance(src_ref, ray.ObjectRef) else src_ref
         header, base = read_header(row["path"])
         match_idx = _eval_match_idx(row["path"], header, base, tree)
         n_match = sum(0 if m is None else len(m) for m in match_idx)
@@ -599,7 +576,7 @@ def merge_rows(out_dir: str, key_col: str, src: pa.Table,
         table = decode_partition(row["path"])
         # position of each target row's key in src (null = no match)
         pos = pc.index_in(table[key_col].combine_chunks(),
-                          value_set=s[key_col].combine_chunks())
+                          value_set=src[key_col].combine_chunks())
         pos_np = pos.to_numpy(zero_copy_only=False)
         hit = pos.is_valid().to_numpy(zero_copy_only=False)
         marr = pa.array(hit)
@@ -607,7 +584,7 @@ def merge_rows(out_dir: str, key_col: str, src: pa.Table,
         matched_keys = table[key_col].combine_chunks().filter(marr)
         for col in set_cols:
             old = table[col].combine_chunks()
-            new = pc.cast(s[col].combine_chunks()
+            new = pc.cast(src[col].combine_chunks()
                           .take(pa.array(take_idx)), old.type)
             upd = pc.if_else(marr, new, old)
             table = table.set_column(
@@ -624,11 +601,7 @@ def merge_rows(out_dir: str, key_col: str, src: pa.Table,
         return ("rewritten", row["part_key"], int(hit.sum()),
                 matched_keys)
 
-    if run_remote and candidates:
-        task = ray.remote(_merge_one)
-        results = ray.get([task.remote(r) for r in candidates])
-    else:
-        results = [_merge_one(r) for r in candidates]
+    results = gather_partitions(candidates, _merge_one)
 
     from .encode import _manifest_row_path
 

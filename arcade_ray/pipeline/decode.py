@@ -4,8 +4,14 @@ The Ray Data analogue of the reference's coroutine scan generator
 (src/reader.cpp:146-195): a Dataset over manifest rows, each task
 decodes one contiguous group of partition files back to Arrow
 (optionally a projection) and the streaming executor
-pipelines/backpressures the blocks downstream. :func:`map_partitions`
-sets the group count for this and every other per-partition read.
+pipelines/backpressures the blocks downstream.
+
+Every per-partition map in the engine runs through one of two helpers
+that share the grouping rule of :func:`partition_tasks`:
+:func:`map_partitions` streams a Dataset of one table per group (scans
+and filters), and :func:`gather_partitions` returns one Python value per
+partition to the driver (per-partition aggregates, DML rewrites,
+verification fingerprints).
 
 Schema evolution: generations appended over time may carry DIFFERENT
 column sets (a new metadata column added mid-corpus). The scan merges
@@ -64,6 +70,38 @@ def map_partitions(rows: list[dict], fn):
         [{"path": r["path"]} for r in rows],
         override_num_blocks=partition_tasks(rows),
     ).map_batches(fn, batch_format="pyarrow", batch_size=None)
+
+
+def _gather_group(fn, rows: list[dict]) -> list:
+    from ..exchange import pin_arrow_threads
+
+    pin_arrow_threads()
+    return [fn(r) for r in rows]
+
+
+def gather_partitions(rows: list[dict], fn) -> list:
+    """-> ``[fn(row) for row in rows]`` in the order of ``rows``, run as
+    one Ray task per contiguous group of the manifest ``rows`` (the
+    groups of :func:`map_partitions`). ``fn`` ships once through the
+    object store; rows ship without ``col_stats`` (the manifest's zone
+    maps, Bloom filters and sketches, kilobytes per partition), which
+    a task can read from the partition header. A retried task re-runs
+    its whole group, so ``fn`` must be safe to run twice on a row."""
+    import ray
+
+    if not rows:
+        return []
+    n = partition_tasks(rows)
+    size, extra = divmod(len(rows), n)
+    task = ray.remote(_gather_group)
+    fn_ref = ray.put(fn)
+    slim = [{k: v for k, v in r.items() if k != "col_stats"} for r in rows]
+    refs, i = [], 0
+    for g in range(n):
+        j = i + size + (g < extra)
+        refs.append(task.remote(fn_ref, slim[i:j]))
+        i = j
+    return [out for part in ray.get(refs) for out in part]
 
 
 def decode_dataset(out_dir: str, columns: list[str] | None = None,

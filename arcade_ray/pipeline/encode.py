@@ -33,7 +33,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..exchange import pin_arrow_threads as _pin_arrow_threads  # noqa: F401
 from ..format import encode_partition
 from ..planner import (assign_part_keys, build_plan, key_weights,
                        plan_from_totals)

@@ -35,8 +35,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..exchange import pin_arrow_threads
 from ..format import decode_partition
-from .decode import map_partitions
+from .decode import gather_partitions, map_partitions
 from .encode import load_manifest
 
 DEFAULT_MAX_BUILD_ROWS = 50_000_000  # ~hundreds of MB of keys; guardrail
@@ -83,8 +84,7 @@ def shuffle_join(left_dir: str, right_dir: str, left_key: str,
 def copartition_join(left_dir: str, right_dir: str, left_key: str,
                      right_key: str, left_cols: list[str],
                      right_cols: list[str], join_type: str = "inner",
-                     n_buckets: int | None = None,
-                     salt=None, salt_factor: int = 8):
+                     n_buckets: int | None = None):
     """Hash CO-PARTITIONED join of two large ENCODED datasets: one
     split task per encoded partition per side decodes key+projection
     columns and fans rows out to per-key-hash bucket fragments
@@ -93,97 +93,14 @@ def copartition_join(left_dir: str, right_dir: str, left_key: str,
     threshold), then one task per bucket joins its two
     fragment sets with Arrow's vectorized hash join. One data
     movement per side, no sort comparisons, join parallelism =
-    n_buckets; ``salt="auto"`` spreads hot left keys (see
-    :func:`dataset_join`, which implements the exchange — this entry
-    point pins ``strategy="copartition"`` so the exchange always
-    runs, small build sides included).
+    n_buckets (see :func:`dataset_join`, which implements the
+    exchange — this entry point pins ``strategy="copartition"`` so the
+    exchange always runs, small build sides included).
 
     Returns a streaming Dataset with columns left_cols + right_cols."""
     return dataset_join(left_dir, right_dir, left_key, right_key,
                         left_cols, right_cols, join_type=join_type,
-                        n_buckets=n_buckets,
-                        strategy="copartition", salt=salt,
-                        salt_factor=salt_factor)
-
-
-def detect_hot_keys(paths: list[str], key: str, n_buckets: int,
-                    sample_parts: int = 6, max_keys: int = 64,
-                    min_share: float | None = None) -> pa.Array | None:
-    """Sampled hot-key detection for the salted join: decode the KEY
-    column of up to ``sample_parts`` partitions (one Ray task each —
-    the text/payload columns never load), merge per-partition value
-    counts, and return keys whose sampled row share exceeds
-    ``min_share`` (default 2/n_buckets — twice a fair bucket's load).
-    None when the sample shows no skew."""
-    import ray
-
-    if min_share is None:
-        min_share = 2.0 / n_buckets
-    take = paths[:: max(1, len(paths) // sample_parts)][:sample_parts]
-
-    @ray.remote
-    def part_counts(path: str):
-        from .encode import _pin_arrow_threads
-
-        _pin_arrow_threads()
-        col = decode_partition(path, columns=[key])[key].combine_chunks()
-        vc = col.value_counts()
-        # ship only the partition's own top candidates
-        order = pc.array_sort_indices(vc.field("counts"),
-                                      order="descending")
-        top = vc.take(order.slice(0, max_keys))
-        return (top.field("values"), top.field("counts").cast(pa.int64()),
-                len(col))
-
-    got = ray.get([part_counts.remote(p) for p in take])
-    total = sum(n for _, _, n in got)
-    if total == 0:
-        return None
-    merged: dict = {}
-    for vals, counts, _ in got:
-        for v, c in zip(vals.to_pylist(), counts.to_pylist()):
-            merged[v] = merged.get(v, 0) + c
-    hot = [v for v, c in sorted(merged.items(), key=lambda kv: -kv[1])
-           if c / total >= min_share][:max_keys]
-    return pa.array(hot, type=got[0][0].type) if hot else None
-
-
-def _salted_buckets(t: pa.Table, key: str, h: "np.ndarray",
-                    hot: pa.Array | None, n_buckets: int, factor: int,
-                    replicate: bool):
-    """Apply hot-key salting to a split task's bucket assignment.
-
-    Probe side (``replicate=False``): a hot key's rows cycle across
-    ``factor`` salt buckets instead of crowding one. Build side
-    (``replicate=True``): a hot key's rows are COPIED into all
-    ``factor`` salt buckets so every probe fragment still sees every
-    matching build row exactly once. Salt buckets are
-    ``(h + j*step) % n_buckets`` — identical arithmetic on both sides.
-    Returns (table, bucket assignment) — the table grows only on the
-    replicate side, only by hot rows x (factor-1)."""
-    import numpy as np
-
-    if hot is None or len(hot) == 0:
-        return t, h
-    mask = pc.fill_null(
-        pc.is_in(t[key], value_set=hot.cast(t[key].type)),
-        False).to_numpy(zero_copy_only=False)
-    idx = np.flatnonzero(mask)
-    if not len(idx):
-        return t, h
-    step = max(1, n_buckets // factor)
-    if not replicate:
-        salt = np.arange(len(idx), dtype=np.int64) % factor
-        h = h.copy()
-        h[idx] = (h[idx] + salt * step) % n_buckets
-        return t, h
-    parts = [t]
-    hs = [h]
-    hot_rows = t.take(pa.array(idx))
-    for j in range(1, factor):
-        parts.append(hot_rows)
-        hs.append((h[idx] + j * step) % n_buckets)
-    return pa.concat_tables(parts), np.concatenate(hs)
+                        n_buckets=n_buckets, strategy="copartition")
 
 
 def _typed_empty(path: str, columns: list[str]) -> pa.Table:
@@ -224,19 +141,10 @@ def _side_empty(out_dir: str, paths: list[str],
 
 def _decode_all(out_dir: str, columns: list[str]) -> pa.Table:
     """Decode a (small) encoded dataset to one driver-side table via
-    parallel per-partition tasks."""
-    import ray
-
-    paths = [r["path"] for r in load_manifest(out_dir).to_pylist()]
-
-    @ray.remote
-    def dec(path: str) -> pa.Table:
-        from .encode import _pin_arrow_threads
-
-        _pin_arrow_threads()
-        return decode_partition(path, columns=columns)
-
-    tables = ray.get([dec.remote(p) for p in paths])
+    grouped per-partition tasks."""
+    tables = gather_partitions(
+        load_manifest(out_dir).to_pylist(),
+        lambda r: decode_partition(r["path"], columns=columns))
     return pa.concat_tables(tables).combine_chunks()
 
 
@@ -650,8 +558,7 @@ def dataset_join(left, right, left_key, right_key,
                  left_cols: list[str], right_cols: list[str],
                  join_type: str = "inner", n_buckets: int | None = None,
                  strategy: str | None = None,
-                 left_types: dict | None = None,
-                 salt=None, salt_factor: int = 8):
+                 left_types: dict | None = None):
     """General join: each side is an ENCODED dir (str), the LEFT side
     may also be a streaming ``ray.data.Dataset`` (e.g. a previous
     join's output — the step that makes N-way chains possible without
@@ -684,19 +591,10 @@ def dataset_join(left, right, left_key, right_key,
     equal on all keys agree on key one, so co-partitioning stays
     correct) and the Arrow join matches on all of them.
 
-    ``salt`` (skew handling, single-key inner/left exchanges): hot
-    left keys spread across ``salt_factor`` salt buckets with the
-    right side's matching rows replicated into each — every left row
-    still meets each right row exactly once. ``salt="auto"`` samples
-    an encoded-dir left side (:func:`detect_hot_keys`); pass an
-    explicit key list otherwise.
-
     Returns a streaming Dataset with columns left_cols + right_cols
     (semi/anti: left_cols only)."""
     import ray
     import ray.data as rd
-
-    from .encode import _pin_arrow_threads
 
     lkeys, rkeys = _keys_list(left_key), _keys_list(right_key)
     if len(lkeys) != len(rkeys) or not lkeys:
@@ -790,25 +688,6 @@ def dataset_join(left, right, left_key, right_key,
 
             return live.map_batches(pad, batch_format="pyarrow")
 
-    hot = None
-    if salt is not None:
-        if arrow_how not in ("inner", "left outer"):
-            raise ValueError("salt= applies to inner/left joins only "
-                             "(replicated build rows would duplicate "
-                             "unmatched right/full-outer output)")
-        if len(lkeys) > 1:
-            raise ValueError("salt= needs a single join key")
-        if isinstance(salt, str) and salt == "auto":
-            if not left_is_dir:
-                raise ValueError("salt='auto' samples an encoded-dir "
-                                 "left side; pass explicit hot keys "
-                                 "for a stream")
-            if l_paths:
-                hot = detect_hot_keys(l_paths, lkeys[0], n_buckets)
-        else:
-            hot = salt if isinstance(salt, pa.Array) \
-                else pa.array(list(salt))
-
     _stream_preserving = ("inner", "left outer", "left semi",
                           "left anti")
     if strategy is None:
@@ -825,7 +704,7 @@ def dataset_join(left, right, left_key, right_key,
         ref = ray.put(build)
 
         def j(b: pa.Table) -> pa.Table:
-            _pin_arrow_threads()
+            pin_arrow_threads()
             t = b.select(left_need).join(
                 ray.get(ref), keys=lkeys, right_keys=rkeys,
                 join_type=arrow_how, coalesce_keys=coalesce)
@@ -885,18 +764,16 @@ def dataset_join(left, right, left_key, right_key,
                 for c in left_need})
     mode = auto_mode(l_bytes + r_bytes)
 
-    def route(keys: list[str], cols: list[str], rep: bool, src):
+    def route(keys: list[str], cols: list[str], src):
         t = decode_partition(src, columns=cols) \
             if isinstance(src, str) else src.select(cols)
-        h = null_safe_buckets(t[keys[0]], n_buckets)
-        return _salted_buckets(t, keys[0], h, hot, n_buckets,
-                               salt_factor, rep)
+        return t, null_safe_buckets(t[keys[0]], n_buckets)
 
-    l_stage = stage(functools.partial(route, lkeys, left_need, False),
+    l_stage = stage(functools.partial(route, lkeys, left_need),
                     l_srcs, n_buckets, mode, "joinL")
     r_srcs = ([right] if right.num_rows else []) if right_is_mem \
         else r_paths
-    r_stage = stage(functools.partial(route, rkeys, right_need, True),
+    r_stage = stage(functools.partial(route, rkeys, right_need),
                     r_srcs, n_buckets, mode, "joinR")
     l_has = [p is not None for p in l_stage.parts]
     r_has = [p is not None for p in r_stage.parts]
@@ -922,7 +799,7 @@ def dataset_join(left, right, left_key, right_key,
     ds = rd.from_items([{"bucket": b} for b in live])
 
     def join_bucket(batch: pa.Table) -> pa.Table:
-        _pin_arrow_threads()
+        pin_arrow_threads()
         outs = []
         for bv in batch["bucket"]:
             b = bv.as_py()

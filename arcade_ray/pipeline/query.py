@@ -32,6 +32,7 @@ stream.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any
 
@@ -42,7 +43,7 @@ import pyarrow.compute as pc
 from ..codecs.str_codecs import decode_codes, match_codes
 from ..column import make_column_decoder
 from ..format import decode_partition, read_exact, read_header
-from .decode import map_partitions
+from .decode import gather_partitions, map_partitions
 from .encode import load_manifest
 
 
@@ -580,20 +581,16 @@ def regex_filter(out_dir: str, col: str, pattern: str,
 def dict_distinct_values(out_dir: str, col: str) -> pa.Table:
     """DISTINCT values of a string column WITHOUT decoding any row:
     dictionary chunks contribute their dict segments only (codes are
-    never unpacked); plain chunks fall back to a value scan. One task
-    per partition emits its distinct set; the driver unions the tiny
-    sets."""
-    import ray
-
+    never unpacked); plain chunks fall back to a value scan. Each
+    partition emits its distinct set (:func:`gather_partitions`); the
+    driver unions the tiny sets."""
     rows = _manifest_paths(out_dir)
 
-    @ray.remote
-    def part_distinct(path: str) -> set:
+    def part_distinct(row: dict) -> set:
         from ..codecs.str_codecs import decode_codes, decode_str_values
         from ..column import StringColumnDecoder
-        from .encode import _pin_arrow_threads
 
-        _pin_arrow_threads()
+        path = row["path"]
         header, base = read_header(path)
         cm = header["columns"][col]
         if cm["kind"] != "str":
@@ -652,7 +649,7 @@ def dict_distinct_values(out_dir: str, col: str) -> pa.Table:
         return out
 
     union: set = set()
-    for s in ray.get([part_distinct.remote(r["path"]) for r in rows]):
+    for s in gather_partitions(rows, part_distinct):
         union |= s
     vals = _sorted_nulls_last(union)
     return pa.table({col: pa.array(vals, type=pa.string())})
@@ -741,22 +738,19 @@ def dict_group_distinct(out_dir: str, key_col: str, value_col: str) -> pa.Table:
     low-cardinality string columns, decode-free: per chunk the distinct
     (key, value) PAIRS come from ``np.unique`` over a combined per-row
     code vector (codes bit-unpack; only the distinct pairs resolve
-    through the dictionaries — no row value ever materializes). One Ray
-    task per partition emits its tiny pair set; the driver unions them
-    and counts. Extends the decode-free family (dict_value_counts,
-    dict_group_aggregate) to distinct aggregation."""
-    import ray
-
+    through the dictionaries — no row value ever materializes). Each
+    partition emits its tiny pair set (:func:`gather_partitions`); the
+    driver unions them and counts. Extends the decode-free family
+    (dict_value_counts, dict_group_aggregate) to distinct
+    aggregation."""
     rows = _manifest_paths(out_dir)
 
-    @ray.remote
-    def part_pairs(path: str) -> set:
+    def part_pairs(row: dict) -> set:
         from ..codecs.str_codecs import decode_codes, decode_str_values
         from ..column import StringColumnDecoder
         from ..streams import str_stream_to_arrow
-        from .encode import _pin_arrow_threads
 
-        _pin_arrow_threads()
+        path = row["path"]
         header, base = read_header(path)
         cms = [header["columns"][c] for c in (key_col, value_col)]
         for c, cm in zip((key_col, value_col), cms):
@@ -814,7 +808,7 @@ def dict_group_distinct(out_dir: str, key_col: str, value_col: str) -> pa.Table:
         return pairs
 
     union: set = set()
-    for s in ray.get([part_pairs.remote(r["path"]) for r in rows]):
+    for s in gather_partitions(rows, part_pairs):
         union |= s
     counts: dict = {}
     for k, v in union:
@@ -1565,12 +1559,10 @@ def exact_percentiles(out_dir: str, col: str, ps: list[float],
     target's range into SELECT_BINS buckets and the driver narrows
     each rank's bracket by 2^20, so 64-bit domains resolve in <= 4
     passes with no sort, no shuffle, O(targets x SELECT_BINS) driver
-    state. Same PERCENTILE_DISC rank rule as :func:`int_percentiles`
-    (which stays the one-pass fast path for bounded domains). Nulls
-    are excluded (SQL aggregate semantics)."""
+    state. PERCENTILE_DISC rank rule (DuckDB ``quantile_disc``): the
+    1-based ceil(p * n)-th of the sorted multiset. Nulls are excluded
+    (SQL aggregate semantics)."""
     import math
-
-    import ray
 
     rows = _manifest_paths(out_dir)
     header0, _ = read_header(rows[0]["path"])
@@ -1582,12 +1574,9 @@ def exact_percentiles(out_dir: str, col: str, ps: list[float],
     is_float = cm0.get("tag") in ("f32", "f64")
     out_kind = "f" if is_float else "i"
 
-    @ray.remote
-    def pass_hist(path: str, ranges: list):
+    def pass_hist(ranges: list, row: dict):
         """ranges: [(lo_u, hi_u, nbins)] -> per range (below, counts)."""
-        from .encode import _pin_arrow_threads
-
-        _pin_arrow_threads()
+        path = row["path"]
         header, base = read_header(path)
         cm = header["columns"][col]
         dec = make_column_decoder(cm)
@@ -1632,8 +1621,8 @@ def exact_percentiles(out_dir: str, col: str, ps: list[float],
         if not open_t:
             break
         ranges = [(t["lo"], t["hi"], SELECT_BINS) for t in open_t.values()]
-        results = ray.get([pass_hist.remote(r["path"], ranges)
-                           for r in rows])
+        results = gather_partitions(
+            rows, functools.partial(pass_hist, ranges))
         for slot, i in enumerate(open_t):
             t = targets[i]
             below = sum(res[slot][0] for res in results)
@@ -1804,84 +1793,6 @@ def sketch_percentiles(out_dir: str, col: str,
     })
 
 
-def int_percentiles(out_dir: str, col: str, ps: list[float]) -> pa.Table:
-    """EXACT percentiles of an integer column over encoded data via
-    mergeable per-partition histograms: each task decodes only ``col``,
-    bincounts it against the partition's zone-map min, and ships a
-    (value offset, counts) pair; the driver merges the tiny histograms
-    and reads the quantiles off the cumulative sum. Selection rule
-    matches SQL-standard PERCENTILE_DISC (and DuckDB quantile_disc):
-    the smallest element whose cumulative distribution >= p, i.e. the
-    1-based ceil(p * n)-th of the sorted multiset. No sort, no shuffle — one pass, O(value range)
-    driver state (suits bounded int domains like lengths/counts)."""
-    import ray
-
-    rows = _manifest_paths(out_dir)
-    header0, _ = read_header(rows[0]["path"])
-    cm0 = header0["columns"][col]
-    if cm0["kind"] != "int" or cm0.get("tag") in ("f32", "f64"):
-        raise TypeError("int_percentiles needs an integer column")
-    # dense histograms only suit bounded domains (lengths, counts);
-    # wide domains (ids, epoch timestamps) would allocate the value
-    # RANGE in bins — check against the manifest zone maps up front
-    for r in rows:
-        s = json.loads(r["col_stats"]).get(col, {})
-        lo_z, hi_z = s.get("min"), s.get("max")
-        if lo_z is not None and hi_z is not None \
-                and hi_z - lo_z > PERCENTILE_MAX_RANGE:
-            raise ValueError(
-                f"value range of {col!r} ({hi_z - lo_z}) exceeds the "
-                f"dense-histogram cap ({PERCENTILE_MAX_RANGE}); use a "
-                "sort/sketch-based quantile for wide domains")
-
-    @ray.remote
-    def part_hist(path: str):
-        from .encode import _pin_arrow_threads
-
-        _pin_arrow_threads()
-        header, base = read_header(path)
-        cm = header["columns"][col]
-        dec = make_column_decoder(cm)
-        vals = []
-        with open(path, "rb") as f:
-            for ch in cm["chunks"]:
-                f.seek(base + ch["off"])
-                arr = dec.decode(ch, read_exact(f, ch["nb"], col))
-                v = arr.to_numpy(zero_copy_only=False).astype(np.int64)
-                vals.append(v)
-        if not vals:
-            return 0, np.zeros(0, dtype=np.int64)
-        v = np.concatenate(vals)
-        lo = int(v.min())
-        if int(v.max()) - lo > PERCENTILE_MAX_RANGE:
-            raise ValueError(f"value range of {col!r} exceeds the "
-                             f"dense-histogram cap in {path}")
-        return lo, np.bincount(v - lo)
-
-    hists = ray.get([part_hist.remote(r["path"]) for r in rows])
-    lo = min(h[0] for h in hists if len(h[1]))
-    hi = max(h[0] + len(h[1]) for h in hists if len(h[1]))
-    if hi - lo > PERCENTILE_MAX_RANGE:  # zone maps may have been absent
-        raise ValueError(
-            f"value range of {col!r} ({hi - lo}) exceeds the "
-            f"dense-histogram cap ({PERCENTILE_MAX_RANGE})")
-    total = np.zeros(max(hi - lo, 1), dtype=np.int64)
-    for off, cnt in hists:
-        if len(cnt):
-            total[off - lo: off - lo + len(cnt)] += cnt
-    csum = np.cumsum(total)
-    n = int(csum[-1])
-    out_p, out_v = [], []
-    for p in ps:
-        idx = max(int(np.ceil(p * n)) - 1, 0)
-        out_p.append(float(p))
-        out_v.append(lo + int(np.searchsorted(csum, idx + 1)))
-    return pa.table({
-        "p": pa.array(out_p, type=pa.float64()),
-        col: pa.array(out_v, type=pa.int64()),
-    })
-
-
 def group_int_percentiles(out_dir: str, key_col: str, value_col: str,
                           ps: list[float]) -> pa.Table:
     """EXACT per-GROUP percentiles of an integer column: each task
@@ -1889,15 +1800,13 @@ def group_int_percentiles(out_dir: str, key_col: str, value_col: str,
     each group's values against the partition zone-map min; the driver
     merges per-key histograms (tiny: #groups x value range) and reads
     every group's quantiles off cumulative sums. Same
-    PERCENTILE_DISC selection as :func:`int_percentiles`; same
-    bounded-domain cap. No sort, no shuffle —
-    group cardinality is bounded by the key dictionary.
+    PERCENTILE_DISC selection as :func:`exact_percentiles`, over a
+    bounded value domain (``PERCENTILE_MAX_RANGE``). No sort, no
+    shuffle — group cardinality is bounded by the key dictionary.
 
     SQL null semantics: NULL keys form their own group (sorted last),
     null values are skipped, and a group whose values are all NULL
     gets NULL percentiles."""
-    import ray
-
     rows = _manifest_paths(out_dir)
     if not rows:  # empty table: zero groups
         _sidecar_empty(out_dir, [key_col, value_col])  # column check
@@ -1931,11 +1840,8 @@ def group_int_percentiles(out_dir: str, key_col: str, value_col: str,
                 f"value range of {value_col!r} ({hi_z - lo_z}) exceeds "
                 f"the dense-histogram cap ({PERCENTILE_MAX_RANGE})")
 
-    @ray.remote
-    def part_hists(path: str):
-        from .encode import _pin_arrow_threads
-
-        _pin_arrow_threads()
+    def part_hists(row: dict):
+        path = row["path"]
         t = decode_partition(path, columns=[key_col, value_col])
         if t.num_rows == 0:
             return set(), {}
@@ -1974,7 +1880,7 @@ def group_int_percentiles(out_dir: str, key_col: str, value_col: str,
 
     merged: dict = {}
     all_keys: set = set()
-    for seen, part in ray.get([part_hists.remote(r["path"]) for r in rows]):
+    for seen, part in gather_partitions(rows, part_hists):
         all_keys |= seen
         for key, (lo, cnt) in part.items():
             if key not in merged:
@@ -2180,25 +2086,18 @@ def topk(out_dir: str, col: str, k: int, descending: bool = True) -> pa.Table:
     """Top-k values of a column: per-partition partial top-k tasks,
     tiny driver merge of #partitions x k values. The reference lists
     sort/top-k as roadmap (README.md:129)."""
-    import ray
-
     rows = _manifest_paths(out_dir)
     if not rows:  # empty table: typed empty top-k
         return _sidecar_empty(out_dir, [col])
 
-    @ray.remote
-    def part_topk(path: str):
-        from .encode import _pin_arrow_threads
-
-        _pin_arrow_threads()
-        t = decode_partition(path, columns=[col])
+    def part_topk(row: dict):
+        t = decode_partition(row["path"], columns=[col])
         arr = t[col].combine_chunks()
         idx = pc.array_sort_indices(
             arr, order="descending" if descending else "ascending")
         return arr.take(idx[: min(k, len(arr))])
 
-    refs = [part_topk.remote(r["path"]) for r in rows]
-    parts = [p for p in ray.get(refs) if len(p)]
+    parts = [p for p in gather_partitions(rows, part_topk) if len(p)]
     merged = parts[0] if len(parts) == 1 else \
         pa.concat_arrays([p.cast(parts[0].type) for p in parts])
     order = pc.array_sort_indices(
@@ -2217,28 +2116,21 @@ def topk_rows(out_dir: str, col: str, k: int, id_col: str,
     lookup. Pagination over encoded data without a global sort; scale
     assumption: offset+k stays driver-small (#partitions x (offset+k)
     order pairs merge on the driver)."""
-    import ray
-
     rows = _manifest_paths(out_dir)
     order_cols = [col, id_col]
     if not rows:  # empty table: typed empty page
         return _sidecar_empty(out_dir, columns or order_cols)
     need = offset + k
 
-    @ray.remote
-    def part_topk(path: str) -> pa.Table:
-        from .encode import _pin_arrow_threads
-
-        _pin_arrow_threads()
-        t = decode_partition(path, columns=order_cols)
+    def part_topk(row: dict) -> pa.Table:
+        t = decode_partition(row["path"], columns=order_cols)
         vals = t[col].combine_chunks().to_numpy(zero_copy_only=False)
         ids = t[id_col].combine_chunks().to_numpy(zero_copy_only=False)
         key = _desc_sort_key(vals) if descending else vals
         order = np.lexsort((ids, key))[: min(need, len(vals))]
         return t.take(pa.array(order, type=pa.int64()))
 
-    parts = [p for p in ray.get([part_topk.remote(r["path"]) for r in rows])
-             if p.num_rows]
+    parts = [p for p in gather_partitions(rows, part_topk) if p.num_rows]
     merged = pa.concat_tables(parts)
     vals = merged[col].combine_chunks().to_numpy(zero_copy_only=False)
     ids = merged[id_col].combine_chunks().to_numpy(zero_copy_only=False)

@@ -5,11 +5,12 @@ equality").
 Both sides reduce to an order- and partition-insensitive fingerprint:
 every row hashes to a uint64 (id column x token payload x remaining
 columns), and the dataset fingerprint is the wrapping SUM of row
-hashes. Input shards and encoded partitions are fingerprinted by
-independent Ray tasks; equality of the two sums certifies multiset
-equality of rows (collision probability ~2^-64 per run) with no
-shuffle and no row alignment — the scalable form of a full join-based
-compare. A per-partition report lists row/hash totals for lineage.
+hashes. Input shards and encoded partitions are fingerprinted in Ray
+tasks over contiguous groups of them (``decode.gather_partitions``);
+equality of the two sums certifies multiset equality of rows
+(collision probability ~2^-64 per run) with no shuffle and no row
+alignment — the scalable form of a full join-based compare. A
+per-partition report lists row/hash totals for lineage.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pyarrow.compute as pc
 
 from ..hashing import hash_column, hash_ints, hash_strings
 from ..streams import int_stream_from_arrow, str_stream_from_arrow
+from .decode import gather_partitions
 from .encode import load_manifest
 
 
@@ -92,13 +94,14 @@ def _column_row_hashes(col: pa.ChunkedArray) -> np.ndarray:
 
 
 def verify_roundtrip(out_dir: str, input_paths, columns: list[str] | None = None) -> dict:
-    """Fingerprint the encoded dataset and the input in parallel;
-    returns {"match": bool, rows/fingerprints per side, per-partition
-    report}. Runs one Ray task per partition / input shard."""
+    """Fingerprint the encoded dataset, then the input; returns
+    {"match": bool, rows/fingerprints per side, per-partition report}.
+    Each side runs in :func:`gather_partitions` tasks, one per
+    contiguous group of partitions or input shards."""
     import glob as _glob
     import os
 
-    import ray
+    import pyarrow.parquet as pq
 
     from ..format import decode_partition
 
@@ -108,11 +111,8 @@ def verify_roundtrip(out_dir: str, input_paths, columns: list[str] | None = None
         else:
             input_paths = [input_paths]
 
-    @ray.remote
-    def fp_partition(path: str):
-        from .encode import _pin_arrow_threads
-
-        _pin_arrow_threads()
+    def fp_partition(row: dict):
+        path = row["path"]
         try:
             t = decode_partition(path, columns=columns)
             n, h = table_fingerprint(t, columns)
@@ -121,22 +121,16 @@ def verify_roundtrip(out_dir: str, input_paths, columns: list[str] | None = None
             return {"path": path, "rows": -1, "fingerprint": 0,
                     "error": f"{type(e).__name__}: {e}"}
 
-    @ray.remote
-    def fp_input(path: str):
-        import pyarrow.parquet as pq
-
-        from .encode import _pin_arrow_threads
-
-        _pin_arrow_threads()
+    def fp_input(row: dict):
+        path = row["path"]
         t = pq.read_table(path, columns=columns)
         n, h = table_fingerprint(t, columns)
         return {"path": path, "rows": n, "fingerprint": h}
 
-    manifest = load_manifest(out_dir)
-    enc_refs = [fp_partition.remote(p) for p in manifest["path"].to_pylist()]
-    in_refs = [fp_input.remote(p) for p in input_paths]
-    enc_rows = ray.get(enc_refs)
-    in_rows = ray.get(in_refs)
+    enc_rows = gather_partitions(load_manifest(out_dir).to_pylist(),
+                                 fp_partition)
+    in_rows = gather_partitions([{"path": p} for p in input_paths],
+                                fp_input)
     mask = np.uint64(0xFFFFFFFFFFFFFFFF)
     enc_fp = int(np.sum(np.array([r["fingerprint"] for r in enc_rows],
                                  dtype=np.uint64), dtype=np.uint64) & mask)

@@ -2019,7 +2019,7 @@ def _grouped_quantile_values(src, keys: list[str], col: str,
     DISC takes the smallest value whose cumulative distribution
     reaches p (the ceil(p*n)-1 rank rule). Nulls are excluded; an
     all-null group yields NULL. Exact, like the engine's
-    int_percentiles — approximate variants live in
+    exact_percentiles — approximate variants live in
     transforms.group_approx_percentiles."""
     from .collect import group_aggregate
 
@@ -2069,7 +2069,7 @@ def _grouped_quantile_values(src, keys: list[str], col: str,
         if disc:
             # smallest value whose cumulative distribution >= p
             # (SQL PERCENTILE_DISC / DuckDB quantile_disc, the same
-            # ceil(p*n)-1 rule as pipeline.query.int_percentiles)
+            # ceil(p*n)-1 rule as pipeline.query.exact_percentiles)
             r = max(int(np.ceil(p * total)) - 1, 0)
             i = int(np.searchsorted(cum, r + 1))
             return vals[b + i].as_py()

@@ -210,6 +210,45 @@ def test_delete_rows_crash_state_consistent(ray_session, tmp_path):
         int((~kill).sum())
 
 
+def test_delete_rows_retried_group_is_idempotent(ray_session, tmp_path,
+                                                monkeypatch):
+    """A retried partition group re-runs delete's per-partition rewrite
+    and re-commits the same md5-derived key: running every group twice
+    leaves the same manifest and segment bytes as running it once."""
+    import shutil
+
+    import ray.data as rd
+
+    from arcade_ray.pipeline import compact as compact_mod
+    from arcade_ray.pipeline.compact import delete_rows
+
+    table = generate_corpus(3000, 3, seed=77)
+    once = str(tmp_path / "once")
+    encode_dataset(rd.from_arrow(table), once, weight_cap=150_000)
+    twice = str(tmp_path / "twice")
+    shutil.copytree(once, twice)
+    preds = [("eq", "source", "src-001"),
+             ("between", "n_tok", 150, 10**9)]
+    info = delete_rows(once, preds)
+    assert info["rewritten"] >= 1
+
+    real = compact_mod.gather_partitions
+
+    def retried(rows, fn):
+        real(rows, fn)
+        return real(rows, fn)
+
+    monkeypatch.setattr(compact_mod, "gather_partitions", retried)
+    assert delete_rows(twice, preds) == info
+
+    def state(d):
+        m = load_manifest(d).sort_by("part_key")
+        return (m["part_key"].to_pylist(), m["crc32"].to_pylist(),
+                sorted(os.listdir(os.path.join(d, "parts"))))
+
+    assert state(twice) == state(once)
+
+
 def test_delete_on_empty_encoded_dir(ray_session, tmp_path):
     """Zero-partition encoded dirs (empty input shard) answer a
     predicate delete with the zeroed summary instead of IndexError."""

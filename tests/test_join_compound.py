@@ -557,151 +557,6 @@ def test_joins_over_empty_encoded_side(two_tables, empty_encoded):
     assert out.num_rows == 0
 
 
-class TestSaltedJoin:
-    """Hot-key (skew) handling in copartition_join: salted spreading
-    on the probe side + replication on the build side."""
-
-    @staticmethod
-    def _skewed_dirs(tmp_path_factory, n_left=8000, hot_share=0.5):
-        import numpy as np
-        import pyarrow as pa
-        import ray.data as rd
-
-        from arcade_ray.pipeline import encode_dataset
-
-        rng = np.random.default_rng(17)
-        n_hot = int(n_left * hot_share)
-        keys = np.concatenate([
-            np.full(n_hot, 7, dtype=np.int64),                # hot key
-            rng.integers(100, 5000, n_left - n_hot),
-        ])
-        rng.shuffle(keys)
-        left = pa.table({
-            "doc_id": pa.array(np.arange(n_left), type=pa.int64()),
-            "k": pa.array(keys),
-            "n_tok": pa.array(rng.integers(1, 100, n_left),
-                              type=pa.int64()),
-            "source": pa.array([f"s{int(v) % 7}" for v in keys]),
-        })
-        r_keys = np.unique(keys)
-        right = pa.table({
-            "doc_id": pa.array(np.arange(len(r_keys)), type=pa.int64()),
-            "k": pa.array(r_keys),
-            "n_tok": pa.array(np.ones(len(r_keys), dtype=np.int64)),
-            "source": pa.array(["r"] * len(r_keys)),
-            "label": pa.array([f"L{int(v)}" for v in r_keys]),
-        })
-        root = tmp_path_factory.mktemp("salted")
-        ld, rd_ = str(root / "left"), str(root / "right")
-        encode_dataset(rd.from_arrow(left), ld, key_col="source",
-                       id_col="doc_id", weight_col="n_tok",
-                       weight_cap=40_000)
-        encode_dataset(rd.from_arrow(right), rd_, key_col="source",
-                       id_col="doc_id", weight_col="n_tok")
-        return left, right, ld, rd_
-
-    def test_auto_salt_matches_unsalted(self, ray_session,
-                                        tmp_path_factory):
-        import pandas as pd
-
-        from arcade_ray.collect import collect_arrow
-        from arcade_ray.pipeline.join import copartition_join
-
-        left, right, ld, rd_ = self._skewed_dirs(tmp_path_factory)
-        kw = dict(left_cols=["doc_id", "k"], right_cols=["label"],
-                  n_buckets=16)
-        plain = collect_arrow(copartition_join(
-            ld, rd_, "k", "k", **kw)).to_pandas()
-        salted = collect_arrow(copartition_join(
-            ld, rd_, "k", "k", salt="auto", salt_factor=4,
-            **kw)).to_pandas()
-        cols = ["doc_id", "k", "label"]
-        a = plain[cols].sort_values(cols).reset_index(drop=True)
-        b = salted[cols].sort_values(cols).reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b)
-        # ground truth vs pandas merge
-        exp = left.to_pandas().merge(
-            right.to_pandas()[["k", "label"]], on="k")[cols] \
-            .sort_values(cols).reset_index(drop=True)
-        pd.testing.assert_frame_equal(b, exp)
-
-    def test_detect_and_balance(self, ray_session, tmp_path_factory):
-        import json
-
-        import numpy as np
-
-        from arcade_ray.hashing import hash_column
-        from arcade_ray.pipeline.join import (_salted_buckets,
-                                              detect_hot_keys)
-        from arcade_ray.pipeline.query import _manifest_paths
-
-        left, _, ld, _ = self._skewed_dirs(tmp_path_factory)
-        paths = [r["path"] for r in _manifest_paths(ld)]
-        hot = detect_hot_keys(paths, "k", 16)
-        assert hot is not None and 7 in hot.to_pylist()
-        n_buckets = 16
-        h = (hash_column(left["k"]) % np.uint64(n_buckets)) \
-            .astype(np.int64)
-        before = np.bincount(h, minlength=n_buckets).max()
-        _, h2 = _salted_buckets(left, "k", h, hot, n_buckets, 4,
-                                replicate=False)
-        after = np.bincount(h2, minlength=n_buckets).max()
-        assert after < 0.5 * before  # hot bucket split ~4 ways
-
-    def test_salt_rejected_for_outer(self, ray_session,
-                                     tmp_path_factory):
-        import pytest as _pytest
-
-        from arcade_ray.pipeline.join import copartition_join
-
-        _, _, ld, rd_ = self._skewed_dirs(tmp_path_factory, n_left=500)
-        with _pytest.raises(ValueError, match="salt"):
-            copartition_join(ld, rd_, "k", "k", ["doc_id"], ["label"],
-                             join_type="full", salt="auto")
-
-    def test_left_outer_salted(self, ray_session, tmp_path_factory):
-        import pandas as pd
-
-        from arcade_ray.collect import collect_arrow
-        from arcade_ray.pipeline.join import copartition_join
-
-        left, right, ld, rd_ = self._skewed_dirs(tmp_path_factory,
-                                                 n_left=2000)
-        got = collect_arrow(copartition_join(
-            ld, rd_, "k", "k", ["doc_id", "k"], ["label"],
-            join_type="left", salt=[7], salt_factor=4,
-            n_buckets=16)).to_pandas()
-        exp = left.to_pandas().merge(
-            right.to_pandas()[["k", "label"]], on="k", how="left")
-        cols = ["doc_id", "k", "label"]
-        pd.testing.assert_frame_equal(
-            got[cols].sort_values(cols).reset_index(drop=True),
-            exp[cols].sort_values(cols).reset_index(drop=True))
-
-    def test_salted_disk_parity(self, ray_session, tmp_path_factory,
-                                sink):
-        import pandas as pd
-
-        from arcade_ray.collect import collect_arrow
-        from arcade_ray.pipeline.join import copartition_join
-
-        _, _, ld, rd_ = self._skewed_dirs(tmp_path_factory, n_left=2000)
-        kw = dict(left_cols=["doc_id", "k"], right_cols=["label"],
-                  salt=[7], salt_factor=4, n_buckets=16)
-        obj_tags = sink("objects")
-        a = collect_arrow(copartition_join(ld, rd_, "k", "k",
-                                           **kw)).to_pandas()
-        assert not obj_tags
-        tags = sink("disk")
-        b = collect_arrow(copartition_join(ld, rd_, "k", "k",
-                                           **kw)).to_pandas()
-        assert tags == ["joinL", "joinR"], tags
-        cols = ["doc_id", "k", "label"]
-        pd.testing.assert_frame_equal(
-            a[cols].sort_values(cols).reset_index(drop=True),
-            b[cols].sort_values(cols).reset_index(drop=True))
-
-
 # dataset_join: the N-way chain step ---------------------------------
 
 @pytest.fixture(scope="module")

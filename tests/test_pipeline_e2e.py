@@ -624,8 +624,7 @@ def test_encoded_dir_is_relocatable(ray_session, tmp_path):
     assert all(p.startswith(moved) for p in man["path"].to_pylist())
 
     n_before = scan(orig, columns=["doc_id"]).count()
-    res = delete_rows(moved, ("eq", "source", "src-000"),
-                      run_remote=False)
+    res = delete_rows(moved, ("eq", "source", "src-000"))
     assert res["rows_deleted"] > 0
     # the original is untouched, the copy shrank
     assert scan(orig, columns=["doc_id"]).count() == n_before

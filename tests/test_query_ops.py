@@ -281,10 +281,13 @@ def test_dict_group_topk(encoded):
 
 
 def test_int_percentiles(encoded):
-    from arcade_ray.pipeline.query import int_percentiles
+    """exact_percentiles on an integer column: int64 output, the
+    PERCENTILE_DISC rank rule."""
+    from arcade_ray.pipeline.query import exact_percentiles
 
     out_dir, table = encoded
-    got = int_percentiles(out_dir, "n_tok", [0.0, 0.25, 0.5, 0.75, 1.0])
+    got = exact_percentiles(out_dir, "n_tok", [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert got.schema.field("n_tok").type == pa.int64()
     vals = np.sort(table["n_tok"].to_numpy())
     n = len(vals)
     for i, p in enumerate([0.0, 0.25, 0.5, 0.75, 1.0]):
@@ -593,9 +596,13 @@ def test_exact_percentiles_wide_and_float(encoded):
 
 
 def test_exact_percentiles_float_and_huge_range(ray_session, tmp_path):
+    """Huge integer span, floats with infinities, and a nullable integer
+    column (values 0..49, one row in 7 NULL) whose nulls are skipped as
+    DuckDB quantile_disc skips them."""
+    import duckdb
     import ray.data as rd
 
-    from arcade_ray.pipeline.query import exact_percentiles, int_percentiles
+    from arcade_ray.pipeline.query import exact_percentiles
 
     rng = np.random.default_rng(23)
     n = 20_000
@@ -607,14 +614,13 @@ def test_exact_percentiles_float_and_huge_range(ray_session, tmp_path):
         "grp": pa.array([f"g{i % 4}" for i in range(n)]),
         "wide": pa.array(wide, type=pa.int64()),
         "fl": pa.array(fl, type=pa.float64()),
+        "nv": pa.array([None if i % 7 == 3 else i % 50 for i in range(n)],
+                       type=pa.int64()),
     })
     out_dir = str(tmp_path / "enc")
     from arcade_ray.pipeline import encode_dataset
     encode_dataset(rd.from_arrow(t), out_dir, key_col="grp",
                    weight_col=None)
-
-    with pytest.raises(ValueError):
-        int_percentiles(out_dir, "wide", [0.5])  # dense cap rejects
 
     ps = [0.01, 0.5, 0.99]
     got_w = exact_percentiles(out_dir, "wide", ps)
@@ -628,6 +634,13 @@ def test_exact_percentiles_float_and_huge_range(ray_session, tmp_path):
     for i, p in enumerate(ps):
         assert got_f["fl"][i].as_py() == \
             float(sf[max(int(np.ceil(p * n)) - 1, 0)]), p
+
+    con = duckdb.connect()
+    con.register("t", t.select(["nv"]))
+    ps = [0.0, 0.5, 0.9, 1.0]
+    assert exact_percentiles(out_dir, "nv", ps)["nv"].to_pylist() == [
+        con.execute(f"SELECT quantile_disc(nv, {p}) FROM t").fetchone()[0]
+        for p in ps]
 
 
 def test_exact_percentiles_cont(encoded):

@@ -1,6 +1,6 @@
 """Read-path execution shape: a collect runs its Dataset's plan once,
-and per-partition reads run one Ray task per contiguous group of
-partitions, with the group count set in one place
+and per-partition reads and maps run one Ray task per contiguous group
+of partitions, with the group count set in one place
 (``decode.partition_tasks``)."""
 
 import ast
@@ -297,6 +297,41 @@ def test_filters_on_evolved_column(ray_session, many_partitions):
 # guard: no double run, no per-partition fan-out
 # ---------------------------------------------------------------------------
 
+# The only Ray tasks in arcade_ray/ (file, outermost function): none of
+# them runs one task per partition.
+RAY_REMOTE_ALLOWED = {
+    ("arcade_ray/pipeline/decode.py", "gather_partitions"):
+        "the per-partition helper: one task per partition group",
+    ("arcade_ray/exchange.py", "stage"):
+        "exchange split wave: one task per input piece or block",
+    ("arcade_ray/exchange.py", "consume"):
+        "exchange consume wave: one task per bucket",
+    ("arcade_ray/components.py", "distributed_components"):
+        "connected-components star rounds: one task per graph part",
+    ("arcade_ray/pipeline/join.py", "semi_join_large"):
+        "Bloom bitmap OR-reduce: a binary tree over partial bitmaps",
+    ("arcade_ray/pipeline/compact.py", "compact"):
+        "one re-encode task per compaction bin of several partitions",
+    ("arcade_ray/pipeline/encode.py", "encode_parquet"):
+        "parquet split wave: one task per group of input files",
+    ("arcade_ray/collect.py", "iter_arrow_refs"):
+        "converts a non-Arrow result block, one task per block",
+}
+
+
+def _ray_remote_sites(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, outermost function) of every ``ray.remote`` reference:
+    decorators, ``ray.remote(fn)`` calls and their options."""
+    out = []
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for n in ast.walk(top):
+            if isinstance(n, ast.Attribute) and n.attr == "remote" \
+                    and isinstance(n.value, ast.Name) and n.value.id == "ray":
+                out.append((n.lineno, name))
+    return out
+
+
 def _subscripts_path(fn: ast.AST) -> bool:
     return any(isinstance(n, ast.Subscript)
                and isinstance(n.slice, ast.Constant) and n.slice.value == "path"
@@ -307,12 +342,20 @@ def test_read_path_guard():
     """No engine code calls Dataset.to_arrow_refs() (it runs the plan
     twice; collect.iter_arrow_refs / collect_arrow run it once), no
     ``map_batches(..., batch_size=1)`` maps a UDF over manifest paths
-    one partition per task, and only ``decode.map_partitions`` builds a
-    Dataset of partition paths."""
+    one partition per task, only ``decode.map_partitions`` builds a
+    Dataset of partition paths, and no Ray task is defined outside
+    ``RAY_REMOTE_ALLOWED`` (a per-partition map goes through
+    ``decode.gather_partitions``)."""
     bad = []
+    used = set()
     for p in sorted((REPO / "arcade_ray").rglob("*.py")):
         tree = ast.parse(p.read_text())
         where = p.relative_to(REPO)
+        for line, fn in _ray_remote_sites(tree):
+            used.add((str(where), fn))
+            if (str(where), fn) not in RAY_REMOTE_ALLOWED:
+                bad.append(f"{where}:{line} defines a Ray task in {fn}; "
+                           "map partitions with decode.gather_partitions")
         defs: dict[str, list[ast.AST]] = {}
         for n in ast.walk(tree):
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -345,4 +388,6 @@ def test_read_path_guard():
                        for k in keys):
                     bad.append(f"{where}:{n.lineno} builds a path Dataset "
                                "outside decode.map_partitions")
+    bad += [f"stale RAY_REMOTE_ALLOWED entry {k}"
+            for k in sorted(set(RAY_REMOTE_ALLOWED) - used)]
     assert not bad, "\n".join(bad)

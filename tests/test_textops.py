@@ -219,7 +219,31 @@ def test_near_dedup_removes_planted_cluster(docs_ds):
     assert len(out) == make_docs_table().num_rows - 3
 
 
-def test_minhash_verify_is_distributed(ray_session):
+@pytest.fixture
+def driver_tables(monkeypatch):
+    """Column sets of every table assembled on the driver by
+    ``collect.collect_arrow`` or a verify exchange's result concat
+    (both go through ``collect._concat_typed``)."""
+    from arcade_ray import collect
+
+    seen: list[set] = []
+    orig = collect._concat_typed
+
+    def spy(tables):
+        out = orig(tables)
+        seen.append(set(out.column_names))
+        return out
+
+    monkeypatch.setattr(collect, "_concat_typed", spy)
+    return seen
+
+
+def _no_payload_on_driver(seen: list[set], payload: str) -> None:
+    assert seen, "the spy saw no driver-side collect"
+    assert not [c for c in seen if payload in c], seen
+
+
+def test_minhash_verify_is_distributed(ray_session, driver_tables):
     """The exact-verify stage must NOT materialize candidate texts on
     the driver (round-2 scale flag): a planted mega-cluster of 60
     templated near-identical docs goes through minhash_lsh_pairs, and
@@ -241,7 +265,9 @@ def test_minhash_verify_is_distributed(ray_session):
         "text": pa.array(texts, type=pa.string()),
     }))
 
-    pairs = minhash_lsh_pairs(ds, jaccard_threshold=0.7).to_pandas()
+    pairs = minhash_lsh_pairs(ds, jaccard_threshold=0.7)
+    _no_payload_on_driver(driver_tables, "text")
+    pairs = pairs.to_pandas()
     got = set(zip(pairs["id_a"], pairs["id_b"]))
     # the mega-cluster produces all-pairs among ids 0..59
     assert (0, 1) in got and (0, 59) in got and (58, 59) in got
@@ -249,7 +275,7 @@ def test_minhash_verify_is_distributed(ray_session):
     assert all(a < 60 and b < 60 for a, b in got)
 
 
-def test_embedding_verify_is_distributed(ray_session):
+def test_embedding_verify_is_distributed(ray_session, driver_tables):
     """Same contract for the embedding near-dup verify stage."""
     import ray.data as rd
 
@@ -267,6 +293,7 @@ def test_embedding_verify_is_distributed(ray_session):
     }))
 
     out = near_dup_pairs(ds, threshold=0.95)
+    _no_payload_on_driver(driver_tables, "embedding")
     got = set(zip(out["id_a"].to_pylist(), out["id_b"].to_pylist()))
     assert (0, 1) in got and (0, 9) in got and (8, 9) in got
     assert all(a < 10 and b < 10 for a, b in got)
@@ -361,7 +388,7 @@ def test_embedding_distributed_candidate_path(ray_session, monkeypatch):
     assert big.num_rows == small.num_rows > 0
 
 
-def test_exact_dedup_verify_is_distributed(ray_session):
+def test_exact_dedup_verify_is_distributed(ray_session, driver_tables):
     """exact_dedup's text-verify stage must NOT materialize candidate
     texts on the driver (round-4 scale flag): a planted duplicate run
     of 50 identical docs + 30 distinct docs goes through exact_dedup,
@@ -378,8 +405,9 @@ def test_exact_dedup_verify_is_distributed(ray_session):
         "text": pa.array(texts, type=pa.string()),
     }))
 
-    out = exact_dedup(ds).to_pandas().sort_values(
-        "doc_id", ignore_index=True)
+    out = exact_dedup(ds)
+    _no_payload_on_driver(driver_tables, "text")
+    out = out.to_pandas().sort_values("doc_id", ignore_index=True)
     # one survivor (min id 0) for the 50-run; all 30 distinct docs kept
     assert out["doc_id"].tolist() == [0] + list(range(50, 80))
 
