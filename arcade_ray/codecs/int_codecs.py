@@ -234,19 +234,26 @@ def _dict_enc(vals: np.ndarray, p: IntProfile, tag: str):
     return payload, {"first": int(uvals[0]), "wd": wd, "wc": wc, "d": d}
 
 
+def _dict_table(payload, meta: dict, dtype: np.dtype) -> np.ndarray:
+    """The sorted dictionary, rebuilt from the deltas that open the
+    payload (``packed_nbytes(d - 1, wd)`` bytes)."""
+    d, wd = meta["d"], meta["wd"]
+    uvals = np.empty(d, dtype=np.uint64)
+    uvals[0] = np.uint64(meta["first"] & _MASK)
+    if d > 1:
+        np.cumsum(unpack_bits(payload, wd, d - 1), out=uvals[1:])
+        uvals[1:] += uvals[0]
+    return as_dtype(uvals, dtype)
+
+
 def _dict_dec(payload: bytes, meta: dict, n: int,
               dtype: np.dtype = _I64) -> np.ndarray:
     """Rebuild the sorted dictionary from its deltas, then unpack the
     codes and gather from it in one pass (no code array)."""
-    d, wd, wc = meta["d"], meta["wd"], meta["wc"]
-    db = packed_nbytes(d - 1, wd)
+    db = packed_nbytes(meta["d"] - 1, meta["wd"])
     mv = memoryview(payload)
-    uvals = np.empty(d, dtype=np.uint64)
-    uvals[0] = np.uint64(meta["first"] & _MASK)
-    if d > 1:
-        np.cumsum(unpack_bits(mv[:db], wd, d - 1), out=uvals[1:])
-        uvals[1:] += uvals[0]
-    return unpack_gather(mv[db:], wc, n, as_dtype(uvals, dtype))
+    return unpack_gather(mv[db:], meta["wc"], n,
+                         _dict_table(mv[:db], meta, dtype))
 
 
 # --- ALP: decimal-scaled floats ---------------------------------------------
@@ -456,15 +463,47 @@ def choose_int_codec(vals: np.ndarray, p: IntProfile, tag: str,
     return best_name, payload, meta
 
 
+def _unwrap(payload, meta: dict):
+    """Undo the pack-then-zstd wrapper (meta ``_zw``), if any."""
+    if "_zw" in meta:
+        payload = _zstd.decompress(payload, meta["_zw"]).to_pybytes()
+        meta = {k: v for k, v in meta.items() if k != "_zw"}
+    return payload, meta
+
+
 def decode_int(codec: str, payload: bytes, meta: dict, n: int,
                dtype=np.int64) -> np.ndarray:
     """-> ``n`` values as int64, or as ``dtype`` (a column's storage
     dtype, streams.STORAGE_DTYPES: the same bytes int_stream_to_arrow
     would make of the int64 stream)."""
-    if "_zw" in meta:
-        payload = _zstd.decompress(payload, meta["_zw"]).to_pybytes()
-        meta = {k: v for k, v in meta.items() if k != "_zw"}
+    payload, meta = _unwrap(payload, meta)
     dec, dtype = INT_CODECS[codec][2], np.dtype(dtype)
     if dec in _TYPED_DECODERS:
         return dec(payload, meta, n, dtype)
-    return as_dtype(dec(payload, meta, n), dtype)
+    return as_dtype(dec(bytes(payload), meta, n), dtype)
+
+
+def decode_int_span(codec: str, payload, meta: dict, n: int, lo: int,
+                    hi: int, dtype=np.int64) -> np.ndarray:
+    """-> ``decode_int(codec, payload, meta, n, dtype)[lo:hi]``. The
+    codecs that store value i at bit ``i * width`` of one stream
+    (plain, bitpack, FoR, and the codes of dict) unpack only from the
+    multiple of 8 at or below ``lo``, whose bit offset is a whole byte
+    for every width, up to ``hi``; the others decode all ``n`` values
+    and slice. A zstd-wrapped payload decompresses whole first."""
+    payload, meta = _unwrap(payload, meta)
+    dec, dtype = INT_CODECS[codec][2], np.dtype(dtype)
+    start = lo - lo % 8
+    mv = memoryview(payload)
+    if dec is _plain_dec:
+        size = np.dtype(STORAGE_DTYPES[meta["t"]]).itemsize
+        out = _plain_dec(mv[start * size:], meta, hi - start, dtype)
+    elif dec is _bitpack_dec or dec is _for_dec:
+        out = dec(mv[start * meta["w"] // 8:], meta, hi - start, dtype)
+    elif dec is _dict_dec:
+        db = packed_nbytes(meta["d"] - 1, meta["wd"])
+        out = unpack_gather(mv[db + start * meta["wc"] // 8:], meta["wc"],
+                            hi - start, _dict_table(mv[:db], meta, dtype))
+    else:
+        return decode_int(codec, payload, meta, n, dtype)[lo:hi]
+    return out[lo - start:]

@@ -41,7 +41,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .bitpack import bits_needed, packed_nbytes
-from .codecs.int_codecs import choose_int_codec, decode_int
+from .codecs.int_codecs import choose_int_codec, decode_int, decode_int_span
 from .codecs.str_codecs import (
     decode_codes,
     decode_str_values,
@@ -557,7 +557,11 @@ class ColumnDecoder:
         """``sel``: ascending in-chunk row indices to materialize
         (None = all rows). Null-bearing chunks decode fully then take
         (validity bitmaps don't subset cheaply); dictionary string
-        chunks gather only the selected codes."""
+        chunks gather only the selected codes; ``list<int>`` chunks
+        decode all lengths, then only the span of values from the
+        first selected row's to the end of the last's
+        (:func:`~arcade_ray.codecs.int_codecs.decode_int_span`), and
+        take the selected rows out of it."""
         vb = desc.get("vb", 0)
         validity = payload[-vb:] if vb else b""
         if vb:
@@ -571,29 +575,46 @@ class ColumnDecoder:
                         sel: "np.ndarray | None" = None) -> pa.Array:
         if self.kind == "str":
             return self._str.decode_chunk(desc, payload, sel)
-        if sel is not None:
-            arr = self._decode_nonnull(desc, payload)
-            return arr.take(pa.array(sel, type=pa.int64()))
-        if self.kind == "list":
-            vlen = desc["vlen"]
-            lengths = decode_int_chunk(desc["lengths"], payload[:vlen])
-            if self.list_str:
-                elem = self._str.decode_chunk(desc["values"], payload[vlen:])
-            else:
-                vals = decode_int_chunk(desc["values"], payload[vlen:],
-                                        self.elem_tag)
-                elem = int_stream_to_arrow(vals, self.elem_tag)
-            offsets = np.empty(len(lengths) + 1, dtype=np.int64)
-            offsets[0] = 0
-            np.cumsum(lengths, out=offsets[1:])
-            out = pa.LargeListArray.from_arrays(
-                pa.array(offsets, type=pa.int64()), elem
-            )
-            from .streams import tag_type
+        if self.kind != "list":
+            out = int_stream_to_arrow(
+                decode_int_chunk(desc, payload, self.tag), self.tag)
+        else:
+            out, sel = self._decode_list(desc, payload, sel)
+        return out.take(pa.array(sel, type=pa.int64())) \
+            if sel is not None else out
 
-            return out.cast(pa.list_(tag_type(self.elem_tag)))
-        return int_stream_to_arrow(decode_int_chunk(desc, payload, self.tag),
-                                   self.tag)
+    def _decode_list(self, desc: dict, payload: bytes, sel):
+        """-> (list array, ``sel`` rebased onto it): all rows, or for
+        ``list<int>`` under ``sel`` the rows sel[0]..sel[-1] only."""
+        from .streams import tag_type
+
+        vlen = desc["vlen"]
+        mv = memoryview(payload)
+        lengths = decode_int_chunk(desc["lengths"], mv[:vlen])
+        offsets = np.empty(len(lengths) + 1, dtype=np.int64)
+        offsets[0] = 0
+        np.cumsum(lengths, out=offsets[1:])
+        if self.list_str:
+            elem = self._str.decode_chunk(desc["values"], payload[vlen:])
+        else:
+            vd = desc["values"]
+            if sel is None:
+                vals = decode_int_chunk(vd, mv[vlen:], self.elem_tag)
+            else:
+                sel = np.asarray(sel, dtype=np.int64)
+                first, last = (int(sel[0]), int(sel[-1]) + 1) \
+                    if len(sel) else (0, 0)
+                offsets = offsets[first:last + 1]
+                lo, hi = int(offsets[0]), int(offsets[-1])
+                vals = decode_int_span(
+                    vd["codec"], mv[vlen:], vd["meta"], vd["n"], lo, hi,
+                    STORAGE_DTYPES[self.elem_tag])
+                offsets = offsets - lo
+                sel = sel - first
+            elem = int_stream_to_arrow(vals, self.elem_tag)
+        out = pa.LargeListArray.from_arrays(
+            pa.array(offsets, type=pa.int64()), elem)
+        return out.cast(pa.list_(tag_type(self.elem_tag))), sel
 
 
 def _apply_validity(arr: pa.Array, validity: bytes, n_nulls: int) -> pa.Array:

@@ -11,7 +11,12 @@ that share the grouping rule of :func:`partition_tasks`:
 :func:`map_partitions` streams a Dataset of one table per group (scans
 and filters), and :func:`gather_partitions` returns one Python value per
 partition to the driver (per-partition aggregates, DML rewrites,
-verification fingerprints).
+verification fingerprints). A read that the rule gives one task (one
+manifest row survives pruning) runs in the driver process instead
+(:func:`in_process`): the task would do the same work, so no
+parallelism is lost, and a point lookup or a pruned filter skips Ray
+task dispatch (the reference serves them in process,
+src/reader.cpp:69-143).
 
 Schema evolution: generations appended over time may carry DIFFERENT
 column sets (a new metadata column added mid-corpus). The scan merges
@@ -52,10 +57,18 @@ def partition_tasks(rows: list[dict]) -> int:
 
     from ..exchange import avail_cpus
 
+    if len(rows) <= 1:
+        return 1
     raw = sum(int(r.get("raw_bytes") or 0) for r in rows)
     cap = DataContext.get_current().target_max_block_size
     by_size = -(-raw // cap) if cap else 0  # None: no block-size bound
     return max(1, min(len(rows), max(2 * avail_cpus(), by_size)))
+
+
+def in_process(rows: list[dict]) -> bool:
+    """Whether a read over the manifest ``rows`` runs in the driver
+    process: when :func:`partition_tasks` gives it a single task."""
+    return bool(rows) and partition_tasks(rows) == 1
 
 
 def map_partitions(rows: list[dict], fn):
@@ -63,11 +76,15 @@ def map_partitions(rows: list[dict], fn):
     manifest ``rows``, in manifest order, one task per group
     (:func:`partition_tasks`). ``fn`` gets a table with a ``path``
     column, one row per partition, and returns one table for the
-    group."""
+    group. A single group (:func:`in_process`) runs ``fn`` now, on the
+    driver, and the Dataset holds its one table."""
     import ray.data as rd
 
+    paths = [r["path"] for r in rows]
+    if in_process(rows):
+        return rd.from_blocks([fn(pa.table({"path": paths}))])
     return rd.from_items(
-        [{"path": r["path"]} for r in rows],
+        [{"path": p} for p in paths],
         override_num_blocks=partition_tasks(rows),
     ).map_batches(fn, batch_format="pyarrow", batch_size=None)
 
@@ -82,20 +99,22 @@ def _gather_group(fn, rows: list[dict]) -> list:
 def gather_partitions(rows: list[dict], fn) -> list:
     """-> ``[fn(row) for row in rows]`` in the order of ``rows``, run as
     one Ray task per contiguous group of the manifest ``rows`` (the
-    groups of :func:`map_partitions`). ``fn`` ships once through the
-    object store; rows ship without ``col_stats`` (the manifest's zone
-    maps, Bloom filters and sketches, kilobytes per partition), which
-    a task can read from the partition header. A retried task re-runs
-    its whole group, so ``fn`` must be safe to run twice on a row."""
+    groups of :func:`map_partitions`), or on the driver when there is
+    one group (:func:`in_process`). ``fn`` ships once through the
+    object store; rows reach ``fn`` without ``col_stats`` (the
+    manifest's zone maps, Bloom filters and sketches, kilobytes per
+    partition), which it can read from the partition header. A retried
+    task re-runs its whole group, so ``fn`` must be safe to run twice
+    on a row."""
     import ray
 
-    if not rows:
-        return []
+    slim = [{k: v for k, v in r.items() if k != "col_stats"} for r in rows]
+    if not rows or in_process(rows):
+        return [fn(r) for r in slim]
     n = partition_tasks(rows)
     size, extra = divmod(len(rows), n)
     task = ray.remote(_gather_group)
     fn_ref = ray.put(fn)
-    slim = [{k: v for k, v in r.items() if k != "col_stats"} for r in rows]
     refs, i = [], 0
     for g in range(n):
         j = i + size + (g < extra)
@@ -107,8 +126,9 @@ def gather_partitions(rows: list[dict], fn) -> list:
 def decode_dataset(out_dir: str, columns: list[str] | None = None,
                    generation: str | None = None):
     """-> ray.data.Dataset of decoded rows (streaming, one task per
-    group of partition files, :func:`map_partitions`); each partition's
-    rows keep their order. ``generation`` restricts the scan to one append
+    group of partition files, :func:`map_partitions`; a one-partition
+    scan decodes on the driver); each partition's rows keep their
+    order. ``generation`` restricts the scan to one append
     generation's partitions ("" = the base generation, i.e. partitions
     written without a generation namespace). Heterogeneous partition
     schemas (columns added in later generations) merge read-time:
@@ -142,7 +162,7 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
                             f"columns {missing} not in encoded schema "
                             f"{sch.names}")
                     sch = pa.schema([sch.field(c) for c in columns])
-                return rd.from_arrow(sch.empty_table())
+                return rd.from_blocks([sch.empty_table()])
         raise FileNotFoundError(
             f"no committed partitions under {out_dir}"
             + (f" for generation {generation!r}" if generation is not None

@@ -290,9 +290,9 @@ def semi_join(probe_dir: str, probe_key: str, probe_cols: list[str],
 
     rows = load_manifest(probe_dir).to_pylist()
     if not rows:  # empty probe table: semi/anti of nothing is nothing
-        return rd.from_arrow(_empty_from_sidecar(
+        return rd.from_blocks([_empty_from_sidecar(
             probe_dir, list(dict.fromkeys(probe_cols + [probe_key]))
-        ).select(probe_cols))
+        ).select(probe_cols)])
     header0, _ = read_header(rows[0]["path"])
     known = list(header0["columns"])
     for c in [probe_key, *probe_cols]:
@@ -319,7 +319,7 @@ def semi_join(probe_dir: str, probe_key: str, probe_cols: list[str],
 
     need = list(dict.fromkeys(probe_cols + [probe_key]))
     if not survivors:
-        return rd.from_arrow(_typed_empty(rows[0]["path"], probe_cols))
+        return rd.from_blocks([_typed_empty(rows[0]["path"], probe_cols)])
     keys_ref = ray.put(keyset)
 
     def probe(batch: pa.Table) -> pa.Table:
@@ -432,9 +432,9 @@ def semi_join_large(probe_dir: str, probe_key: str, probe_cols: list[str],
 
     rows = load_manifest(probe_dir).to_pylist()
     if not rows:  # empty probe table: semi/anti of nothing is nothing
-        return rd.from_arrow(_empty_from_sidecar(
+        return rd.from_blocks([_empty_from_sidecar(
             probe_dir, list(dict.fromkeys(probe_cols + [probe_key]))
-        ).select(probe_cols))
+        ).select(probe_cols)])
     header0, _ = read_header(rows[0]["path"])
     known = list(header0["columns"])
     for c in [probe_key, *probe_cols]:
@@ -667,12 +667,12 @@ def dataset_join(left, right, left_key, right_key,
                         "left anti")) \
                     or (r_known_empty and arrow_how in (
                         "inner", "right outer", "left semi")):
-                return rd.from_arrow(empty_out)
+                return rd.from_blocks([empty_out])
             from .query import scan
 
             if not l_paths:
                 live_cols = [c for c in right_cols if c in keep]
-                live = rd.from_arrow(right.select(live_cols)) \
+                live = rd.from_blocks([right.select(live_cols)]) \
                     if right_is_mem else scan(right, columns=live_cols)
                 absent = l_empty
             else:
@@ -728,7 +728,7 @@ def dataset_join(left, right, left_key, right_key,
             seed = seed_l.join(
                 build.slice(0, 0), keys=lkeys, right_keys=rkeys,
                 join_type=arrow_how, coalesce_keys=coalesce).select(keep)
-            out = rd.from_arrow(seed).union(out)
+            out = rd.from_blocks([seed]).union(out)
         return out
     if strategy != "copartition":
         raise ValueError(f"strategy must be broadcast/copartition, "
@@ -793,9 +793,9 @@ def dataset_join(left, right, left_key, right_key,
     else:
         live = [b for b in range(n_buckets) if l_has[b] or r_has[b]]
     if not live:
-        return rd.from_arrow(l_empty.join(
+        return rd.from_blocks([l_empty.join(
             r_empty, keys=lkeys, right_keys=rkeys,
-            join_type=arrow_how, coalesce_keys=coalesce).select(keep))
+            join_type=arrow_how, coalesce_keys=coalesce).select(keep)])
     ds = rd.from_items([{"bucket": b} for b in live])
 
     def join_bucket(batch: pa.Table) -> pa.Table:

@@ -27,7 +27,8 @@ Ray Data translations of the reference's three read operators
 
 Per-partition reads run as one stateless Ray task per contiguous group
 of partitions (``decode.map_partitions`` sets the group count); results
-stream.
+stream. A read that prunes to one partition runs on the driver, so a
+point lookup or a selective filter pays no task dispatch.
 """
 
 from __future__ import annotations
@@ -1009,7 +1010,7 @@ def compound_filter(out_dir: str, preds, project: list[str]):
     tree = _normalize_pred(preds)
     rows = _manifest_paths(out_dir)
     if not rows:  # empty table: typed empty projection
-        return rd.from_arrow(_sidecar_empty(out_dir, project))
+        return rd.from_blocks([_sidecar_empty(out_dir, project)])
     header0, _ = read_header(rows[0]["path"])
     stats = [json.loads(r["col_stats"]) for r in rows]
     # schema evolution: validate against the UNION of partition column
@@ -1040,7 +1041,7 @@ def compound_filter(out_dir: str, preds, project: list[str]):
         for c in project:
             if c not in empty.column_names:
                 empty = empty.append_column(c, pa.nulls(0, pad_types[c]))
-        return rd.from_arrow(empty.select(project))
+        return rd.from_blocks([empty.select(project)])
 
     def run(batch: pa.Table) -> pa.Table:
         return pa.concat_tables([

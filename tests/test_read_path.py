@@ -1,10 +1,12 @@
 """Read-path execution shape: a collect runs its Dataset's plan once,
 and per-partition reads and maps run one Ray task per contiguous group
 of partitions, with the group count set in one place
-(``decode.partition_tasks``)."""
+(``decode.partition_tasks``); a read the rule gives one task runs in
+the driver process."""
 
 import ast
 import math
+import os
 import pathlib
 
 import pyarrow as pa
@@ -13,18 +15,23 @@ import pytest
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
+def _pids(log: pathlib.Path) -> list[int]:
+    return [int(x) for x in log.read_text().split()] if log.exists() else []
+
+
 def _calls(log: pathlib.Path) -> int:
-    return len(log.read_text()) if log.exists() else 0
+    return len(log.read_text().splitlines()) if log.exists() else 0
 
 
 def _counted(monkeypatch, module, name: str, log: pathlib.Path):
-    """Replace ``module.name`` with a wrapper that appends one byte to
-    ``log`` per call (from whichever worker runs it)."""
+    """Replace ``module.name`` with a wrapper that appends the pid of
+    the process that runs it (the driver or a worker) to ``log``, one
+    line per call."""
     orig = getattr(module, name)
 
     def wrapper(*a, **k):
         with open(log, "a") as f:
-            f.write("x")
+            f.write(f"{os.getpid()}\n")
         return orig(*a, **k)
 
     monkeypatch.setattr(module, name, wrapper)
@@ -71,6 +78,77 @@ def test_collect_decodes_each_partition_once(ray_session, one_partition,
     assert _calls(log) == 2
 
 
+def test_one_partition_reads_run_in_driver(ray_session, one_partition,
+                                           many_partitions, tmp_path,
+                                           monkeypatch):
+    """A lookup, equi_filter or range_filter that prunes to one
+    partition runs ``filter_partition`` in the driver process; a filter
+    over several partitions still runs it in Ray workers."""
+    from arcade_ray.collect import collect_arrow
+    from arcade_ray.pipeline import query
+    from arcade_ray.pipeline.decode import in_process
+    from arcade_ray.pipeline.encode import load_manifest
+
+    enc, t = one_partition
+    log = tmp_path / "pids"
+    _counted(monkeypatch, query, "filter_partition", log)
+    driver = os.getpid()
+
+    doc = t["doc_id"][11].as_py()
+    out = collect_arrow(query.lookup(enc, "doc_id", [doc],
+                                     columns=["doc_id", "tokens"]))
+    assert out["doc_id"].to_pylist() == [doc]
+    assert out["tokens"].to_pylist() == [t["tokens"][11].as_py()]
+    src = t["source"][0].as_py()
+    out = collect_arrow(query.equi_filter(enc, "source", src,
+                                          project=["doc_id"]))
+    assert out.num_rows == t.num_rows
+    lo, hi = sorted(t["n_tok"].to_pylist())[100:102]
+    out = collect_arrow(query.range_filter(enc, "n_tok", lo, hi,
+                                           project=["n_tok"]))
+    assert out.num_rows == sum(lo <= v <= hi for v in t["n_tok"].to_pylist())
+    assert _pids(log) == [driver] * 3
+
+    # pruned to one of 18 partitions by the manifest's Bloom filters
+    rows = load_manifest(many_partitions).to_pylist()
+    assert not in_process(rows)
+    log.unlink()
+    doc = _many_tables()[1]["doc_id"][7].as_py()
+    out = collect_arrow(query.lookup(many_partitions, "doc_id", [doc],
+                                     columns=["doc_id", "rank"]))
+    assert out.to_pylist() == [{"doc_id": doc, "rank": 49}]
+    assert _pids(log) == [driver]
+
+    # "de" is in several g1 partitions: one task per partition here,
+    # none of them on the driver
+    log.unlink()
+    out = collect_arrow(query.equi_filter(many_partitions, "lang", "de",
+                                          ["doc_id"]))
+    assert out.num_rows == 200
+    pids = _pids(log)
+    assert len(pids) >= 2 and driver not in pids
+
+
+def test_gather_partitions_one_row_in_driver(ray_session, many_partitions):
+    """gather_partitions runs a single row on the driver, without its
+    ``col_stats``, and several rows in Ray workers."""
+    from arcade_ray.pipeline.decode import gather_partitions
+    from arcade_ray.pipeline.encode import load_manifest
+
+    rows = load_manifest(many_partitions).to_pylist()
+
+    def fn(r):
+        return os.getpid(), "col_stats" in r, r["path"]
+
+    assert gather_partitions(rows[3:4], fn) == \
+        [(os.getpid(), False, rows[3]["path"])]
+    out = gather_partitions(rows, fn)
+    assert [p for _, _, p in out] == [r["path"] for r in rows]
+    assert os.getpid() not in {pid for pid, _, _ in out}
+    assert not any(has for _, has, _ in out)
+    assert gather_partitions([], fn) == []
+
+
 def test_collect_runs_groupby_upstream_once(ray_session, tmp_path):
     """A groupby aggregate's upstream UDF runs once per input block, and
     the collected Dataset's own stats describe that run."""
@@ -82,7 +160,7 @@ def test_collect_runs_groupby_upstream_once(ray_session, tmp_path):
 
     def counting(batch: pa.Table) -> pa.Table:
         with open(log, "a") as f:
-            f.write("x")
+            f.write("x\n")
         return batch
 
     t = pa.table({"k": [i % 3 for i in range(96)], "v": list(range(96))})
@@ -332,6 +410,14 @@ def _ray_remote_sites(tree: ast.AST) -> list[tuple[int, str]]:
     return out
 
 
+# Read paths that build their Datasets on the driver: ``from_arrow``
+# starts a Ray task for block metadata on every call, ``from_blocks``
+# does not.
+NO_FROM_ARROW = {"arcade_ray/pipeline/query.py",
+                 "arcade_ray/pipeline/join.py",
+                 "arcade_ray/pipeline/decode.py"}
+
+
 def _subscripts_path(fn: ast.AST) -> bool:
     return any(isinstance(n, ast.Subscript)
                and isinstance(n.slice, ast.Constant) and n.slice.value == "path"
@@ -345,7 +431,8 @@ def test_read_path_guard():
     one partition per task, only ``decode.map_partitions`` builds a
     Dataset of partition paths, and no Ray task is defined outside
     ``RAY_REMOTE_ALLOWED`` (a per-partition map goes through
-    ``decode.gather_partitions``)."""
+    ``decode.gather_partitions``). The read paths in ``NO_FROM_ARROW``
+    build no Dataset with ``from_arrow``."""
     bad = []
     used = set()
     for p in sorted((REPO / "arcade_ray").rglob("*.py")):
@@ -372,6 +459,9 @@ def test_read_path_guard():
             attr = n.func.attr
             if attr == "to_arrow_refs":
                 bad.append(f"{where}:{n.lineno} calls to_arrow_refs()")
+            elif attr == "from_arrow" and str(where) in NO_FROM_ARROW:
+                bad.append(f"{where}:{n.lineno} calls from_arrow(); "
+                           "use from_blocks")
             elif attr == "map_batches":
                 one = any(k.arg == "batch_size"
                           and isinstance(k.value, ast.Constant)
