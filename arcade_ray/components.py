@@ -42,9 +42,9 @@ def _owner(ids: np.ndarray, n_parts: int) -> np.ndarray:
 
 def _split_pairs(src: np.ndarray, dst: np.ndarray, own: np.ndarray,
                  n_parts: int) -> list:
-    """Split (src, dst) message arrays by owner partition, one
-    object-store fragment per partition (exchange.put_buckets).
-    Returns a list of refs (None for empty partitions)."""
+    """Split (src, dst) message arrays by owner partition into one
+    object-store object (exchange.put_buckets). Returns one
+    ``(ref, lo, hi)`` handle per partition (None for empty ones)."""
     from .exchange import put_buckets
 
     return put_buckets(own, n_parts, lambda sel: (src[sel], dst[sel]))
@@ -73,6 +73,8 @@ def distributed_components(pair_refs, n_parts: int | None = None):
     driver besides per-round changed counts."""
     import ray
 
+    from .exchange import fetch
+
     pair_refs = [r for r in pair_refs if r is not None]
     if not pair_refs:
         return np.empty(0, dtype=np.int64)
@@ -98,7 +100,7 @@ def distributed_components(pair_refs, n_parts: int | None = None):
 
     @ray.remote
     def adj_init(frags):
-        parts = [ray.get(r) for r in frags]
+        parts = fetch(frags)
         if not parts:
             return (np.empty(0, np.int64), np.empty(0, np.int64))
         src = np.concatenate([p[0] for p in parts])
@@ -140,7 +142,7 @@ def distributed_components(pair_refs, n_parts: int | None = None):
 
     @ray.remote(num_returns=2)
     def star_apply(old_state, frags):
-        parts = [ray.get(r) for r in frags]
+        parts = fetch(frags)
         if not parts:
             new = (np.empty(0, np.int64), np.empty(0, np.int64))
         else:

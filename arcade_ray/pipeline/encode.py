@@ -436,21 +436,21 @@ def _encode_bucket(pid_keys: list[str], out_dir: str, sort_by: str | None,
     rows: list[dict] = []
     if table.num_rows == 0:
         return rows
+    # one stable sort by (partition, sort_by) and one take; each
+    # partition is then a zero-copy slice, its rows in a deterministic
+    # order -> stable output
+    keys = [("_pid", "ascending")]
+    if sort_by is not None and sort_by in table.column_names:
+        keys.append((sort_by, "ascending"))
+    table = table.take(pc.sort_indices(table, sort_keys=keys))
     pids = table["_pid"].to_numpy(zero_copy_only=False)
-    order = np.argsort(pids, kind="stable")
-    sorted_pids = pids[order]
-    uniq = np.unique(sorted_pids)
-    bounds = np.searchsorted(sorted_pids, uniq)
-    bounds = np.append(bounds, len(sorted_pids))
-    for i, pid in enumerate(uniq):
-        idx = order[bounds[i]: bounds[i + 1]]
-        part = table.take(pa.array(idx, type=pa.int64())).drop_columns(["_pid"])
-        if sort_by is not None and sort_by in part.column_names:
-            # deterministic row order inside the partition -> stable output
-            part = part.take(pc.sort_indices(part[sort_by]))
-        blob, row = encode_partition(part, pid_keys[int(pid)])
+    starts = np.flatnonzero(np.diff(pids, prepend=-1)).tolist()
+    table = table.drop_columns(["_pid"])
+    for lo, hi in zip(starts, starts[1:] + [len(pids)]):
+        key = pid_keys[int(pids[lo])]
+        blob, row = encode_partition(table.slice(lo, hi - lo), key)
         row["generation"] = generation
-        rows.append(commit_partition(out_dir, pid_keys[int(pid)], blob, row))
+        rows.append(commit_partition(out_dir, key, blob, row))
     return rows
 
 

@@ -2125,19 +2125,31 @@ def build_dedup_index(ds, index_dir: str, text_col: str = "text",
     parquet shards — 24 B/doc regardless of document size. Continuous
     ingest then dedups NEW batches against the index
     (:func:`dedup_against_index`) without ever re-reading the old
-    corpus text. Returns the indexed row count."""
-    sig = ds.map_batches(lambda b: dedup_signatures(b, text_col, id_col),
-                         batch_format="pyarrow")
-    sig.write_parquet(index_dir)
+    corpus text. Returns the indexed row count.
+
+    ``_index_meta.json`` is the commit marker: a rebuild removes it,
+    then the old shards, and writes it last (tmp + ``os.replace``), so
+    a rebuild replaces the index and a crashed one has no marker."""
     import json as _json
 
     from .hashing import HASH_VERSION
 
-    with open(os.path.join(index_dir, "_index_meta.json"), "w") as f:
+    meta_p = os.path.join(index_dir, "_index_meta.json")
+    if os.path.exists(meta_p):
+        os.remove(meta_p)
+    if os.path.isdir(index_dir):
+        for fn in os.listdir(index_dir):
+            if fn.endswith(".parquet"):
+                os.remove(os.path.join(index_dir, fn))
+    sig = ds.map_batches(lambda b: dedup_signatures(b, text_col, id_col),
+                         batch_format="pyarrow")
+    sig.write_parquet(index_dir)
+    n = int(read_parquet_clean(index_dir).count())
+    tmp = meta_p + f".tmp.{os.getpid()}"
+    with open(tmp, "w") as f:
         _json.dump({"hash_version": HASH_VERSION}, f)
-    import ray.data as rd
-
-    return int(read_parquet_clean(index_dir).count())
+    os.replace(tmp, meta_p)
+    return n
 
 
 def dedup_against_index(ds, index_dir: str, text_col: str = "text",
