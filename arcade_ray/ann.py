@@ -563,10 +563,15 @@ def build_ivf_index(ds, index_dir: str, n_centroids: int = 64,
       = scale/2 per component) — 8x smaller cells than list<float64>,
       the storage path a 10^9-vector corpus needs. Queries
       reconstruct per batch; recall contract tested/oracled.
+    - ``meta.json`` is the commit marker: a rebuild removes it, then the
+      old cell data, and writes it last (tmp + ``os.replace``), so a
+      rebuild never appends to old cells and a crashed build leaves no
+      marker (:func:`ivf_index_topk` refuses the dir).
 
     Returns {"cells": n, "rows": n, "dir": index_dir}."""
     import json
     import os
+    import shutil
 
     import pyarrow.parquet as pq
     import ray
@@ -578,15 +583,18 @@ def build_ivf_index(ds, index_dir: str, n_centroids: int = 64,
     cents = _kmeans_lite(_to_matrix(sample_tab[vec_col]),
                          n_centroids, seed=seed)
     os.makedirs(index_dir, exist_ok=True)
+    meta_path = os.path.join(index_dir, "meta.json")
+    data_dir = os.path.join(index_dir, "data")
+    if os.path.exists(meta_path):
+        os.remove(meta_path)
+    if os.path.isdir(data_dir):
+        shutil.rmtree(data_dir)
     pq.write_table(
         pa.table({
             "cell": pa.array(np.arange(len(cents)), type=pa.int64()),
             "centroid": pa.array(cents.tolist(),
                                  type=pa.list_(pa.float64())),
         }), os.path.join(index_dir, "codebook.parquet"))
-    with open(os.path.join(index_dir, "meta.json"), "w") as f:
-        json.dump({"quantize": quantize, "id_col": id_col,
-                   "vec_col": vec_col}, f)
     cref = ray.put(cents)
 
     def assign(batch: pa.Table) -> pa.Table:
@@ -613,10 +621,14 @@ def build_ivf_index(ds, index_dir: str, n_centroids: int = 64,
             "cell": pa.array(cell, type=pa.int64()),
         })
 
-    data_dir = os.path.join(index_dir, "data")
     ds.map_batches(assign, batch_format="pyarrow").write_parquet(
         data_dir, partition_cols=["cell"])
     n_rows = int(ds.count())
+    tmp = meta_path + f".tmp.{os.getpid()}"
+    with open(tmp, "w") as f:
+        json.dump({"quantize": quantize, "id_col": id_col,
+                   "vec_col": vec_col}, f)
+    os.replace(tmp, meta_path)  # the build's single commit point
     return {"cells": len(cents), "rows": n_rows, "dir": index_dir}
 
 
@@ -628,12 +640,16 @@ def ivf_index_topk(index_dir: str, queries_ids: list[int],
     tiny codebook on the driver; the data read is FILTERED to those
     cells at the parquet layer (hive-partition pruning — unprobed
     cells are never read). Scoring reuses the brute-force batch kernel
-    over the pruned read; per-query results merge like topk_cosine."""
+    over the pruned read; per-query results merge like topk_cosine.
+    A dir without ``meta.json`` (a build that did not finish) raises
+    FileNotFoundError."""
+    import json
     import os
 
     import pyarrow.parquet as pq
-    import ray.data as rd
 
+    with open(os.path.join(index_dir, "meta.json")) as f:
+        quantize = json.load(f).get("quantize")
     book = pq.read_table(os.path.join(index_dir, "codebook.parquet"))
     cents = _to_matrix(book["centroid"])
     q = _normalize(np.asarray(queries_mat, dtype=np.float64))
@@ -656,13 +672,6 @@ def ivf_index_topk(index_dir: str, queries_ids: list[int],
         return pa.table({"query_id": pa.array([], pa.int64()),
                          id_col: pa.array([], pa.int64()),
                          "cos": pa.array([], pa.float64())})
-    meta_path = os.path.join(index_dir, "meta.json")
-    quantize = None
-    if os.path.exists(meta_path):
-        import json
-
-        with open(meta_path) as f:
-            quantize = json.load(f).get("quantize")
     if quantize == "int8":
         ds = read_parquet_clean(paths, columns=[id_col, "q", "scale"])
 

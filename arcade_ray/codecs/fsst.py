@@ -17,9 +17,9 @@ sample, tallies unit and adjacent-pair gains with two bincounts over
 integer keys (a string of <= 8 bytes is a uint64 plus a length) and
 keeps the 255 best. Streams are encoded by the native C kernel (true
 greedy, codecs/native.py) or, without a compiler, by the block-parallel
-numpy walk (fsst_vec.py); ``compress_scalar``'s per-byte greedy loop is
-the reference both are checked against. The cost model encodes a full
-stream only when FSST wins on estimated bytes.
+numpy walk (fsst_vec.py); tests check both against a per-byte greedy
+loop (``tests/test_codecs.py``). The cost model encodes a full stream
+only when FSST wins on estimated bytes.
 """
 
 from __future__ import annotations
@@ -33,38 +33,6 @@ from ..constants import (
     FSST_MAX_SYMBOLS,
     FSST_SAMPLE_BYTES,
 )
-
-
-def _encode_with(table: dict[bytes, int], maxlen_by_first: bytes, data: bytes) -> bytearray:
-    """Greedy longest-match encode of ``data`` with ``table``."""
-    out = bytearray()
-    pos, n = 0, len(data)
-    append = out.append
-    while pos < n:
-        first = data[pos]
-        best_len = min(maxlen_by_first[first], n - pos)
-        code = None
-        while best_len > 0:
-            code = table.get(data[pos : pos + best_len])
-            if code is not None:
-                break
-            best_len -= 1
-        if code is None:
-            append(FSST_ESCAPE)
-            append(first)
-            pos += 1
-        else:
-            append(code)
-            pos += best_len
-    return out
-
-
-def _maxlen_table(symbols: list[bytes]) -> bytes:
-    m = bytearray(256)
-    for s in symbols:
-        if len(s) > m[s[0]]:
-            m[s[0]] = len(s)
-    return bytes(m)
 
 
 def _parse_codes(encoded: bytes):
@@ -206,15 +174,6 @@ def compress(data: bytes, symbols: list[bytes] | None = None) -> tuple[bytes, by
     if symbols is None:
         symbols = build_symbol_table(data)
     return serialize_table(symbols), encode_stream(data, symbols)
-
-
-def compress_scalar(data: bytes, symbols: list[bytes] | None = None) -> tuple[bytes, bytes]:
-    """Reference per-byte encoder (used to cross-check fsst_vec)."""
-    if symbols is None:
-        symbols = build_symbol_table(data)
-    table = {s: i for i, s in enumerate(symbols)}
-    maxlen = _maxlen_table(symbols)
-    return serialize_table(symbols), bytes(_encode_with(table, maxlen, data))
 
 
 def decompress(table_blob: bytes, stream: bytes) -> bytes:

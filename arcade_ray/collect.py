@@ -193,7 +193,7 @@ def _routed_blocks(routed, mode: str):
     the executor so the routed payload never materializes in the object
     store all at once."""
     if mode == "disk":
-        return (list(b.block_refs) for b in routed.iter_internal_ref_bundles())
+        return (list(b.block_refs) for b in _ref_bundles(routed))
     return [[r] for r in iter_arrow_refs(routed)]
 
 
@@ -431,11 +431,33 @@ def _block_to_arrow(block) -> pa.Table:
     return BlockAccessor.for_block(block).to_arrow()
 
 
+def _ref_bundles(ds):
+    """``ds``'s output ref bundles: the one place the engine reads them.
+
+    A plan that is only a source whose output is already in the object
+    store (``from_blocks``, ``from_items``, ``from_arrow``,
+    ``from_pandas``, the ``InputData`` of a materialized Dataset)
+    returns those bundles through Ray's ``SourceOperator.output_data()``
+    hook, without starting a streaming executor: its start-up, polling
+    and shutdown cost more than the rest of a one-block collect. Any
+    other plan runs once, its bundles streaming off the executor."""
+    from ray.data._internal.logical.interfaces import SourceOperator
+
+    dag = ds._logical_plan.dag
+    if isinstance(dag, SourceOperator):
+        bundles = dag.output_data()
+        if bundles is not None:
+            return bundles
+    return ds.iter_internal_ref_bundles()
+
+
 def iter_arrow_refs(ds):
     """Yield refs to ``ds``'s blocks as Arrow tables, running its plan
     once, as the blocks stream off the executor. Blocks of a non-Arrow
     bundle (pandas UDF output) are converted by a task, so a payload
-    never passes through the driver.
+    never passes through the driver. An in-memory source (see
+    :func:`_ref_bundles`) is read directly: no executor runs, so its
+    ``ds.stats()`` describe no run.
 
     ``Dataset.to_arrow_refs()`` is not used: in Ray 2.49 it asks for the
     schema after iterating, and that runs the whole plan a second time
@@ -443,7 +465,7 @@ def iter_arrow_refs(ds):
     import ray
 
     convert = None
-    for bundle in ds.iter_internal_ref_bundles():
+    for bundle in _ref_bundles(ds):
         if bundle.schema is None or isinstance(bundle.schema, pa.Schema):
             yield from bundle.block_refs
             continue
@@ -456,7 +478,10 @@ def iter_arrow_refs(ds):
 def collect_arrow(ds) -> pa.Table:
     """Concat a Dataset's blocks into one Arrow table. The caller's own
     ``ds`` runs once (so its ``stats()`` describe that run), and
-    non-Arrow blocks are converted on the driver.
+    non-Arrow blocks are converted on the driver. An in-memory source
+    (see :func:`_ref_bundles`, e.g. the driver-built result of a read
+    pruned to one partition) is read directly: no executor runs, and
+    its ``stats()`` describe no run.
 
     groupby/map_groups (and some map_batches paths) emit zero-row
     blocks with an EMPTY schema (0 columns); pa.concat_tables raises
@@ -464,7 +489,7 @@ def collect_arrow(ds) -> pa.Table:
     if no block carries a schema, return the first (empty) block."""
     import ray
 
-    refs = [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
+    refs = [r for b in _ref_bundles(ds) for r in b.block_refs]
     return _concat_typed([_block_to_arrow(b) for b in ray.get(refs)])
 
 

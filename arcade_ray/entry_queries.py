@@ -2107,7 +2107,7 @@ def q_ann_index_recall(sf_dir: str) -> pa.Table:
 
     tag = hashlib.md5(sf_dir.encode()).hexdigest()[:10]
     idx = os.path.join(CACHE_ROOT, f"ivf-index-{tag}")
-    if not os.path.isdir(os.path.join(idx, "data")):
+    if not os.path.exists(os.path.join(idx, "meta.json")):
         build_ivf_index(ds, idx, n_centroids=32, sample_size=4000)
     exact = topk_cosine(ds, qids, qmat, k=ANN_K)
     approx = ivf_index_topk(idx, qids, qmat, k=ANN_K, n_probe=16)
@@ -2140,7 +2140,7 @@ def q_ann_index_q8_recall(sf_dir: str) -> pa.Table:
 
     tag = hashlib.md5(sf_dir.encode()).hexdigest()[:10]
     idx = os.path.join(CACHE_ROOT, f"ivf-index-q8-{tag}")
-    if not os.path.isdir(os.path.join(idx, "data")):
+    if not os.path.exists(os.path.join(idx, "meta.json")):
         build_ivf_index(ds, idx, n_centroids=32, sample_size=4000,
                         quantize="int8")
     exact = topk_cosine(ds, qids, qmat, k=ANN_K)

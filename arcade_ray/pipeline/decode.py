@@ -16,7 +16,9 @@ manifest row survives pruning) runs in the driver process instead
 (:func:`in_process`): the task would do the same work, so no
 parallelism is lost, and a point lookup or a pruned filter skips Ray
 task dispatch (the reference serves them in process,
-src/reader.cpp:69-143).
+src/reader.cpp:69-143). Its result is a ``from_blocks`` Dataset, which
+``collect.collect_arrow`` and ``collect.iter_arrow_refs`` read without
+starting Ray Data's streaming executor (``collect._ref_bundles``).
 
 Schema evolution: generations appended over time may carry DIFFERENT
 column sets (a new metadata column added mid-corpus). The scan merges

@@ -211,18 +211,6 @@ def _char_shingles(text: str, k: int = 5) -> np.ndarray:
     return (arr[idx] * weights).sum(axis=1)
 
 
-def minhash_signature(shingles: np.ndarray, n_perm: int = 64,
-                      seed: int = 42) -> np.ndarray:
-    """n_perm minhash values via universal hashing a*x+b mod p."""
-    rng = np.random.default_rng(seed)
-    a = rng.integers(1, _MERSENNE, n_perm, dtype=np.uint64)
-    b = rng.integers(0, _MERSENNE, n_perm, dtype=np.uint64)
-    x = np.unique(shingles) % np.uint64(_MERSENNE)
-    # (n_perm, n_shingles) in uint64 with mersenne modulus
-    vals = (x[None, :] * a[:, None] + b[:, None]) % np.uint64(_MERSENNE)
-    return vals.min(axis=1)
-
-
 _INV257 = np.uint64(pow(257, -1, 1 << 64))  # 257 is odd -> invertible mod 2^64
 
 
@@ -299,12 +287,13 @@ def _batch_shingle_stream(lengths: np.ndarray, data: bytes,
 def batch_minhash_signatures(lengths: np.ndarray, data: bytes,
                              n_perm: int = 64, shingle_k: int = 5,
                              seed: int = 42) -> np.ndarray:
-    """(n_docs, n_perm) minhash signature matrix, bit-identical to
-    per-doc ``minhash_signature(_char_shingles(t))`` but computed with
-    ONE vectorized pass over all documents: batched rolling-hash
-    shingles (see _batch_shingle_stream) + per-permutation
-    ``np.minimum.reduceat`` over doc boundaries (duplicate shingles
-    can't change a min, so the per-doc np.unique is unnecessary)."""
+    """(n_docs, n_perm) minhash signature matrix: per document, the min
+    of ``(a*x + b) mod p`` over its :func:`_char_shingles` for each of
+    ``n_perm`` seeded universal hashes, computed with ONE vectorized
+    pass over all documents: batched rolling-hash shingles (see
+    _batch_shingle_stream) + per-permutation ``np.minimum.reduceat``
+    over doc boundaries. Tests check it against a per-document
+    reference (``tests/test_textops.py``)."""
     sh, out_offsets = _batch_shingle_stream(lengths, data, shingle_k)
     n = len(out_offsets) - 1
     rng = np.random.default_rng(seed)

@@ -228,6 +228,67 @@ def test_kmeans_tree_reduce_matches_flat(ray_session, monkeypatch):
     np.testing.assert_allclose(h_tree, h_flat, rtol=1e-9)
 
 
+def test_ivf_index_rebuild_equals_one_build(ray_session, tmp_path,
+                                            monkeypatch):
+    """A build into a dir that already holds an index replaces it: a
+    rebuild, also one that switches ``quantize``, leaves the rows and
+    answers of one build. A rebuild that fails after it started leaves
+    no ``meta.json``, and queries refuse the dir."""
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from arcade_ray.ann import build_ivf_index, ivf_index_topk
+
+    rng = np.random.default_rng(3)
+    centers = rng.standard_normal((4, 8)) * 5
+    vecs = np.concatenate(
+        [c + rng.standard_normal((100, 8)) * 0.3 for c in centers])
+    t = pa.table({
+        "vec_id": pa.array(np.arange(len(vecs)), type=pa.int64()),
+        "embedding": pa.array(vecs.tolist(), type=pa.list_(pa.float64())),
+    })
+    qids = [0, 150, 399]
+
+    def build(d, quantize=None):
+        return build_ivf_index(rd.from_arrow(t), d, n_centroids=4,
+                               sample_size=400, quantize=quantize)
+
+    def state(d):
+        data = pq.read_table(os.path.join(d, "data"))
+        got = ivf_index_topk(d, qids, vecs[qids], k=5, n_probe=2)
+        return (sorted(data["vec_id"].to_pylist()),
+                sorted(zip(got["query_id"].to_pylist(),
+                           got["vec_id"].to_pylist())))
+
+    once, again = str(tmp_path / "once"), str(tmp_path / "again")
+    build(once)
+    build(again, quantize="int8")
+    build(again)
+    assert state(again) == state(once)
+    assert state(once)[0] == list(range(len(vecs)))
+    build(again)
+    assert state(again) == state(once)
+
+    q8_once, q8_again = str(tmp_path / "q8_once"), str(tmp_path / "q8_again")
+    build(q8_once, quantize="int8")
+    build(q8_again)
+    build(q8_again, quantize="int8")
+    assert state(q8_again) == state(q8_once)
+
+    def crash(*a, **k):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pq, "write_table", crash)
+    with pytest.raises(OSError):
+        build(again)
+    monkeypatch.undo()
+    assert not os.path.exists(os.path.join(again, "meta.json"))
+    with pytest.raises(FileNotFoundError):
+        ivf_index_topk(again, qids, vecs[qids], k=5, n_probe=2)
+
+
 def test_ivf_index_int8_quantized(ray_session, tmp_path):
     """quantize='int8': same probed-cell read shape, ~8x smaller cell
     data than list<float64>, and near-exact recall after per-batch

@@ -273,6 +273,30 @@ def test_fsst_vec_throughput_microbench():
     assert mbps > 2.0, f"FSST vec walk regressed to {mbps:.1f} MB/s"
 
 
+def fsst_scalar_encode(data: bytes, symbols: list[bytes]) -> bytes:
+    """Reference FSST encoder: a per-byte greedy longest-match walk,
+    writing (FSST_ESCAPE, byte) where no symbol matches."""
+    from arcade_ray.constants import FSST_ESCAPE
+
+    table = {s: i for i, s in enumerate(symbols)}
+    maxlen = bytearray(256)
+    for s in symbols:
+        maxlen[s[0]] = max(maxlen[s[0]], len(s))
+    out = bytearray()
+    pos, n = 0, len(data)
+    while pos < n:
+        ln = min(maxlen[data[pos]], n - pos)
+        while ln and data[pos:pos + ln] not in table:
+            ln -= 1
+        if ln:
+            out.append(table[data[pos:pos + ln]])
+        else:
+            out += bytes((FSST_ESCAPE, data[pos]))
+            ln = 1
+        pos += ln
+    return bytes(out)
+
+
 class TestFsstNative:
     """C kernel (codecs/native.py): true-greedy parity with the scalar
     reference encoder, fallback equivalence, binary safety."""
@@ -292,7 +316,7 @@ class TestFsstNative:
         nat = self._reset(monkeypatch, disable=False)
         if nat.get_lib() is None:
             pytest.skip("no C compiler in this environment")
-        from arcade_ray.codecs.fsst import build_symbol_table, compress_scalar
+        from arcade_ray.codecs.fsst import build_symbol_table
         from arcade_ray.codecs.fsst_vec import _Matcher
 
         rng = np.random.default_rng(7)
@@ -301,15 +325,15 @@ class TestFsstNative:
                          for _ in range(20_000))
         symbols = build_symbol_table(data[:32768])
         enc = nat.encode_native(data, _Matcher(symbols))
-        _, ref = compress_scalar(data, symbols)
-        assert enc == ref  # true greedy, byte-identical to the scalar walk
+        # true greedy: byte-identical to the scalar walk
+        assert enc == fsst_scalar_encode(data, symbols)
 
     def test_native_binary_fuzz_roundtrip(self, monkeypatch):
         nat = self._reset(monkeypatch, disable=False)
         if nat.get_lib() is None:
             pytest.skip("no C compiler in this environment")
-        from arcade_ray.codecs.fsst import (build_symbol_table, compress_scalar,
-                                            decompress, serialize_table)
+        from arcade_ray.codecs.fsst import (build_symbol_table, decompress,
+                                            serialize_table)
         from arcade_ray.codecs.fsst_vec import _Matcher
 
         for seed in range(8):
@@ -318,8 +342,7 @@ class TestFsstNative:
                                dtype=np.uint8).tobytes()
             symbols = build_symbol_table(raw[:8192])
             enc = nat.encode_native(raw, _Matcher(symbols))
-            _, ref = compress_scalar(raw, symbols)
-            assert enc == ref, seed
+            assert enc == fsst_scalar_encode(raw, symbols), seed
             assert decompress(serialize_table(symbols), enc) == raw, seed
 
     def test_numpy_fallback_still_roundtrips(self, monkeypatch):

@@ -28,8 +28,6 @@ ENTRY_DIRS = [REPO / "jobs", REPO / "perfbench", REPO / "tools"]
 ALLOWED = {
     # test references: slow, obviously-correct paths that tests check
     # the fast engine paths against
-    "compress_scalar": "per-byte FSST encoder; test_codecs checks fsst_vec",
-    "minhash_signature": "scalar MinHash; test_textops similarity check",
     "reference_compress": "drives the rebuilt reference runner (oracle)",
     "reference_scan": "reference runner oracle, test_reference_oracle",
     "reference_filter_count": "reference runner oracle, test_reference_oracle",

@@ -198,6 +198,111 @@ def test_collect_converts_pandas_blocks(ray_session):
     assert sum(b.num_rows for b in blocks) == 20
 
 
+def _executor_runs(monkeypatch, forbid: bool = False) -> list:
+    """Count the streaming executor's runs (one list entry per
+    ``StreamingExecutor.execute``), or fail on the first one."""
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    runs = []
+    orig = StreamingExecutor.execute
+
+    def execute(self, *a, **k):
+        assert not forbid, "started a streaming executor"
+        runs.append(1)
+        return orig(self, *a, **k)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    return runs
+
+
+def _in_memory(kind: str):
+    """A three-block Dataset whose output is already in the object
+    store, built by ``kind``."""
+    import ray.data as rd
+
+    t = pa.table({"a": list(range(30)), "s": [str(i) for i in range(30)]})
+    parts = [t.slice(i * 10, 10) for i in range(3)]
+    if kind == "from_blocks":
+        return rd.from_blocks(parts)
+    if kind == "from_items":
+        return rd.from_items(t.to_pylist(), override_num_blocks=3)
+    if kind == "from_arrow":
+        return rd.from_arrow(parts)
+    if kind == "from_pandas":
+        return rd.from_pandas([p.to_pandas() for p in parts])
+    return rd.from_arrow(parts).map_batches(
+        lambda b: b, batch_format="pyarrow").materialize()
+
+
+@pytest.mark.parametrize("kind", ["from_blocks", "from_items", "from_arrow",
+                                  "from_pandas", "materialize"])
+def test_collect_in_memory_source_starts_no_executor(ray_session, kind,
+                                                     monkeypatch):
+    """collect_arrow and iter_arrow_refs over a Dataset whose output is
+    already in the object store start no streaming executor, and return
+    the executor path's blocks, in its order, as Arrow tables."""
+    import ray
+
+    from arcade_ray.collect import (_block_to_arrow, collect_arrow,
+                                    iter_arrow_refs)
+
+    ds = _in_memory(kind)
+    want = [_block_to_arrow(ray.get(r))
+            for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
+    assert len(want) == 3
+    _executor_runs(monkeypatch, forbid=True)
+    got = ray.get(list(iter_arrow_refs(ds)))
+    assert all(isinstance(b, pa.Table) for b in got)
+    assert [b.to_pydict() for b in got] == [b.to_pydict() for b in want]
+    out = collect_arrow(ds)
+    assert out.equals(pa.concat_tables(want))
+    assert out["a"].to_pylist() == list(range(30))
+
+
+def test_collect_map_over_source_runs_once(ray_session, tmp_path,
+                                           monkeypatch):
+    """A map_batches over an in-memory source is a lazy plan: a collect
+    runs it once, on the executor, calling the UDF once per block."""
+    import ray
+    import ray.data as rd
+
+    from arcade_ray.collect import collect_arrow, iter_arrow_refs
+
+    log = tmp_path / "calls"
+
+    def counting(batch: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write("x\n")
+        return batch
+
+    t = pa.table({"v": list(range(40))})
+    runs = _executor_runs(monkeypatch)
+    ds = rd.from_blocks([t.slice(i * 10, 10) for i in range(4)]) \
+        .map_batches(counting, batch_format="pyarrow")
+    assert collect_arrow(ds).sort_by("v").equals(t)
+    assert _calls(log) == 4 and len(runs) == 1
+    blocks = ray.get(list(iter_arrow_refs(ds)))
+    assert sum(b.num_rows for b in blocks) == 40
+    assert _calls(log) == 8 and len(runs) == 2
+
+
+def test_one_partition_lookup_starts_no_executor(ray_session, one_partition,
+                                                 monkeypatch):
+    """A lookup pruned to one partition runs on the driver and its
+    collect starts no streaming executor."""
+    from arcade_ray.collect import collect_arrow
+    from arcade_ray.pipeline import query
+
+    enc, t = one_partition
+    _executor_runs(monkeypatch, forbid=True)
+    doc = t["doc_id"][5].as_py()
+    out = collect_arrow(query.lookup(enc, "doc_id", [doc],
+                                     columns=["doc_id", "n_tok"]))
+    assert out.to_pylist() == [{"doc_id": doc,
+                                "n_tok": t["n_tok"][5].as_py()}]
+
+
 # ---------------------------------------------------------------------------
 # grouped reads
 # ---------------------------------------------------------------------------
@@ -426,7 +531,9 @@ def _subscripts_path(fn: ast.AST) -> bool:
 
 def test_read_path_guard():
     """No engine code calls Dataset.to_arrow_refs() (it runs the plan
-    twice; collect.iter_arrow_refs / collect_arrow run it once), no
+    twice; collect.iter_arrow_refs / collect_arrow run it once), only
+    ``collect._ref_bundles`` calls ``iter_internal_ref_bundles`` (every
+    consumer gets the in-memory-source fast path), no
     ``map_batches(..., batch_size=1)`` maps a UDF over manifest paths
     one partition per task, only ``decode.map_partitions`` builds a
     Dataset of partition paths, and no Ray task is defined outside
@@ -459,6 +566,11 @@ def test_read_path_guard():
             attr = n.func.attr
             if attr == "to_arrow_refs":
                 bad.append(f"{where}:{n.lineno} calls to_arrow_refs()")
+            elif attr == "iter_internal_ref_bundles" and (
+                    str(where), owner.get(n)) != ("arcade_ray/collect.py",
+                                                  "_ref_bundles"):
+                bad.append(f"{where}:{n.lineno} reads ref bundles; "
+                           "use collect._ref_bundles")
             elif attr == "from_arrow" and str(where) in NO_FROM_ARROW:
                 bad.append(f"{where}:{n.lineno} calls from_arrow(); "
                            "use from_blocks")

@@ -8,12 +8,13 @@ import pyarrow as pa
 import pytest
 
 from arcade_ray.textops import (
+    _MERSENNE,
     TextAnalyzer,
     _char_shingles,
     analyze_text,
+    batch_minhash_signatures,
     exact_dedup,
     minhash_lsh_pairs,
-    minhash_signature,
     simhash64,
     simhash_pairs,
 )
@@ -74,6 +75,31 @@ def test_minhash_lsh_finds_planted_pairs(docs_ds):
     assert (3, 4) in got
     # no cross-language false positives
     assert all(a < 5 and b < 5 for a, b in got)
+
+
+def minhash_signature(shingles: np.ndarray, n_perm: int = 64,
+                      seed: int = 42) -> np.ndarray:
+    """Reference MinHash of one document: n_perm minimums of universal
+    hashes a*x+b mod p over its unique shingles."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(1, _MERSENNE, n_perm, dtype=np.uint64)
+    b = rng.integers(0, _MERSENNE, n_perm, dtype=np.uint64)
+    x = np.unique(shingles) % np.uint64(_MERSENNE)
+    vals = (x[None, :] * a[:, None] + b[:, None]) % np.uint64(_MERSENNE)
+    return vals.min(axis=1)
+
+
+def test_batch_minhash_matches_per_doc():
+    """The one-pass batch kernel equals the per-document reference on
+    every document, short and empty ones included."""
+    from arcade_ray.streams import str_stream_from_arrow
+
+    docs = BASE_DOCS + ["abc", "", "aaaaaaaaaa"]
+    lengths, data, _ = str_stream_from_arrow(pa.array(docs))
+    got = batch_minhash_signatures(lengths, data, n_perm=16)
+    want = np.stack([minhash_signature(_char_shingles(d), n_perm=16)
+                     for d in docs])
+    np.testing.assert_array_equal(got, want)
 
 
 def test_minhash_signature_similarity():
