@@ -1238,9 +1238,9 @@ def q_percentiles(sf_dir: str) -> pa.Table:
 
 
 def q_group_percentiles(sf_dir: str) -> pa.Table:
-    """Exact per-SOURCE p50/p90/p99 of n_chars from per-group mergeable
-    histograms (no sort, no shuffle; group cardinality bounded by the
-    key dictionary)."""
+    """Exact per-SOURCE p50/p90/p99 of n_chars from per-partition
+    run-length (source, value, count) partials, selected on the driver
+    by one sort and one searchsorted per p (no shuffle)."""
     from .pipeline.query import group_int_percentiles
 
     out = encoded_dir(sf_dir, "documents")

@@ -1519,17 +1519,17 @@ def _dict_group_agg_partition(path: str, key_cols: list[str], value_col: str,
                 maxs[key] = max(maxs.get(key, box(seg.max())), box(seg.max()))
 
 
-PERCENTILE_MAX_RANGE = 1 << 24  # dense-histogram bin cap (~128 MB int64)
 SELECT_BINS = 1 << 16  # per-level bins: 0.5 MB per (range, partition)
                        # returned to the driver; 64-bit domains close
                        # in ceil(64/16)=4 levels
 
 
 def _order_key_u64(v: np.ndarray) -> np.ndarray:
-    """Order-PRESERVING uint64 key for any numeric dtype (the
-    ascending sibling of _desc_sort_key): int64 shifts by 2^63;
-    float64 uses the IEEE-754 total-order transform. Distinct values
-    map to distinct keys, so selection on keys is exact."""
+    """Order-PRESERVING uint64 key for any numeric dtype: int64 (and
+    datetime/timedelta) shifts by 2^63; float64 uses the IEEE-754
+    total-order transform. Distinct values map to distinct keys, so
+    selection on keys is exact, and ``~key`` reverses the order without
+    the wrap of plain negation (unsigned 0, INT64_MIN)."""
     if v.dtype.kind == "u":
         return v.astype(np.uint64)
     if v.dtype.kind in "iMm":
@@ -1551,21 +1551,42 @@ def _order_key_inverse(u: int, kind: str):
     return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
 
 
-def exact_percentiles(out_dir: str, col: str, ps: list[float],
-                      _ranks: list[int] | None = None) -> pa.Table:
-    """EXACT percentiles of ANY numeric column — unbounded integer
-    domains (ids, epoch timestamps) and floats — via distributed
-    iterative histogram selection: values map to order-preserving
-    uint64 keys; each level one parallel pass bincounts every active
-    target's range into SELECT_BINS buckets and the driver narrows
-    each rank's bracket by 2^20, so 64-bit domains resolve in <= 4
-    passes with no sort, no shuffle, O(targets x SELECT_BINS) driver
-    state. PERCENTILE_DISC rank rule (DuckDB ``quantile_disc``): the
-    1-based ceil(p * n)-th of the sorted multiset. Nulls are excluded
-    (SQL aggregate semantics)."""
-    import math
+def _disc_rank(p, n):
+    """PERCENTILE_DISC (DuckDB ``quantile_disc``): the 0-based rank of
+    the 1-based ceil(p * n)-th value of n sorted values."""
+    return np.maximum(np.ceil(np.multiply(p, n)).astype(np.int64) - 1, 0)
 
-    rows = _manifest_paths(out_dir)
+
+def _cont_point(p, n):
+    """PERCENTILE_CONT (DuckDB ``quantile_cont``): the 0-based ranks
+    bracketing position p * (n - 1), and the fraction between them."""
+    pos = np.multiply(p, np.subtract(n, 1))
+    lo = np.floor(pos)
+    return lo.astype(np.int64), np.ceil(pos).astype(np.int64), pos - lo
+
+
+def _interpolate(lo, hi, frac):
+    """DuckDB's own CONT expression lo*(1-frac) + hi*frac (NOT
+    lo+(hi-lo)*frac, which differs by an ULP and would break
+    value-hash oracles); an exact rank (frac 0) is its value."""
+    lo = np.asarray(lo, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # inf * 0 where frac == 0
+        mixed = lo * (1 - frac) + np.asarray(hi, dtype=np.float64) * frac
+    return np.where(frac == 0, lo, mixed)
+
+
+def _select_order_stats(rows: list[dict], col: str, ranks_of):
+    """EXACT order statistics of a numeric column by distributed
+    iterative histogram selection: values map to order-preserving
+    uint64 keys; each level is one parallel pass that bincounts every
+    open rank's key range into SELECT_BINS buckets, and the driver
+    narrows each bracket by 2^16, so 64-bit domains resolve in <= 4
+    passes after the first with no sort, no shuffle and O(ranks x
+    SELECT_BINS) driver state. The first pass histograms the whole
+    domain once and yields the non-null count n; ``ranks_of(n)`` then
+    names the 0-based ranks to select. Nulls are excluded (SQL
+    aggregate semantics). -> (is_float, n, the value at each of those
+    ranks, in their order; [] when n is 0)."""
     header0, _ = read_header(rows[0]["path"])
     cm0 = header0["columns"][col]
     if cm0["kind"] not in ("int", "float") and cm0.get("tag") not in (
@@ -1573,10 +1594,9 @@ def exact_percentiles(out_dir: str, col: str, ps: list[float],
         raise TypeError(f"exact_percentiles needs a numeric column, "
                         f"got kind {cm0['kind']!r}")
     is_float = cm0.get("tag") in ("f32", "f64")
-    out_kind = "f" if is_float else "i"
 
     def pass_hist(ranges: list, row: dict):
-        """ranges: [(lo_u, hi_u, nbins)] -> per range (below, counts)."""
+        """ranges: [(lo_u, hi_u)] -> per range (below, counts)."""
         path = row["path"]
         header, base = read_header(path)
         cm = header["columns"][col]
@@ -1593,67 +1613,63 @@ def exact_percentiles(out_dir: str, col: str, ps: list[float],
                     arr = arr.cast(pa.int64())
                 vals.append(arr.to_numpy(zero_copy_only=False))
         if not vals:
-            return [(0, np.zeros(r[2], dtype=np.int64)) for r in ranges]
+            return [(0, np.zeros(SELECT_BINS, dtype=np.int64))
+                    for _ in ranges]
         u = _order_key_u64(np.concatenate(vals))
         out = []
-        for lo, hi, nb in ranges:
+        for lo, hi in ranges:
             # hi can be 2^64 (full domain) — clamp to an inclusive bound
             lo_u, hi_incl = np.uint64(lo), np.uint64(min(hi, 1 << 64) - 1)
-            w = max((int(hi) - int(lo) + nb) // nb, 1)
+            w = max((hi - lo + SELECT_BINS) // SELECT_BINS, 1)
             mask = (u >= lo_u) & (u <= hi_incl)
-            idx = np.minimum((u[mask] - lo_u) // np.uint64(w), nb - 1)
+            idx = np.minimum((u[mask] - lo_u) // np.uint64(w),
+                             SELECT_BINS - 1)
             out.append((int((u < lo_u).sum()),
-                        np.bincount(idx.astype(np.int64), minlength=nb)))
+                        np.bincount(idx.astype(np.int64),
+                                    minlength=SELECT_BINS)))
         return out
 
-    n_total = sum(int(r["rows"]) for r in rows)
-    if n_total == 0:
-        return pa.table({"p": pa.array([], type=pa.float64()),
-                         col: pa.array([], type=(
-                             pa.float64() if is_float else pa.int64()))})
+    def histograms(ranges: list) -> dict:
+        results = gather_partitions(rows, functools.partial(pass_hist,
+                                                            ranges))
+        return {r: (sum(res[i][0] for res in results),
+                    np.sum([res[i][1] for res in results], axis=0))
+                for i, r in enumerate(ranges)}
 
-    # active targets: rank k (0-based, over non-null values; the first
-    # pass also tells us the true non-null n via below+counts)
-    targets = {i: {"lo": 0, "hi": 1 << 64, "p": p} for i, p in enumerate(ps)}
-    n_valid: int | None = None
-    for _level in range(8):
-        open_t = {i: t for i, t in targets.items()
-                  if t["hi"] - t["lo"] > 1}
-        if not open_t:
+    full = (0, 1 << 64)
+    hists = histograms([full])
+    n_valid = int(hists[full][1].sum())
+    ranks = [int(k) for k in ranks_of(n_valid)] if n_valid else []
+    bracket = dict.fromkeys(ranks, full)
+    while True:
+        for k, (lo, hi) in bracket.items():
+            if hi - lo > 1:
+                below, counts = hists[(lo, hi)]
+                b = int(np.searchsorted(np.cumsum(counts), k - below + 1))
+                w = max((hi - lo + SELECT_BINS) // SELECT_BINS, 1)
+                bracket[k] = (lo + b * w, min(lo + (b + 1) * w, hi))
+        open_r = sorted({r for r in bracket.values() if r[1] - r[0] > 1})
+        if not open_r:
             break
-        ranges = [(t["lo"], t["hi"], SELECT_BINS) for t in open_t.values()]
-        results = gather_partitions(
-            rows, functools.partial(pass_hist, ranges))
-        for slot, i in enumerate(open_t):
-            t = targets[i]
-            below = sum(res[slot][0] for res in results)
-            counts = results[0][slot][1].copy()
-            for res in results[1:]:
-                counts += res[slot][1]
-            if n_valid is None and t["lo"] == 0 and t["hi"] == 1 << 64:
-                n_valid = below + int(counts.sum())
-                if n_valid == 0:  # all-null column: SQL yields NULL
-                    return pa.table({
-                        "p": pa.array([float(p) for p in ps],
-                                      type=pa.float64()),
-                        col: pa.array([None] * len(ps), type=(
-                            pa.float64() if is_float else pa.int64())),
-                    })
-            # _ranks (internal, PERCENTILE_CONT): select explicit
-            # 0-based order statistics instead of the DISC rank rule
-            k = _ranks[i] if _ranks is not None \
-                else max(int(math.ceil(t["p"] * (n_valid or n_total))) - 1, 0)
-            t["k"] = k
-            csum = np.cumsum(counts)
-            bin_i = int(np.searchsorted(csum, k - below + 1))
-            w = max((t["hi"] - t["lo"] + SELECT_BINS) // SELECT_BINS, 1)
-            t["lo"], t["hi"] = (t["lo"] + bin_i * w,
-                                min(t["lo"] + (bin_i + 1) * w, t["hi"]))
-    out_vals = [_order_key_inverse(targets[i]["lo"], out_kind)
-                for i in range(len(ps))]
+        hists = histograms(open_r)
+    kind = "f" if is_float else "i"
+    return is_float, n_valid, [_order_key_inverse(bracket[k][0], kind)
+                               for k in ranks]
+
+
+def exact_percentiles(out_dir: str, col: str, ps: list[float]) -> pa.Table:
+    """EXACT percentiles of ANY numeric column — unbounded integer
+    domains (ids, epoch timestamps) and floats — via the distributed
+    iterative histogram selection of :func:`_select_order_stats`.
+    PERCENTILE_DISC rank rule (DuckDB ``quantile_disc``): the 1-based
+    ceil(p * n)-th of the sorted multiset. Nulls are excluded (SQL
+    aggregate semantics); an all-null or zero-row column yields
+    NULLs."""
+    is_float, n_valid, vals = _select_order_stats(
+        _manifest_paths(out_dir), col, lambda n: _disc_rank(ps, n))
     return pa.table({
         "p": pa.array([float(p) for p in ps], type=pa.float64()),
-        col: pa.array(out_vals, type=(
+        col: pa.array(vals if n_valid else [None] * len(ps), type=(
             pa.float64() if is_float else pa.int64())),
     })
 
@@ -1662,42 +1678,23 @@ def exact_percentiles_cont(out_dir: str, col: str,
                            ps: list[float]) -> pa.Table:
     """SQL PERCENTILE_CONT (DuckDB ``quantile_cont``): linear
     interpolation between the two adjacent order statistics at
-    position p*(n-1). Reuses the distributed iterative-histogram
-    selection of :func:`exact_percentiles` to fetch EXACT order
-    statistics at the bracketing ranks (one shared multi-target
-    selection — at most 2x len(ps) ranks, deduplicated), then
-    interpolates on the driver with the same double expression DuckDB
-    uses (lo*(1-frac) + hi*frac — NOT lo+(hi-lo)*frac, which differs
-    by an ULP and would break value-hash oracles). Result is DOUBLE;
-    nulls are excluded; an all-null/empty column yields NULLs."""
-    import math
-
+    position p*(n-1). One shared selection (:func:`_select_order_stats`)
+    fetches the EXACT order statistics at every bracketing rank, then
+    the driver interpolates with DuckDB's own double expression
+    (:func:`_interpolate`). Result is DOUBLE; nulls are excluded; an
+    all-null/empty column yields NULLs."""
     rows = _manifest_paths(out_dir)
-    if rows:
-        header0, _ = read_header(rows[0]["path"])
-        if col not in header0["columns"]:
-            raise KeyError(f"column {col!r} not in encoded dataset")
-    n_valid = 0
-    for r in rows:
-        s = json.loads(r["col_stats"]).get(col, {})
-        n_valid += int(r["rows"]) - int(s.get("nulls") or 0)
+    n_valid, vals = 0, []
+    if rows:  # lo ranks, then hi ranks
+        _, n_valid, vals = _select_order_stats(
+            rows, col, lambda n: np.concatenate(_cont_point(ps, n)[:2]))
     if n_valid == 0:
         return pa.table({
             "p": pa.array([float(p) for p in ps], type=pa.float64()),
             col: pa.array([None] * len(ps), type=pa.float64()),
         })
-    pos = [p * (n_valid - 1) for p in ps]
-    lo_i = [min(max(int(math.floor(x)), 0), n_valid - 1) for x in pos]
-    hi_i = [min(l + 1, n_valid - 1) for l in lo_i]
-    uniq = sorted(set(lo_i) | set(hi_i))
-    stats = exact_percentiles(out_dir, col, [0.0] * len(uniq), _ranks=uniq)
-    at = dict(zip(uniq, stats[col].to_pylist()))
-    out = []
-    for x, l, h in zip(pos, lo_i, hi_i):
-        a, b = float(at[l]), float(at[h])
-        frac = x - math.floor(x)
-        out.append(a if l == h or frac == 0.0
-                   else a * (1 - frac) + b * frac)
+    out = _interpolate(vals[:len(ps)], vals[len(ps):],
+                       _cont_point(ps, n_valid)[2])
     return pa.table({
         "p": pa.array([float(p) for p in ps], type=pa.float64()),
         col: pa.array(out, type=pa.float64()),
@@ -1794,126 +1791,123 @@ def sketch_percentiles(out_dir: str, col: str,
     })
 
 
+def _run_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Group run-start offsets over a table already SORTED by
+    ``keys`` (null-safe: a validity change is a boundary too)."""
+    if t.num_rows == 0:
+        return np.empty(0, dtype=np.int64)
+    if not keys:
+        return np.zeros(1, dtype=np.int64)
+    m = np.zeros(t.num_rows, dtype=bool)
+    m[0] = True
+    for k in keys:
+        a = t[k].combine_chunks()
+        neq = pc.fill_null(pc.not_equal(a.slice(1),
+                                        a.slice(0, len(a) - 1)),
+                           False).to_numpy(zero_copy_only=False)
+        va = pc.is_valid(a).to_numpy(zero_copy_only=False)
+        m[1:] |= neq | (va[1:] != va[:-1])
+    return np.flatnonzero(m).astype(np.int64)
+
+
+def weighted_quantiles(hist: pa.Table, keys: list[str], col: str,
+                       weight: str, qs: list[tuple[float, bool]]):
+    """EXACT per-group quantiles from weighted (keys..., value, count)
+    rows: ``qs`` lists (p, disc) pairs — PERCENTILE_DISC when disc,
+    else PERCENTILE_CONT. The same (keys, value) pair may appear in
+    several rows (one per partial); after one sort by (keys, value)
+    its counts are adjacent and simply add up in one running sum, and
+    one searchsorted per p selects across all groups at once. SQL
+    semantics: NULL keys form their own group (sorted last), NULL
+    values carry no weight, and a group with no non-null value gets
+    NULL. -> (one row per group of the key columns, one array per q:
+    the value type for DISC, float64 for CONT)."""
+    t = hist.take(pc.sort_indices(
+        hist, sort_keys=[(k, "ascending") for k in keys]
+        + [(col, "ascending")], null_placement="at_end"))
+    vals = t[col].combine_chunks()
+    w = t[weight].to_numpy(zero_copy_only=False).astype(np.int64)
+    if vals.null_count:
+        w[~vals.is_valid().to_numpy(zero_copy_only=False)] = 0
+    starts = _run_starts(t, keys)
+    cum = np.concatenate([[0], np.cumsum(w)])
+    edges = cum[np.r_[starts, t.num_rows]]
+    base, n = edges[:-1], np.diff(edges)
+    empty = n == 0
+
+    def at(rank: np.ndarray) -> pa.Array:
+        row = np.minimum(np.searchsorted(cum, base + rank + 1) - 1,
+                         max(t.num_rows - 1, 0))
+        return vals.take(pa.array(row, mask=empty))
+
+    out = []
+    for p, disc in qs:
+        if disc:
+            out.append(at(_disc_rank(p, n)))
+            continue
+        lo, hi, frac = _cont_point(p, np.maximum(n, 1))
+        lo_v, hi_v = (pc.cast(at(r), pa.float64(), safe=False)
+                      .to_numpy(zero_copy_only=False) for r in (lo, hi))
+        out.append(pa.array(_interpolate(lo_v, hi_v, frac), mask=empty))
+    groups = t.select(keys).take(pa.array(starts, type=pa.int64()))
+    return groups, out
+
+
 def group_int_percentiles(out_dir: str, key_col: str, value_col: str,
                           ps: list[float]) -> pa.Table:
-    """EXACT per-GROUP percentiles of an integer column: each task
-    decodes (key, value), dictionary-encodes the key and bincounts
-    each group's values against the partition zone-map min; the driver
-    merges per-key histograms (tiny: #groups x value range) and reads
-    every group's quantiles off cumulative sums. Same
-    PERCENTILE_DISC selection as :func:`exact_percentiles`, over a
-    bounded value domain (``PERCENTILE_MAX_RANGE``). No sort, no
-    shuffle — group cardinality is bounded by the key dictionary.
+    """EXACT per-GROUP percentiles of an integer column, any value
+    range: each task decodes (key, value), orders the rows by (key
+    dictionary code, value) with one lexsort and emits run-length
+    (key, value, count) rows; the driver selects every group's
+    PERCENTILE_DISC values from them with :func:`weighted_quantiles`
+    (the rank rule of :func:`exact_percentiles`). Partials are
+    O(distinct values x groups) rows per partition, never the data.
 
     SQL null semantics: NULL keys form their own group (sorted last),
     null values are skipped, and a group whose values are all NULL
     gets NULL percentiles."""
+    names = [f"p{int(round(p * 100)):02d}" for p in ps]
     rows = _manifest_paths(out_dir)
     if not rows:  # empty table: zero groups
         _sidecar_empty(out_dir, [key_col, value_col])  # column check
-        cols: dict = {key_col: pa.array([], type=pa.string())}
-        for p in ps:
-            cols[f"p{int(round(p * 100)):02d}"] = pa.array(
-                [], type=pa.int64())
-        return pa.table(cols)
+        return pa.table({key_col: pa.array([], type=pa.string()),
+                         **{nm: pa.array([], type=pa.int64())
+                            for nm in names}})
     header0, _ = read_header(rows[0]["path"])
     if header0["columns"][key_col]["kind"] != "str":
         raise TypeError("group_int_percentiles groups on a string column")
     vcm0 = header0["columns"][value_col]
     if vcm0["kind"] != "int" or vcm0.get("tag") in ("f32", "f64"):
         raise TypeError("group_int_percentiles needs an integer column")
-    for r in rows:
-        stats = json.loads(r["col_stats"])
-        s = stats.get(value_col, {})
-        lo_z, hi_z = s.get("min"), s.get("max")
-        if s.get("nulls"):
-            # stored zone covers the 0 placeholder — range-cap check
-            # must use the valid-only bounds (None = all-null part)
-            if "vbounded" not in s:
-                raise NotImplementedError(
-                    f"group_int_percentiles: partition {r['path']} "
-                    f"predates valid-only zone stats on {value_col!r} "
-                    "— re-encode or decode instead")
-            lo_z, hi_z = s.get("vmin"), s.get("vmax")
-        if lo_z is not None and hi_z is not None \
-                and hi_z - lo_z > PERCENTILE_MAX_RANGE:
-            raise ValueError(
-                f"value range of {value_col!r} ({hi_z - lo_z}) exceeds "
-                f"the dense-histogram cap ({PERCENTILE_MAX_RANGE})")
 
-    def part_hists(row: dict):
-        path = row["path"]
-        t = decode_partition(path, columns=[key_col, value_col])
-        if t.num_rows == 0:
-            return set(), {}
+    def part_hist(row: dict) -> pa.Table:
+        t = decode_partition(row["path"], columns=[key_col, value_col])
         karr = t[key_col].combine_chunks()
-        varr = t[value_col].combine_chunks()
-        d = pc.dictionary_encode(karr)
-        pool = d.dictionary.to_pylist()
-        idx = d.indices
-        if karr.null_count:  # NULL keys form their own group (SQL)
-            idx = pc.fill_null(idx, len(pool))
-            pool = pool + [None]
-        codes = idx.to_numpy(zero_copy_only=False).astype(np.int64)
-        # every key seen emits a group row, even if all its values in
-        # this partition are null (quantile over nothing -> NULL)
-        seen = {pool[int(c)] for c in np.unique(codes)}
-        if varr.null_count:  # SQL aggregates skip null values
-            vmask = varr.is_valid().to_numpy(zero_copy_only=False)
-            codes = codes[vmask]
-            varr = varr.drop_null()
-        if len(codes) == 0:
-            return seen, {}
-        v = varr.to_numpy(zero_copy_only=False).astype(np.int64)
-        lo = int(v.min())
-        if int(v.max()) - lo > PERCENTILE_MAX_RANGE:
-            raise ValueError(f"value range of {value_col!r} exceeds the "
-                             f"dense-histogram cap in {path}")
-        out = {}
-        order = np.argsort(codes, kind="stable")
-        cs, vs = codes[order], v[order]
-        bounds = np.concatenate(
-            [[0], np.flatnonzero(np.diff(cs)) + 1, [len(cs)]])
-        for j in range(len(bounds) - 1):
-            seg = vs[bounds[j]: bounds[j + 1]]
-            out[pool[int(cs[bounds[j]])]] = (lo, np.bincount(seg - lo))
-        return seen, out
+        varr = t[value_col].combine_chunks().cast(pa.int64())
+        codes = pc.fill_null(pc.dictionary_encode(karr).indices, -1) \
+            .to_numpy(zero_copy_only=False)
+        v = pc.fill_null(varr, 0).to_numpy(zero_copy_only=False)
+        # NULL values sort after their group's values: that run keeps
+        # a key seen only with NULL values, and carries no weight
+        nul = ~varr.is_valid().to_numpy(zero_copy_only=False)
+        tiers = (v, nul, codes) if varr.null_count else (v, codes)
+        order = np.lexsort(tiers)
+        new = np.zeros(len(order), dtype=bool)
+        new[:1] = True
+        for a in tiers:
+            a = a[order]
+            new[1:] |= a[1:] != a[:-1]
+        first = np.flatnonzero(new)
+        take = pa.array(order[first], type=pa.int64())
+        return pa.table({key_col: karr.take(take).cast(pa.string()),
+                         value_col: varr.take(take),
+                         "n": np.diff(np.r_[first, len(order)])})
 
-    merged: dict = {}
-    all_keys: set = set()
-    for seen, part in gather_partitions(rows, part_hists):
-        all_keys |= seen
-        for key, (lo, cnt) in part.items():
-            if key not in merged:
-                merged[key] = (lo, cnt.copy())
-                continue
-            mlo, mcnt = merged[key]
-            nlo = min(mlo, lo)
-            nhi = max(mlo + len(mcnt), lo + len(cnt))
-            if nhi - nlo > PERCENTILE_MAX_RANGE:
-                raise ValueError(
-                    f"merged value range of {value_col!r} exceeds the "
-                    f"dense-histogram cap ({PERCENTILE_MAX_RANGE})")
-            ncnt = np.zeros(nhi - nlo, dtype=np.int64)
-            ncnt[mlo - nlo: mlo - nlo + len(mcnt)] += mcnt
-            ncnt[lo - nlo: lo - nlo + len(cnt)] += cnt
-            merged[key] = (nlo, ncnt)
-
-    keys = _sorted_nulls_last(all_keys)
-    cols: dict = {key_col: pa.array(keys, type=pa.string())}
-    for p in ps:
-        vals = []
-        for key in keys:
-            if key not in merged:  # group with only NULL values
-                vals.append(None)
-                continue
-            lo, cnt = merged[key]
-            csum = np.cumsum(cnt)
-            n = int(csum[-1])
-            idx = max(int(np.ceil(p * n)) - 1, 0)
-            vals.append(lo + int(np.searchsorted(csum, idx + 1)))
-        cols[f"p{int(round(p * 100)):02d}"] = pa.array(vals, type=pa.int64())
-    return pa.table(cols)
+    hist = pa.concat_tables(gather_partitions(rows, part_hist))
+    groups, vals = weighted_quantiles(hist, [key_col], value_col, "n",
+                                      [(p, True) for p in ps])
+    return pa.table({key_col: groups[key_col],
+                     **dict(zip(names, vals))})
 
 
 def dict_group_topk(out_dir: str, key_col: str, value_col: str,
@@ -1956,21 +1950,6 @@ def dict_group_topk(out_dir: str, key_col: str, value_col: str,
     rank = np.arange(len(keys)) - np.repeat(
         starts, np.diff(np.append(starts, len(keys))))
     return t.filter(pa.array(rank < k))
-
-
-def _desc_sort_key(v: np.ndarray) -> np.ndarray:
-    """Order-REVERSING uint64 key for any numeric dtype — plain
-    negation wraps for unsigned values (0 would sort largest) and
-    overflows at INT64_MIN."""
-    if v.dtype.kind == "u":
-        u = v.astype(np.uint64)
-    elif v.dtype.kind in "iM":
-        u = v.astype(np.int64).view(np.uint64) ^ np.uint64(1 << 63)
-    else:  # float: IEEE-754 total-order transform
-        b = np.ascontiguousarray(v.astype(np.float64)).view(np.uint64)
-        u = np.where(b >> np.uint64(63) == 0,
-                     b ^ np.uint64(1 << 63), ~b)
-    return ~u
 
 
 def _fill_for_sort(arr: pa.Array):
@@ -2059,7 +2038,7 @@ def _group_topk_partition(path: str, key_col: str, value_col: str,
             tiers = [ids]
             if i_valid is not None:
                 tiers.append((~i_valid).view(np.uint8))
-            tiers.append(_desc_sort_key(vals))
+            tiers.append(~_order_key_u64(vals))
             if v_valid is not None:
                 tiers.append((~v_valid).view(np.uint8))
             tiers.append(codes)
@@ -2123,20 +2102,26 @@ def topk_rows(out_dir: str, col: str, k: int, id_col: str,
         return _sidecar_empty(out_dir, columns or order_cols)
     need = offset + k
 
+    def order_by(t: pa.Table) -> np.ndarray:
+        # ORDER BY col [DESC], id_col with DuckDB's default NULLS LAST
+        # in both directions: each column sorts as (null-filled
+        # values, nulls-last tier), the tiers of _group_topk_partition
+        tiers = []
+        for name, desc in ((id_col, False), (col, descending)):
+            valid, arr = _fill_for_sort(t[name].combine_chunks())
+            v = arr.to_numpy(zero_copy_only=False)
+            tiers.append(~_order_key_u64(v) if desc else v)
+            if valid is not None:
+                tiers.append(~valid)
+        return np.lexsort(tuple(tiers))
+
     def part_topk(row: dict) -> pa.Table:
         t = decode_partition(row["path"], columns=order_cols)
-        vals = t[col].combine_chunks().to_numpy(zero_copy_only=False)
-        ids = t[id_col].combine_chunks().to_numpy(zero_copy_only=False)
-        key = _desc_sort_key(vals) if descending else vals
-        order = np.lexsort((ids, key))[: min(need, len(vals))]
-        return t.take(pa.array(order, type=pa.int64()))
+        return t.take(pa.array(order_by(t)[:need], type=pa.int64()))
 
     parts = [p for p in gather_partitions(rows, part_topk) if p.num_rows]
     merged = pa.concat_tables(parts)
-    vals = merged[col].combine_chunks().to_numpy(zero_copy_only=False)
-    ids = merged[id_col].combine_chunks().to_numpy(zero_copy_only=False)
-    key = _desc_sort_key(vals) if descending else vals
-    win = np.lexsort((ids, key))[offset:need]
+    win = order_by(merged)[offset:need]
     winners = merged.take(pa.array(win, type=pa.int64()))
     want = columns or order_cols
     extra = [c for c in want if c not in order_cols]

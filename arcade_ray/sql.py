@@ -51,6 +51,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .collect import group_aggregate
+from .pipeline.query import _run_starts
 
 __all__ = ["sql_query", "explain_sql", "SqlUnsupported"]
 
@@ -2009,19 +2010,18 @@ def _distinct_agg_values(src, keys: list[str], col: str,
 
 def _grouped_quantile_values(src, keys: list[str], col: str,
                              merged: pa.Table | None, n: int,
-                             p: float, disc: bool) -> pa.Array:
-    """MEDIAN / QUANTILE_CONT / QUANTILE_DISC [per group]: each batch
+                             qs: list[tuple[float, bool]]) -> list:
+    """MEDIAN / QUANTILE_CONT / QUANTILE_DISC [per group], every (p,
+    disc) of ``qs`` over ``col`` from ONE streamed pass: each batch
     reduces to (keys, value, count) rows via one pyarrow group_by —
     the shuffle carries O(distinct values x groups) rows, never the
-    data — and the driver selects from merged weighted value
-    histograms. CONT interpolates with DuckDB's own double expression
-    (lo*(1-frac) + hi*frac) so integer-column oracles hash-match;
-    DISC takes the smallest value whose cumulative distribution
-    reaches p (the ceil(p*n)-1 rank rule). Nulls are excluded; an
+    data — and the driver selects from the weighted histogram with
+    pipeline.query.weighted_quantiles (DuckDB's rank rule for DISC,
+    its interpolation expression for CONT). Nulls are excluded; an
     all-null group yields NULL. Exact, like the engine's
     exact_percentiles — approximate variants live in
-    transforms.group_approx_percentiles."""
-    from .collect import group_aggregate
+    transforms.group_approx_percentiles. -> one array per q."""
+    from .pipeline.query import weighted_quantiles
 
     lt = None
     if src.unfiltered_dir is not None:
@@ -2042,91 +2042,25 @@ def _grouped_quantile_values(src, keys: list[str], col: str,
     parts = [b for b in parts if b.num_rows]
     vt = lt if lt is not None else (
         parts[0].schema.field(col).type if parts else pa.float64())
-    if not disc and not (pa.types.is_integer(vt)
-                         or pa.types.is_floating(vt)):
+    if not all(disc for _, disc in qs) and not (
+            pa.types.is_integer(vt) or pa.types.is_floating(vt)):
         raise SqlUnsupported(f"quantile_cont over {vt} column")
-    out_type = vt if disc else pa.float64()
+    types = [vt if disc else pa.float64() for _, disc in qs]
     if not parts:
-        return pa.nulls(n, out_type)
-    allp = pa.concat_tables(parts, promote_options="permissive")
-    hist = group_aggregate(allp, gcols, [("__one_sum", "sum")])
-    # one global sort by (keys, value) -> each group's weighted value
-    # histogram is a contiguous run, selected with numpy only
-    hist = hist.filter(pc.is_valid(hist[col]))
-    if hist.num_rows == 0:
-        return pa.nulls(n, out_type)
-    hist = hist.take(pc.sort_indices(
-        hist, sort_keys=[(k, "ascending") for k in keys]
-        + [(col, "ascending")], null_placement="at_start"))
-    cnts = hist["__one_sum_sum"].to_numpy(zero_copy_only=False) \
-        .astype(np.int64)
-    vals = hist[col].combine_chunks()
-
-    def select_run(b: int, e: int):
-        c = cnts[b:e]
-        total = int(c.sum())
-        cum = np.cumsum(c)
-        if disc:
-            # smallest value whose cumulative distribution >= p
-            # (SQL PERCENTILE_DISC / DuckDB quantile_disc, the same
-            # ceil(p*n)-1 rule as pipeline.query.exact_percentiles)
-            r = max(int(np.ceil(p * total)) - 1, 0)
-            i = int(np.searchsorted(cum, r + 1))
-            return vals[b + i].as_py()
-        pos = (total - 1) * p
-        lo_r = int(np.floor(pos))
-        hi_r = int(np.ceil(pos))
-        i_lo = int(np.searchsorted(cum, lo_r + 1))
-        i_hi = int(np.searchsorted(cum, hi_r + 1))
-        v_lo = float(pc.cast(vals[b + i_lo], pa.float64()).as_py())
-        if i_hi == i_lo:
-            return v_lo
-        v_hi = float(pc.cast(vals[b + i_hi], pa.float64()).as_py())
-        frac = pos - lo_r
-        return v_lo * (1 - frac) + v_hi * frac
-
+        return [pa.nulls(n, t) for t in types]
+    hist = pa.concat_tables(parts, promote_options="permissive")
+    groups, vals = weighted_quantiles(hist, keys, col, "__one_sum", qs)
     if not keys:
-        return pa.array([select_run(0, hist.num_rows)] * n,
-                        type=out_type)
-    # group run boundaries over the sorted key columns (null-safe:
-    # validity change = boundary too)
-    m = np.zeros(hist.num_rows, dtype=bool)
-    m[0] = True
-    for k in keys:
-        a = hist[k].combine_chunks()
-        neq = pc.fill_null(pc.not_equal(a.slice(1),
-                                        a.slice(0, len(a) - 1)),
-                           False).to_numpy(zero_copy_only=False)
-        va = pc.is_valid(a).to_numpy(zero_copy_only=False)
-        m[1:] |= neq | (va[1:] != va[:-1])
-    bounds = np.flatnonzero(m)
-    ends = np.r_[bounds[1:], hist.num_rows]
-    lut: dict = {}
-    kcols = [hist[k].to_pylist() for k in keys]
-    for b, e in zip(bounds, ends):
-        lut[tuple(c[b] for c in kcols)] = select_run(int(b), int(e))
-    rows = zip(*[merged[k].to_pylist() for k in keys]) if n else []
-    return pa.array([lut.get(t) for t in map(tuple, rows)],
-                    type=out_type)
-
-
-def _run_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
-    """Group run-start offsets over a table already SORTED by
-    ``keys`` (null-safe: a validity change is a boundary too)."""
-    if t.num_rows == 0:
-        return np.empty(0, dtype=np.int64)
-    if not keys:
-        return np.zeros(1, dtype=np.int64)
-    m = np.zeros(t.num_rows, dtype=bool)
-    m[0] = True
-    for k in keys:
-        a = t[k].combine_chunks()
-        neq = pc.fill_null(pc.not_equal(a.slice(1),
-                                        a.slice(0, len(a) - 1)),
-                           False).to_numpy(zero_copy_only=False)
-        va = pc.is_valid(a).to_numpy(zero_copy_only=False)
-        m[1:] |= neq | (va[1:] != va[:-1])
-    return np.flatnonzero(m).astype(np.int64)
+        return [pa.array([v[0].as_py()] * n, type=t)
+                for v, t in zip(vals, types)]
+    gkeys = list(map(tuple, zip(*[groups[k].to_pylist() for k in keys])))
+    rows = list(map(tuple, zip(*[merged[k].to_pylist() for k in keys]))) \
+        if n else []
+    out = []
+    for v, t in zip(vals, types):
+        lut = dict(zip(gkeys, v.to_pylist()))
+        out.append(pa.array([lut.get(r) for r in rows], type=t))
+    return out
 
 
 def _sort_with_spec(t: pa.Table, keys: list[str],
@@ -6432,6 +6366,7 @@ def _run_agg_query(src, node: dict, select: list,
             gcol = f"__grouping_{k}"
             if gcol in merged.column_names:
                 env[("grouping", k)] = merged[gcol]
+    q_atoms: dict = {}
     for fn, col in cd_atoms:
         if fn == "count_distinct":
             env[("agg", fn, col)] = _count_distinct_counts(
@@ -6440,10 +6375,7 @@ def _run_agg_query(src, node: dict, select: list,
             env[("agg", fn, col)] = _approx_distinct_counts(
                 src, keys, col, merged, n)
         elif fn.startswith(("quantile_cont@", "quantile_disc@")):
-            kind, p = fn.split("@")
-            env[("agg", fn, col)] = _grouped_quantile_values(
-                src, keys, col, merged, n, float(p),
-                disc=kind.endswith("disc"))
+            q_atoms.setdefault(col, []).append(fn)  # one pass per col
         elif fn.startswith(("arg_max@", "arg_min@")):
             env[("agg", fn, col)] = _arg_extreme_values(
                 src, keys, col, merged, n, by=fn.split("@", 1)[1],
@@ -6461,6 +6393,12 @@ def _run_agg_query(src, node: dict, select: list,
         else:  # sum_distinct / avg_distinct
             env[("agg", fn, col)] = _distinct_agg_values(
                 src, keys, col, merged, n, fn.split("_")[0])
+    for col, fns in q_atoms.items():
+        qs = [(float(f.split("@")[1]), f.startswith("quantile_disc@"))
+              for f in fns]
+        for fn, arr in zip(fns, _grouped_quantile_values(
+                src, keys, col, merged, n, qs)):
+            env[("agg", fn, col)] = arr
     if having is not None:
         mask = _eval_expr(having, env, n)
         if isinstance(mask, pa.ChunkedArray):

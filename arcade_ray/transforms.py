@@ -428,14 +428,15 @@ def group_approx_percentiles(ds, key_col: str, val_col: str,
     """GROUP BY ``key_col`` -> approximate PERCENTILE_DISC of
     ``val_col`` via mergeable weighted quantile summaries
     (sketches.py::qs_*) — the percentile sibling of
-    :func:`group_approx_distinct`, and the unbounded-domain /
-    streaming alternative to the exact per-group histograms
-    (query.py::group_int_percentiles, which needs bounded int ranges
-    and an encoded layout). Each batch reduces to one <= k-point
-    summary PER GROUP (a tiny (key, values, weights, err) partial);
-    the driver merges per key LOSSLESSLY, so each group's rank-error
-    bound is the SUM of its partials' certified errors
-    (<= n_group/(2k)) — returned per row, a guarantee not a guess.
+    :func:`group_approx_distinct`, and the streaming, bounded-state
+    alternative to the exact per-group (value, count) runs of
+    query.py::group_int_percentiles (which needs an encoded layout
+    and ships O(distinct values x groups) rows). Each batch reduces
+    to one <= k-point summary PER GROUP (a tiny (key, values,
+    weights, err) partial); the driver merges per key LOSSLESSLY, so
+    each group's rank-error bound is the SUM of its partials'
+    certified errors (<= n_group/(2k)) — returned per row, a
+    guarantee not a guess.
     Works on floats/ints/timestamps (IEEE total-order keys). Null
     values are excluded per SQL aggregate semantics; float NaNs are
     VALUES at the top of the order (DuckDB's quantile sort order),

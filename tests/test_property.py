@@ -319,3 +319,69 @@ def test_property_alp_roundtrip(vals):
     name, payload, meta = choose_int_codec(ints, p, tag)
     out = decode_int(name, payload, meta, len(ints))
     np.testing.assert_array_equal(out, ints)
+
+
+def _weighted_rows(values):
+    """(k1, k2, value, weight) rows: NULL keys, NULL values and
+    repeated (key, value) pairs, as partials from several batches
+    produce them."""
+    return st.lists(st.tuples(st.sampled_from([None, "a", "b", "c"]),
+                              st.sampled_from([None, 0, 1]),
+                              st.one_of(st.none(), values),
+                              st.integers(min_value=1, max_value=3)),
+                    max_size=60)
+
+
+def _check_weighted_quantiles(rows, two_keys, vtype):
+    """weighted_quantiles equals DuckDB quantile_disc / quantile_cont
+    over the rows each weight expands to, per group."""
+    import duckdb
+
+    from arcade_ray.pipeline.query import weighted_quantiles
+
+    rows = rows + [("void", 0, None, 2)]  # a group with only NULL values
+    k1, k2, v, w = map(list, zip(*rows))
+    t = pa.table({"k1": pa.array(k1, pa.string()),
+                  "k2": pa.array(k2, pa.int64()),
+                  "v": pa.array(v, vtype),
+                  "w": pa.array(w, pa.int64())})
+    keys = ["k1", "k2"] if two_keys else ["k1"]
+    ps = [0.0, 0.5, 1.0]
+    qs = [(p, disc) for disc in (True, False) for p in ps]
+    groups, vals = weighted_quantiles(t, keys, "v", "w", qs)
+    got = {tuple(g.values()): tuple(a[i].as_py() for a in vals)
+           for i, g in enumerate(groups.to_pylist())}
+    flat = t.take(pa.array(np.repeat(np.arange(t.num_rows), w),
+                           type=pa.int64()))
+    con = duckdb.connect()
+    con.register("flat", flat)
+    aggs = ", ".join(f"quantile_{'disc' if disc else 'cont'}(v, {p})"
+                     for p, disc in qs)
+    kl = ", ".join(keys)
+    want = {tuple(r[:len(keys)]): tuple(r[len(keys):]) for r in con.execute(
+        f"SELECT {kl}, {aggs} FROM flat GROUP BY {kl}").fetchall()}
+    assert got.keys() == want.keys()
+    for key, row in want.items():
+        for a, b in zip(got[key], row):
+            assert a == b or (a != a and b != b), (key, got[key], row)
+
+
+@given(rows=_weighted_rows(st.one_of(
+           st.integers(min_value=-(2**63), max_value=2**63 - 1),
+           st.sampled_from([-(2**63), -1, 0, 7, 2**63 - 1]))),
+       two_keys=st.booleans())
+@settings(**SETTINGS)
+def test_property_weighted_quantiles_int64(rows, two_keys):
+    _check_weighted_quantiles(rows, two_keys, pa.int64())
+
+
+# no NaN: DuckDB's quantiles over NaN depend on the input order (the
+# median of [nan, 1, 2, 3, 4] is NaN, of [1, nan, 2, 3, 4] is 3.0), so
+# they have no order to agree with
+@given(rows=_weighted_rows(st.one_of(
+           st.floats(allow_nan=False, allow_infinity=True, width=64),
+           st.sampled_from([-1.5, 0.0, 0.1, 2.0]))),
+       two_keys=st.booleans())
+@settings(**SETTINGS)
+def test_property_weighted_quantiles_float(rows, two_keys):
+    _check_weighted_quantiles(rows, two_keys, pa.float64())

@@ -784,6 +784,72 @@ def test_group_int_percentiles_null_values_skipped(ray_session, tmp_path):
         assert row["p50"] == want[row["g"]]
 
 
+def test_group_int_percentiles_wide_range_vs_duckdb(ray_session, tmp_path):
+    """Integer values spread over [0, 2^40): each group's percentiles
+    come from its exact (value, count) runs whatever the value range,
+    equal to DuckDB quantile_disc. Groups span partitions (the table
+    is partitioned on the id, not the group key)."""
+    import duckdb
+    import ray.data as rd
+
+    from arcade_ray.pipeline.query import group_int_percentiles
+
+    rng = np.random.default_rng(40)
+    n = 20_000
+    t = pa.table({
+        "doc_id": pa.array(np.arange(n), type=pa.int64()),
+        "source": pa.array([f"src-{i}" for i in rng.integers(0, 4, n)]),
+        "v": pa.array(rng.integers(0, 1 << 40, n), type=pa.int64()),
+    })
+    d = str(tmp_path / "wide")
+    encode_dataset(rd.from_arrow(t), d, key_col="doc_id", weight_col=None)
+    got = group_int_percentiles(d, "source", "v", [0.0, 0.5, 0.99, 1.0])
+    con = duckdb.connect()
+    con.register("t", t)
+    want = con.execute(
+        "SELECT source, quantile_disc(v, 0.0) AS p00, "
+        "quantile_disc(v, 0.5) AS p50, quantile_disc(v, 0.99) AS p99, "
+        "quantile_disc(v, 1.0) AS p100 FROM t GROUP BY source "
+        "ORDER BY source").arrow()
+    assert got.column_names == want.column_names
+    assert got.to_pylist() == want.to_pylist()
+
+
+def test_topk_rows_nullable_order_col_vs_duckdb(ray_session, tmp_path):
+    """ORDER BY v [DESC], doc_id over a column with NULLs: NULLs sort
+    last in both directions (DuckDB's default), in every partition's
+    partial and in the driver merge, including a page that runs past
+    the last non-null value into the NULL rows."""
+    import duckdb
+    import ray.data as rd
+
+    from arcade_ray.pipeline.query import topk_rows
+
+    rng = np.random.default_rng(7)
+    n = 2000
+    v = rng.integers(0, 1000, n)
+    t = pa.table({
+        "doc_id": pa.array(np.arange(n), type=pa.int64()),
+        "grp": pa.array([f"g{i % 3}" for i in range(n)]),
+        "v": pa.array(v, type=pa.int64(), mask=rng.random(n) < 0.3),
+    })
+    d = str(tmp_path / "nullv")
+    encode_dataset(rd.from_arrow(t), d, key_col="doc_id", weight_col=None)
+    con = duckdb.connect()
+    con.register("t", t)
+    n_valid = n - t["v"].null_count
+    for desc in (True, False):
+        for k, off in ((5, 0), (6, n_valid - 3)):
+            got = topk_rows(d, "v", k, id_col="doc_id", descending=desc,
+                            offset=off)
+            want = con.execute(
+                f"SELECT v, doc_id FROM t ORDER BY v "
+                f"{'DESC' if desc else 'ASC'} NULLS LAST, doc_id "
+                f"LIMIT {k} OFFSET {off}").arrow()
+            assert got.select(["v", "doc_id"]).to_pylist() == \
+                want.to_pylist(), (desc, k, off)
+
+
 def test_query_surface_over_empty_encoded_dir(ray_session, tmp_path):
     """Every driver-facing query op answers a ZERO-PARTITION encoded
     dir (empty input shard) with a typed empty result instead of

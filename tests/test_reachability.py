@@ -26,13 +26,6 @@ ENTRY_DIRS = [REPO / "jobs", REPO / "perfbench", REPO / "tools"]
 # as reached through them. Delete an entry together with the code it
 # names, or when an entry point starts using it.
 ALLOWED = {
-    # test references: slow, obviously-correct paths that tests check
-    # the fast engine paths against
-    "reference_compress": "drives the rebuilt reference runner (oracle)",
-    "reference_scan": "reference runner oracle, test_reference_oracle",
-    "reference_filter_count": "reference runner oracle, test_reference_oracle",
-    "reference_random_access": "reference runner oracle, test_reference_oracle",
-    "export_csv": "writes the reference runner's CSV input",
     # synthetic media inputs that test_mediaops builds its fixtures from
     "make_fake_image": "test_mediaops fixture generator",
     "make_fake_audio": "test_mediaops fixture generator",

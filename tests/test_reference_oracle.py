@@ -17,7 +17,7 @@ import pytest
 
 from arcade_ray.corpus import generate_corpus
 from arcade_ray.format import decode_partition, encode_partition
-from arcade_ray.reference_oracle import (
+from reference_oracle import (
     build_runner,
     export_csv,
     reference_compress,
@@ -99,7 +99,7 @@ def test_read_side_parity_filter_and_random_access(fixture_cols, tmp_path):
     import pyarrow as pa
 
     from arcade_ray.pipeline.query import filter_partition, random_access
-    from arcade_ray.reference_oracle import (
+    from reference_oracle import (
         reference_filter_count,
         reference_random_access,
     )

@@ -293,6 +293,28 @@ def test_median_quantiles(sqlenv):
                 "ORDER BY source, lang NULLS FIRST")
 
 
+def test_quantiles_of_one_column_stream_once(sqlenv, monkeypatch):
+    """Every quantile over one column is selected from one weighted
+    histogram: three quantile atoms over n_chars stream the table
+    once."""
+    import arcade_ray.sql as sqlmod
+
+    streams = []
+    real = sqlmod._TableSource.stream
+
+    def spy(self, cols):
+        streams.append(list(cols))
+        return real(self, cols)
+
+    monkeypatch.setattr(sqlmod._TableSource, "stream", spy)
+    check(sqlenv,
+          "SELECT source, QUANTILE_DISC(n_chars, 0.5) AS q50, "
+          "QUANTILE_DISC(n_chars, 0.9) AS q90, "
+          "QUANTILE_CONT(n_chars, 0.99) AS q99 FROM docs "
+          "GROUP BY source ORDER BY source")
+    assert streams == [["source", "n_chars"]]
+
+
 def test_group_rollup_cube_sets(sqlenv):
     # null-bearing lang: real-NULL groups and subtotal NULL markers
     # coexist as distinct rows, matching SQL
