@@ -1219,9 +1219,9 @@ def q_order_slice(sf_dir: str) -> pa.Table:
 
 
 def q_group_topk(sf_dir: str) -> pa.Table:
-    """Top-3 longest documents PER SOURCE over encoded data: group
-    membership from dictionary codes, key strings resolved only for
-    the winners (decode-free grouped top-k)."""
+    """Top-3 longest documents PER SOURCE over encoded data: each
+    partition keeps its own top 3 per source, the driver merges the
+    partials (``query.dict_group_topk``)."""
     from .pipeline.query import dict_group_topk
 
     out = encoded_dir(sf_dir, "documents")

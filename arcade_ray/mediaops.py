@@ -23,14 +23,6 @@ from .png import PNG_SIGNATURE, decode_png, encode_png, to_grayscale
 FAKE_MAGIC = b"FAKEIMG1"
 
 
-def make_fake_image(width: int, height: int, seed: int) -> bytes:
-    """Deterministic fixture payload: 8-byte magic, u16 w/h, then
-    w*h bytes of 'pixels'."""
-    rng = np.random.default_rng(seed)
-    header = FAKE_MAGIC + int(width).to_bytes(2, "little") + int(height).to_bytes(2, "little")
-    return header + rng.integers(0, 256, width * height, dtype=np.uint8).tobytes()
-
-
 def _decode_fake(payload: bytes) -> np.ndarray:
     if payload[:8] != FAKE_MAGIC:
         raise ValueError("not a fake image payload")
@@ -196,17 +188,6 @@ def resize_images(ds, width: int = 32, height: int = 32,
 FAKE_AUDIO_MAGIC = b"FAKEPCM1"
 
 
-def make_fake_audio(n_samples: int, sample_rate: int, seed: int) -> bytes:
-    """Deterministic audio fixture: 8-byte magic, u32 sample_rate,
-    u32 n_samples, then n_samples of i16 little-endian 'PCM'."""
-    rng = np.random.default_rng(seed)
-    header = (FAKE_AUDIO_MAGIC
-              + int(sample_rate).to_bytes(4, "little")
-              + int(n_samples).to_bytes(4, "little"))
-    pcm = rng.integers(-32768, 32767, n_samples, dtype=np.int16)
-    return header + pcm.tobytes()
-
-
 def _decode_fake_audio(payload: bytes) -> tuple[np.ndarray, int]:
     if payload[:8] != FAKE_AUDIO_MAGIC:
         raise ValueError("not a fake audio payload")
@@ -335,18 +316,6 @@ def extract_audio_features(ds, concurrency: int | None = None,
 # --- video ------------------------------------------------------------------
 
 FAKE_VIDEO_MAGIC = b"FAKEVID1"
-
-
-def make_fake_video(width: int, height: int, n_frames: int,
-                    seed: int) -> bytes:
-    """Deterministic video fixture: 8-byte magic, u16 w/h, u16
-    n_frames, then n_frames fake images back to back."""
-    header = (FAKE_VIDEO_MAGIC + int(width).to_bytes(2, "little")
-              + int(height).to_bytes(2, "little")
-              + int(n_frames).to_bytes(2, "little"))
-    frames = b"".join(make_fake_image(width, height, seed + i)
-                      for i in range(n_frames))
-    return header + frames
 
 
 def sample_video_frames(payload: bytes, every: int = 4) -> list[bytes]:

@@ -1575,7 +1575,7 @@ def _interpolate(lo, hi, frac):
     return np.where(frac == 0, lo, mixed)
 
 
-def _select_order_stats(rows: list[dict], col: str, ranks_of):
+def _select_order_stats(out_dir: str, col: str, ranks_of):
     """EXACT order statistics of a numeric column by distributed
     iterative histogram selection: values map to order-preserving
     uint64 keys; each level is one parallel pass that bincounts every
@@ -1585,15 +1585,23 @@ def _select_order_stats(rows: list[dict], col: str, ranks_of):
     SELECT_BINS) driver state. The first pass histograms the whole
     domain once and yields the non-null count n; ``ranks_of(n)`` then
     names the 0-based ranks to select. Nulls are excluded (SQL
-    aggregate semantics). -> (is_float, n, the value at each of those
-    ranks, in their order; [] when n is 0)."""
+    aggregate semantics). -> (the value type: float64, uint64 or
+    int64; n; the value at each of those ranks, in their order; []
+    when n is 0, as over a dir with no partitions)."""
+    rows = _manifest_paths(out_dir)
+    if not rows:
+        typ = _sidecar_empty(out_dir, [col])[col].type
+        return (pa.float64() if pa.types.is_floating(typ) else
+                pa.uint64() if typ == pa.uint64() else pa.int64()), 0, []
     header0, _ = read_header(rows[0]["path"])
     cm0 = header0["columns"][col]
     if cm0["kind"] not in ("int", "float") and cm0.get("tag") not in (
             "f32", "f64"):
         raise TypeError(f"exact_percentiles needs a numeric column, "
                         f"got kind {cm0['kind']!r}")
-    is_float = cm0.get("tag") in ("f32", "f64")
+    # u64 order keys are the raw values: they invert as unsigned
+    kind = "f" if cm0.get("tag") in ("f32", "f64") else (
+        "u" if cm0.get("tag") == "u64" else "i")
 
     def pass_hist(ranges: list, row: dict):
         """ranges: [(lo_u, hi_u)] -> per range (below, counts)."""
@@ -1652,9 +1660,9 @@ def _select_order_stats(rows: list[dict], col: str, ranks_of):
         if not open_r:
             break
         hists = histograms(open_r)
-    kind = "f" if is_float else "i"
-    return is_float, n_valid, [_order_key_inverse(bracket[k][0], kind)
-                               for k in ranks]
+    typ = {"f": pa.float64(), "u": pa.uint64(), "i": pa.int64()}[kind]
+    return typ, n_valid, [_order_key_inverse(bracket[k][0], kind)
+                          for k in ranks]
 
 
 def exact_percentiles(out_dir: str, col: str, ps: list[float]) -> pa.Table:
@@ -1665,12 +1673,11 @@ def exact_percentiles(out_dir: str, col: str, ps: list[float]) -> pa.Table:
     ceil(p * n)-th of the sorted multiset. Nulls are excluded (SQL
     aggregate semantics); an all-null or zero-row column yields
     NULLs."""
-    is_float, n_valid, vals = _select_order_stats(
-        _manifest_paths(out_dir), col, lambda n: _disc_rank(ps, n))
+    typ, n_valid, vals = _select_order_stats(
+        out_dir, col, lambda n: _disc_rank(ps, n))
     return pa.table({
         "p": pa.array([float(p) for p in ps], type=pa.float64()),
-        col: pa.array(vals if n_valid else [None] * len(ps), type=(
-            pa.float64() if is_float else pa.int64())),
+        col: pa.array(vals if n_valid else [None] * len(ps), type=typ),
     })
 
 
@@ -1683,11 +1690,8 @@ def exact_percentiles_cont(out_dir: str, col: str,
     the driver interpolates with DuckDB's own double expression
     (:func:`_interpolate`). Result is DOUBLE; nulls are excluded; an
     all-null/empty column yields NULLs."""
-    rows = _manifest_paths(out_dir)
-    n_valid, vals = 0, []
-    if rows:  # lo ranks, then hi ranks
-        _, n_valid, vals = _select_order_stats(
-            rows, col, lambda n: np.concatenate(_cont_point(ps, n)[:2]))
+    _, n_valid, vals = _select_order_stats(  # lo ranks, then hi ranks
+        out_dir, col, lambda n: np.concatenate(_cont_point(ps, n)[:2]))
     if n_valid == 0:
         return pa.table({
             "p": pa.array([float(p) for p in ps], type=pa.float64()),
@@ -1810,6 +1814,48 @@ def _run_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
     return np.flatnonzero(m).astype(np.int64)
 
 
+def order_indices(t: pa.Table, keys: list) -> pa.Array:
+    """The row order of SQL ORDER BY, as DuckDB defines it: ``keys``
+    lists (column name or array, descending, nulls_first). NULLs sort
+    last unless NULLS FIRST, in either direction; every NaN, of either
+    sign, ranks above +inf and -0.0 ties with 0.0 (a float key orders
+    by the :func:`_order_key_u64` key of its canonical value, and rows
+    are taken by index, so the values keep their bits). Ties keep the
+    input order. This is the one place that decides a row order."""
+    cols, sort_keys = {}, []
+    for i, (c, desc, nulls_first) in enumerate(keys):
+        a = t[c] if isinstance(c, str) else c
+        if isinstance(a, pa.ChunkedArray):
+            a = a.combine_chunks()
+        if pa.types.is_floating(a.type):
+            v = a.to_numpy(zero_copy_only=False)
+            v = np.where(np.isnan(v), np.nan, v + 0.0)  # -0.0 + 0.0 == 0.0
+            a = pa.array(_order_key_u64(v),
+                         mask=a.is_null().to_numpy(zero_copy_only=False))
+        if nulls_first:  # the is-null tier dominates the key's values
+            cols[f"n{i}"] = pc.is_null(a)
+            sort_keys.append((f"n{i}", "descending"))
+        cols[f"k{i}"] = a
+        sort_keys.append((f"k{i}", "descending" if desc else "ascending"))
+    return pc.sort_indices(pa.table(cols), sort_keys=sort_keys,
+                           null_placement="at_end")
+
+
+def head(t: pa.Table, keys: list, lo: int, hi: int,
+         group: list[str] | None = None) -> pa.Table:
+    """The rows ranked [lo, hi) by ``keys`` (:func:`order_indices`),
+    over the whole table or, with ``group``, within each group of
+    those columns (NULL keys form their own group; the result is
+    ordered by the group columns ascending, NULLs last)."""
+    if not group:
+        return t.take(order_indices(t, keys)[lo:hi])
+    t = t.take(order_indices(t, [(g, False, False) for g in group] + keys))
+    starts = _run_starts(t, group)
+    rank = np.arange(t.num_rows) - np.repeat(
+        starts, np.diff(np.r_[starts, t.num_rows]))
+    return t.filter(pa.array((rank >= lo) & (rank < hi)))
+
+
 def weighted_quantiles(hist: pa.Table, keys: list[str], col: str,
                        weight: str, qs: list[tuple[float, bool]]):
     """EXACT per-group quantiles from weighted (keys..., value, count)
@@ -1822,9 +1868,8 @@ def weighted_quantiles(hist: pa.Table, keys: list[str], col: str,
     values carry no weight, and a group with no non-null value gets
     NULL. -> (one row per group of the key columns, one array per q:
     the value type for DISC, float64 for CONT)."""
-    t = hist.take(pc.sort_indices(
-        hist, sort_keys=[(k, "ascending") for k in keys]
-        + [(col, "ascending")], null_placement="at_end"))
+    t = hist.take(order_indices(
+        hist, [(k, False, False) for k in keys + [col]]))
     vals = t[col].combine_chunks()
     w = t[weight].to_numpy(zero_copy_only=False).astype(np.int64)
     if vals.null_count:
@@ -1912,12 +1957,14 @@ def group_int_percentiles(out_dir: str, key_col: str, value_col: str,
 
 def dict_group_topk(out_dir: str, key_col: str, value_col: str,
                     id_col: str, k: int) -> pa.Table:
-    """Top-k rows PER GROUP (largest ``value_col``, ties broken by
-    ascending ``id_col``) with the key column resolved only for the
-    <= groups x k winners: group membership comes from the
-    bit-unpacked dictionary codes; per chunk a single lexsort + run
-    scan keeps k candidates per key, so partition partials are tiny
-    and the driver merge is groups x k x partitions rows."""
+    """Top-k rows PER GROUP of a string column: the largest
+    ``value_col``, ties broken by ascending ``id_col`` (SQL ROW_NUMBER()
+    OVER (PARTITION BY key ORDER BY value DESC, id) <= k, NULLs last).
+    Each partition decodes (key, value, id) and keeps its own top k
+    per key (:func:`head`), so partials are at most groups x k rows
+    per partition; the driver takes the same head of their union.
+    Rows come ordered by key (NULL keys, their own group, last), then
+    rank."""
     rows = _manifest_paths(out_dir)
     if not rows:  # empty table: zero groups
         probe = _sidecar_empty(out_dir, [key_col, id_col, value_col])
@@ -1925,141 +1972,20 @@ def dict_group_topk(out_dir: str, key_col: str, value_col: str,
                          id_col: probe[id_col],
                          value_col: probe[value_col]})
     header0, _ = read_header(rows[0]["path"])
-    vt = _col_type(header0["columns"][value_col])
-    it = _col_type(header0["columns"][id_col])
-
-    def run(batch: pa.Table) -> pa.Table:
-        parts = [_group_topk_partition(p.as_py(), key_col, value_col,
-                                       id_col, k) for p in batch["path"]]
-        return pa.concat_tables(parts)
-
-    from ..collect import collect_arrow
-
-    partials = collect_arrow(map_partitions(rows, run))
-    if partials.num_rows == 0:
-        return pa.table({key_col: pa.array([], pa.string()),
-                         id_col: pa.array([], it),
-                         value_col: pa.array([], vt)})
-    order = pc.sort_indices(partials, sort_keys=[
-        (key_col, "ascending"), (value_col, "descending"),
-        (id_col, "ascending")])
-    t = partials.take(order)
-    keys = t[key_col].to_numpy(zero_copy_only=False)
-    starts = np.concatenate(
-        [[0], np.flatnonzero(keys[1:] != keys[:-1]) + 1])
-    rank = np.arange(len(keys)) - np.repeat(
-        starts, np.diff(np.append(starts, len(keys))))
-    return t.filter(pa.array(rank < k))
-
-
-def _fill_for_sort(arr: pa.Array):
-    """-> (valid bool array or None, null-filled array). The fill
-    value only normalizes dtypes for numpy sorting; ordering of null
-    slots comes from a separate nulls-last sort tier."""
-    if arr.null_count == 0:
-        return None, arr
-    valid = arr.is_valid().to_numpy(zero_copy_only=False)
-    if pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type) \
-            or pa.types.is_binary(arr.type) \
-            or pa.types.is_large_binary(arr.type):
-        filled = pc.fill_null(arr, "")
-    else:
-        filled = pc.fill_null(arr, pa.scalar(0, type=arr.type))
-    return valid, filled
-
-
-def _group_topk_partition(path: str, key_col: str, value_col: str,
-                          id_col: str, k: int) -> pa.Table:
-    from ..codecs.str_codecs import decode_codes, decode_str_values
-    from ..column import StringColumnDecoder
-    from ..streams import str_stream_to_arrow
-
-    header, base = read_header(path)
-    cm = header["columns"][key_col]
-    if cm["kind"] != "str":
+    if header0["columns"][key_col]["kind"] != "str":
         raise TypeError("dict_group_topk groups on string columns")
-    vcm = header["columns"][value_col]
-    icm = header["columns"][id_col]
-    vdec = make_column_decoder(vcm)
-    idec = make_column_decoder(icm)
-    sdec = StringColumnDecoder(cm["tag"])
-    out_keys: list = []
-    out_vals: list = []
-    out_ids: list = []
-    with open(path, "rb") as f:
-        for ci, ch in enumerate(cm["chunks"]):
-            f.seek(base + ch["off"])
-            payload = read_exact(f, ch["nb"], key_col)
-            payload, k_valid = _chunk_validity(ch, payload)
-            sdec.advance_dict(ch, payload)
-            if ch["mode"] == "plain":
-                lengths, data = decode_str_values(ch["codec"], payload,
-                                                  ch["meta"])
-                d = pc.dictionary_encode(
-                    str_stream_to_arrow(lengths, data, "str"))
-                codes = d.indices.to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                pool = d.dictionary.to_pylist()
-                m0 = max(len(pool), 1)
+    keys = [(value_col, True, False), (id_col, False, False)]
 
-                def resolve(code, pool=pool, m0=m0):
-                    return None if code == m0 else pool[code]
-            else:
-                codes = decode_codes(ch["ccodec"], payload[ch["vlen"]:],
-                                     ch["cmeta"]).astype(np.int64)
-                u = np.empty(len(sdec.u_lengths) + 1, dtype=np.int64)
-                u[0] = 0
-                np.cumsum(sdec.u_lengths, out=u[1:])
-                m0 = max(ch["d_total"], 1)
+    def part_topk(row: dict) -> pa.Table:
+        t = decode_partition(row["path"],
+                             columns=[key_col, id_col, value_col])
+        return head(t, keys, 0, k, group=[key_col])
 
-                def resolve(code, sdec=sdec, u=u, m0=m0):
-                    return None if code == m0 else \
-                        sdec.u_data[u[code]: u[code + 1]].decode("utf-8")
-            if k_valid is not None:
-                # null keys take the radix slot past the dictionary —
-                # their own group (as SQL GROUP BY does)
-                codes = np.where(k_valid, codes, m0)
-            vch = vcm["chunks"][ci]
-            f.seek(base + vch["off"])
-            v_valid, varr = _fill_for_sort(
-                vdec.decode(vch, read_exact(f, vch["nb"], value_col)))
-            vals = varr.to_numpy(zero_copy_only=False)
-            ich = icm["chunks"][ci]
-            f.seek(base + ich["off"])
-            i_valid, iarr = _fill_for_sort(
-                idec.decode(ich, read_exact(f, ich["nb"], id_col)))
-            ids = iarr.to_numpy(zero_copy_only=False)
-            if len(codes) == 0:
-                continue
-            # sort tiers (innermost first): ids ASC, id-NULLS-LAST,
-            # value DESC, value-NULLS-LAST, group — SQL ROW_NUMBER
-            # OVER (ORDER BY v DESC, id) with DuckDB's default
-            # nulls-last ordering in both directions
-            tiers = [ids]
-            if i_valid is not None:
-                tiers.append((~i_valid).view(np.uint8))
-            tiers.append(~_order_key_u64(vals))
-            if v_valid is not None:
-                tiers.append((~v_valid).view(np.uint8))
-            tiers.append(codes)
-            order = np.lexsort(tuple(tiers))
-            cs = codes[order]
-            starts = np.concatenate(
-                [[0], np.flatnonzero(cs[1:] != cs[:-1]) + 1])
-            rank = np.arange(len(cs)) - np.repeat(
-                starts, np.diff(np.append(starts, len(cs))))
-            keep = order[rank < k]
-            for i in keep.tolist():
-                out_keys.append(resolve(int(codes[i])))
-                out_vals.append(
-                    vals[i] if v_valid is None or v_valid[i] else None)
-                out_ids.append(
-                    ids[i] if i_valid is None or i_valid[i] else None)
-    return pa.table({
-        key_col: pa.array(out_keys, type=pa.string()),
-        id_col: pa.array(out_ids, type=_col_type(icm)),
-        value_col: pa.array(out_vals, type=_col_type(vcm)),
-    })
+    merged = pa.concat_tables(gather_partitions(rows, part_topk),
+                              promote_options="permissive")
+    t = head(merged, keys, 0, k, group=[key_col])
+    return pa.table({key_col: t[key_col].cast(pa.string()),
+                     id_col: t[id_col], value_col: t[value_col]})
 
 
 def topk(out_dir: str, col: str, k: int, descending: bool = True) -> pa.Table:
@@ -2069,20 +1995,15 @@ def topk(out_dir: str, col: str, k: int, descending: bool = True) -> pa.Table:
     rows = _manifest_paths(out_dir)
     if not rows:  # empty table: typed empty top-k
         return _sidecar_empty(out_dir, [col])
+    keys = [(col, descending, False)]
 
-    def part_topk(row: dict):
-        t = decode_partition(row["path"], columns=[col])
-        arr = t[col].combine_chunks()
-        idx = pc.array_sort_indices(
-            arr, order="descending" if descending else "ascending")
-        return arr.take(idx[: min(k, len(arr))])
+    def part_topk(row: dict) -> pa.Table:
+        return head(decode_partition(row["path"], columns=[col]),
+                    keys, 0, k)
 
-    parts = [p for p in gather_partitions(rows, part_topk) if len(p)]
-    merged = parts[0] if len(parts) == 1 else \
-        pa.concat_arrays([p.cast(parts[0].type) for p in parts])
-    order = pc.array_sort_indices(
-        merged, order="descending" if descending else "ascending")
-    return pa.table({col: merged.take(order[:k])})
+    merged = pa.concat_tables(gather_partitions(rows, part_topk),
+                              promote_options="permissive")
+    return head(merged, keys, 0, k)
 
 
 def topk_rows(out_dir: str, col: str, k: int, id_col: str,
@@ -2101,28 +2022,15 @@ def topk_rows(out_dir: str, col: str, k: int, id_col: str,
     if not rows:  # empty table: typed empty page
         return _sidecar_empty(out_dir, columns or order_cols)
     need = offset + k
-
-    def order_by(t: pa.Table) -> np.ndarray:
-        # ORDER BY col [DESC], id_col with DuckDB's default NULLS LAST
-        # in both directions: each column sorts as (null-filled
-        # values, nulls-last tier), the tiers of _group_topk_partition
-        tiers = []
-        for name, desc in ((id_col, False), (col, descending)):
-            valid, arr = _fill_for_sort(t[name].combine_chunks())
-            v = arr.to_numpy(zero_copy_only=False)
-            tiers.append(~_order_key_u64(v) if desc else v)
-            if valid is not None:
-                tiers.append(~valid)
-        return np.lexsort(tuple(tiers))
+    keys = [(col, descending, False), (id_col, False, False)]
 
     def part_topk(row: dict) -> pa.Table:
-        t = decode_partition(row["path"], columns=order_cols)
-        return t.take(pa.array(order_by(t)[:need], type=pa.int64()))
+        return head(decode_partition(row["path"], columns=order_cols),
+                    keys, 0, need)
 
-    parts = [p for p in gather_partitions(rows, part_topk) if p.num_rows]
-    merged = pa.concat_tables(parts)
-    win = order_by(merged)[offset:need]
-    winners = merged.take(pa.array(win, type=pa.int64()))
+    merged = pa.concat_tables(gather_partitions(rows, part_topk),
+                              promote_options="permissive")
+    winners = head(merged, keys, offset, need)
     want = columns or order_cols
     extra = [c for c in want if c not in order_cols]
     if not extra:

@@ -51,7 +51,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .collect import group_aggregate
-from .pipeline.query import _run_starts
+from .pipeline.query import _run_starts, head, order_indices
 
 __all__ = ["sql_query", "explain_sql", "SqlUnsupported"]
 
@@ -2063,36 +2063,6 @@ def _grouped_quantile_values(src, keys: list[str], col: str,
     return out
 
 
-def _sort_with_spec(t: pa.Table, keys: list[str],
-                    spec: list) -> pa.Table:
-    """Sort by the group keys then an in-aggregate ORDER BY spec
-    ([[col, desc, nulls_first], ...]). Arrow's null_placement is
-    global, so every spec key sorts as an (is-null companion,
-    null-filled key) pair — the companion dominates, giving exact
-    per-key null placement (DuckDB's default: NULLS LAST either
-    direction)."""
-    sort_keys = [(k, "ascending") for k in keys]
-    hidden = []
-    for i, (c, desc, nf) in enumerate(spec):
-        arr = t[c].combine_chunks()
-        if pa.types.is_null(arr.type):
-            isn = pa.array(np.ones(t.num_rows, dtype=np.int8))
-            filled = pa.array(np.zeros(t.num_rows, dtype=np.int8))
-        else:
-            isn = pc.cast(pc.is_null(arr), pa.int8())
-            filled = pc.fill_null(arr, _zero_scalar(arr.type))
-        hidden += [(f"__sn{i}", isn), (f"__sk{i}", filled)]
-        sort_keys.append((f"__sn{i}",
-                          "descending" if nf else "ascending"))
-        sort_keys.append((f"__sk{i}",
-                          "descending" if desc else "ascending"))
-    aug = t
-    for nm, a in hidden:
-        aug = aug.append_column(nm, a)
-    idx = pc.sort_indices(aug, sort_keys=sort_keys)
-    return t.take(idx)
-
-
 def _arg_extreme_values(src, keys: list[str], col: str,
                         merged: pa.Table | None, n: int,
                         by: str, biggest: bool) -> pa.Array:
@@ -2105,15 +2075,14 @@ def _arg_extreme_values(src, keys: list[str], col: str,
     smallest col value, so results are block-boundary-invariant."""
     gcols = list(dict.fromkeys(keys + [col, by]))
     ds = src.stream(gcols)
-    dirn = "descending" if biggest else "ascending"
-    sort_keys = [(k, "ascending") for k in keys] + \
-        [(by, dirn), (col, "ascending")]
+    order = [(k, False, False) for k in keys] + \
+        [(by, biggest, False), (col, False, False)]
 
     def reduce_rows(t: pa.Table) -> pa.Table:
         t = t.filter(pc.and_(pc.is_valid(t[col]), pc.is_valid(t[by])))
         if t.num_rows == 0:
             return t
-        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+        t = t.take(order_indices(t, order))
         return t.take(pa.array(_run_starts(t, keys), type=pa.int64()))
 
     parts = [b for b in ds.map_batches(
@@ -2158,7 +2127,8 @@ def _collected_agg_values(src, keys: list[str], col: str,
     if not parts:
         return pa.nulls(n, out_type)
     allp = pa.concat_tables(parts, promote_options="permissive")
-    t = _sort_with_spec(allp, keys, spec or [[col, False, False]])
+    t = allp.take(order_indices(allp, [(k, False, False) for k in keys]
+                                + (spec or [[col, False, False]])))
     starts = _run_starts(t, keys)
     ends = np.r_[starts[1:], t.num_rows]
     vals = t[col].combine_chunks()
@@ -2365,29 +2335,11 @@ def _apply_order_limit(table: pa.Table, node: dict, env_extra: dict,
     top-k path before reaching here)."""
     order, limit, offset = _modifiers(node, select)
     if order:
-        keys = []
         env = {c: table[c] for c in table.column_names}
         env.update(env_extra)
-        sort_cols = []
-        for i, (expr, desc, nf) in enumerate(order):
-            arr = _eval_expr(expr, env, table.num_rows)
-            if isinstance(arr, pa.ChunkedArray):
-                arr = arr.combine_chunks()
-            if nf:
-                # per-key NULLS FIRST: a synthetic is-null key sorted
-                # descending groups nulls ahead of the value order
-                nname = f"__ordn{i}"
-                table = table.append_column(
-                    nname, pa.chunked_array([pc.is_null(arr)]))
-                sort_cols.append((nname, "descending"))
-                keys.append(nname)
-            name = f"__ord{i}"
-            table = table.append_column(name, pa.chunked_array([arr]))
-            sort_cols.append((name, "descending" if desc else "ascending"))
-            keys.append(name)
-        idx = pc.sort_indices(table, sort_keys=sort_cols,
-                              null_placement="at_end")
-        table = table.take(idx).drop_columns(keys)
+        table = table.take(order_indices(table, [
+            (_eval_expr(expr, env, table.num_rows), desc, nf)
+            for expr, desc, nf in order]))
     if offset:
         table = table.slice(offset)
     if limit is not None:
@@ -2429,31 +2381,13 @@ def _modifiers(node: dict, select: list | None = None):
 def _stream_topk(ds, order: list, limit: int, offset: int,
                  project: list[str]) -> pa.Table:
     """Distributed ORDER BY + LIMIT over a row stream: every batch
-    keeps its own top-(limit+offset) rows (vectorized sort), the
-    driver merges the tiny survivors. Order keys must be plain
-    columns here (checked by the caller)."""
-    keep = limit + offset
-    # per-key NULLS FIRST: arrow's null_placement is global, so each
-    # NULLS FIRST key gets a hidden is-null bool key sorted desc
-    nf_cols = [(f"__nf{i}", _colref(e))
-               for i, (e, _, nf) in enumerate(order) if nf]
-    sort_keys = []
-    for i, (e, d, nf) in enumerate(order):
-        if nf:
-            sort_keys.append((f"__nf{i}", "descending"))
-        sort_keys.append((_colref(e), "descending" if d else "ascending"))
-
-    def _aug(t: pa.Table) -> pa.Table:
-        for h, c in nf_cols:
-            t = t.append_column(h, pc.is_null(t[c]))
-        return t
+    keeps its own top-(limit+offset) rows, the driver takes the head
+    of the tiny survivors (both :func:`query.head`). Order keys must
+    be plain columns here (checked by the caller)."""
+    keys = [(_colref(e), d, nf) for e, d, nf in order]
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows <= keep:
-            return batch.select(project)
-        idx = pc.sort_indices(_aug(batch), sort_keys=sort_keys,
-                              null_placement="at_end")
-        return batch.take(idx[:keep]).select(project)
+        return head(batch, keys, 0, limit + offset).select(project)
 
     parts = [b for b in ds.map_batches(
         partial, batch_format="pyarrow").iter_batches(
@@ -2462,9 +2396,7 @@ def _stream_topk(ds, order: list, limit: int, offset: int,
     if not parts:
         return None
     allp = pa.concat_tables(parts, promote_options="permissive")
-    idx = pc.sort_indices(_aug(allp), sort_keys=sort_keys,
-                          null_placement="at_end")
-    return allp.take(idx[offset:offset + limit])
+    return head(allp, keys, offset, offset + limit)
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from arcade_ray.mediaops import (
     FAKE_MAGIC,
     ImageFeatureExtractor,
     extract_image_features,
-    make_fake_image,
 )
+from media_fixtures import make_fake_audio, make_fake_image, make_fake_video
 
 
 def make_media_table(n=40):
@@ -56,7 +56,7 @@ def test_pipeline(ray_session):
 
 
 def test_audio_extractor_unit():
-    from arcade_ray.mediaops import AudioFeatureExtractor, make_fake_audio
+    from arcade_ray.mediaops import AudioFeatureExtractor
 
     n = 6
     tab = pa.table({
@@ -84,11 +84,7 @@ def test_video_frame_sampling_to_image_features(ray_session):
     multimodal chain through actor pools."""
     import ray.data as rd
 
-    from arcade_ray.mediaops import (
-        extract_image_features,
-        make_fake_video,
-        sample_frames,
-    )
+    from arcade_ray.mediaops import extract_image_features, sample_frames
 
     n = 6
     tab = pa.table({
@@ -113,7 +109,7 @@ def test_resize_images_roundtrip(ray_session):
 
     from arcade_ray.collect import collect_arrow
     from arcade_ray.mediaops import (_decode_fake, extract_image_features,
-                                     make_fake_image, resize_images)
+                                     resize_images)
 
     rows = [{"media_id": i, "image": make_fake_image(40 + i % 17, 30 + i % 7, i)}
             for i in range(40)]

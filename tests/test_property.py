@@ -258,9 +258,11 @@ def test_group_aggregate_null_fuzz(ray_session, tmp_path_factory):
 
 
 def test_topk_rows_fuzz(ray_session, tmp_path_factory):
-    """Randomized pagination: random (k, offset, direction) against a
-    pandas full sort, including extremes near INT64 bounds (the
-    overflow-safe descending key)."""
+    """Randomized pagination: random (k, offset, direction) against
+    DuckDB, on an int64 column with extremes near INT64 bounds (the
+    overflow-safe descending key) and a float column with NaN, -NaN,
+    -0.0 and NULL (NaN ranks above +inf, -0.0 ties with 0.0)."""
+    import duckdb
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
@@ -272,27 +274,34 @@ def test_topk_rows_fuzz(ray_session, tmp_path_factory):
     n = 3000
     vals = rng.integers(-(2**62), 2**62, n)
     vals[:5] = [-(2**63), 2**63 - 1, 0, -1, 1]  # boundary values
+    neg_nan = np.array([0xFFF8000000000000], np.uint64).view(np.float64)[0]
+    f = rng.choice([-np.inf, -2.5, -0.0, 0.0, 1.0, np.inf, np.nan, neg_nan],
+                   n)
     t = pa.table({
         "doc_id": pa.array(np.arange(n), type=pa.int64()),
         "grp": pa.array([f"g{i % 3}" for i in range(n)]),
         "v": pa.array(vals, type=pa.int64()),
+        "f": pa.array(f, type=pa.float64(), mask=rng.random(n) < 0.1),
     })
     out_dir = str(tmp_path_factory.mktemp("topkfuzz") / "enc")
     encode_dataset(rd.from_arrow(t), out_dir, key_col="grp",
                    weight_col=None)
-    df = t.to_pandas()
-    for trial in range(6):
+    con = duckdb.connect()
+    con.register("t", t)
+    for trial in range(12):
+        col = ("v", "f")[trial % 2]
         k = int(rng.integers(1, 40))
-        off = int(rng.integers(0, 60))
+        off = int(rng.integers(0, 60 if col == "v" else n))
         desc = bool(rng.integers(0, 2))
-        got = topk_rows(out_dir, "v", k, id_col="doc_id",
-                        columns=["doc_id", "v"], descending=desc,
+        got = topk_rows(out_dir, col, k, id_col="doc_id",
+                        columns=["doc_id", col], descending=desc,
                         offset=off)
-        exp = df.sort_values(["v", "doc_id"],
-                             ascending=[not desc, True],
-                             ignore_index=True).iloc[off:off + k]
-        assert got["doc_id"].to_pylist() == exp["doc_id"].tolist(), \
-            (trial, k, off, desc)
+        exp = con.execute(
+            f"SELECT doc_id FROM t ORDER BY {col} "
+            f"{'DESC' if desc else 'ASC'}, doc_id LIMIT {k} OFFSET {off}"
+        ).fetchall()
+        assert got["doc_id"].to_pylist() == [r[0] for r in exp], \
+            (trial, col, k, off, desc)
 
 
 float_lists = st.lists(

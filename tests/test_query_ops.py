@@ -662,6 +662,33 @@ def test_exact_percentiles_cont(encoded):
         assert got["n_tok"][i].as_py() == exp, (p, got["n_tok"][i], exp)
 
 
+def test_exact_percentiles_uint64_vs_duckdb(ray_session, tmp_path):
+    """A uint64 column above 2^63: its order keys invert as unsigned
+    values, DISC keeps the uint64 type, CONT matches DuckDB."""
+    import duckdb
+    import ray.data as rd
+
+    from arcade_ray.pipeline.query import (exact_percentiles,
+                                           exact_percentiles_cont)
+
+    t = pa.table({"doc_id": pa.array(range(5), type=pa.int64()),
+                  "u": pa.array([1, 5, 7, 2**63 + 10, 2**64 - 1],
+                                type=pa.uint64())})
+    out_dir = str(tmp_path / "enc")
+    encode_dataset(rd.from_arrow(t), out_dir, key_col="doc_id",
+                   weight_col=None)
+    con = duckdb.connect()
+    con.register("t", t)
+    ps = [0.0, 0.5, 1.0]
+    disc = exact_percentiles(out_dir, "u", ps)["u"]
+    assert disc.type == pa.uint64()
+    for fn, got in (("disc", disc),
+                    ("cont", exact_percentiles_cont(out_dir, "u", ps)["u"])):
+        assert got.to_pylist() == [con.execute(
+            f"SELECT quantile_{fn}(u, {p}) FROM t").fetchone()[0]
+            for p in ps], fn
+
+
 def test_timestamp_filters(ray_session, tmp_path):
     """Equi and range filters on a TIMESTAMP column: zone maps prune in
     the epoch-int domain; matching chunks compare as int64 views."""
@@ -850,6 +877,105 @@ def test_topk_rows_nullable_order_col_vs_duckdb(ray_session, tmp_path):
                 want.to_pylist(), (desc, k, off)
 
 
+def _nan_safe(rows):
+    """Rows for comparison: every NaN (either sign) is one value, and a
+    zero keeps its sign (rows are taken, never rebuilt, so -0.0 stays)."""
+    def norm(v):
+        if isinstance(v, float):
+            return "nan" if v != v else (v, np.copysign(1.0, v))
+        return v
+    return [tuple(norm(v) for v in r) for r in rows]
+
+
+def test_float_order_sites_vs_duckdb(ray_session, tmp_path):
+    """Every ORDER BY site orders a float key as DuckDB does: NaN of
+    either sign above +inf, -0.0 tied with 0.0 (ties broken by the next
+    key), NULLs last unless NULLS FIRST, over a multi-partition dir."""
+    import duckdb
+    import ray.data as rd
+
+    from arcade_ray.pipeline.query import (_manifest_paths,
+                                           dict_group_topk, topk,
+                                           topk_rows)
+    from arcade_ray.sql import sql_query
+
+    rng = np.random.default_rng(15)
+    n = 3000
+    neg_nan = np.array([0xFFF8000000000000], np.uint64).view(np.float64)[0]
+    pool = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 2.0, np.inf])
+    v = pool[rng.integers(0, len(pool), n)]
+    u = rng.random(n)
+    v[u < 0.05] = np.nan
+    v[u < 0.02] = neg_nan
+    t = pa.table({
+        "doc_id": pa.array(np.arange(n), type=pa.int64()),
+        "part": pa.array([f"p{i % 6}" for i in range(n)]),
+        "grp": pa.array([None if rng.random() < 0.05
+                         else f"g{int(rng.integers(0, 5))}"
+                         for _ in range(n)], type=pa.string()),
+        "v": pa.array(v, type=pa.float64(), mask=(u > 0.05) & (u < 0.15)),
+    })
+    d = str(tmp_path / "fenc")
+    encode_dataset(rd.from_arrow(t), d, key_col="part", weight_col=None)
+    assert len(_manifest_paths(d)) >= 4
+    con = duckdb.connect()
+    con.register("t", t)
+
+    def want(sql):
+        return _nan_safe(con.execute(sql).fetchall())
+
+    def rows(tab, cols):
+        return _nan_safe(zip(*[tab[c].to_pylist() for c in cols]))
+
+    def val(x):  # a value alone: -0.0 and 0.0 tie, so either may come
+        return x if x == "nan" else x[0]
+
+    got = topk(d, "v", 60)
+    assert [val(r[0]) for r in rows(got, ["v"])] == [
+        val(r[0]) for r in want("SELECT v FROM t ORDER BY v DESC LIMIT 60")]
+
+    n_nan, n_pos, n_neg, n_valid = con.execute(
+        "SELECT count(*) FILTER (WHERE isnan(v)), count(*) FILTER "
+        "(WHERE v > 0), count(*) FILTER (WHERE v < 0), count(v) "
+        "FROM t").fetchone()  # NaN > 0 holds in DuckDB
+    for desc, off in ((True, n_nan - 10), (True, n_pos - 10),
+                      (False, n_neg - 10), (False, n_valid - 5)):
+        got = topk_rows(d, "v", 25, id_col="doc_id",
+                        columns=["doc_id", "v", "grp"],
+                        descending=desc, offset=off)
+        assert rows(got, ["doc_id", "v", "grp"]) == want(
+            f"SELECT doc_id, v, grp FROM t ORDER BY v "
+            f"{'DESC' if desc else 'ASC'}, doc_id LIMIT 25 OFFSET {off}"
+        ), (desc, off)
+
+    # k above any group's rows in one partition: the driver merge ranks
+    got = dict_group_topk(d, "grp", "v", "doc_id", 150)
+    assert len(got) == con.execute(
+        "SELECT sum(least(c, 150)) FROM (SELECT count(*) AS c FROM t "
+        "GROUP BY grp)").fetchone()[0]
+    assert rows(got, ["grp", "doc_id", "v"]) == want(
+        "SELECT grp, doc_id, v FROM t QUALIFY row_number() OVER "
+        "(PARTITION BY grp ORDER BY v DESC, doc_id) <= 150 "
+        "ORDER BY grp NULLS LAST, v DESC, doc_id")
+
+    for q in ("SELECT doc_id, v FROM t ORDER BY v DESC, doc_id "
+              "LIMIT 20 OFFSET 30",
+              "SELECT doc_id, v FROM t ORDER BY v NULLS FIRST, doc_id "
+              "LIMIT 40",
+              "SELECT doc_id % 100 AS b, sum(v) AS s FROM t GROUP BY b "
+              "ORDER BY s DESC, b LIMIT 12",
+              "SELECT grp, string_agg(doc_id, ',' ORDER BY v DESC, doc_id)"
+              " AS a FROM t GROUP BY grp ORDER BY grp"):
+        res = sql_query(q, {"t": d})
+        assert rows(res, res.column_names) == want(q), q
+    q = ("SELECT grp, arg_max(v, v) AS hi, arg_min(v, v) AS lo FROM t "
+         "GROUP BY grp ORDER BY grp")
+    res = sql_query(q, {"t": d})
+    assert [(g, val(h), val(lo)) for g, h, lo in
+            rows(res, ["grp", "hi", "lo"])] == \
+        [(g, val(h), val(lo)) for g, h, lo in want(q)]
+
+
 def test_query_surface_over_empty_encoded_dir(ray_session, tmp_path):
     """Every driver-facing query op answers a ZERO-PARTITION encoded
     dir (empty input shard) with a typed empty result instead of
@@ -884,6 +1010,10 @@ def test_query_surface_over_empty_encoded_dir(ray_session, tmp_path):
     assert gt.num_rows == 0
     pct = q.group_int_percentiles(out, "source", "n_tok", [0.5])
     assert pct.num_rows == 0 and pct.column_names == ["source", "p50"]
+    for fn in (q.exact_percentiles, q.exact_percentiles_cont):
+        pt = fn(out, "n_tok", [0.5, 0.9])
+        assert pt.column_names == ["p", "n_tok"]
+        assert pt["n_tok"].to_pylist() == [None, None]
     assert q.stats_meta(out, ["n_tok"]) == {
         "rows": 0, "n_tok": {"min": None, "max": None}}
     ra = q.random_access(out, [])

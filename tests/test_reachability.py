@@ -26,10 +26,6 @@ ENTRY_DIRS = [REPO / "jobs", REPO / "perfbench", REPO / "tools"]
 # as reached through them. Delete an entry together with the code it
 # names, or when an entry point starts using it.
 ALLOWED = {
-    # synthetic media inputs that test_mediaops builds its fixtures from
-    "make_fake_image": "test_mediaops fixture generator",
-    "make_fake_audio": "test_mediaops fixture generator",
-    "make_fake_video": "test_mediaops fixture generator",
     # public surface with tests but no entry point yet (ROADMAP item 4)
     "register_int_codec": "codec plug-in API for user code",
     "unregister_int_codec": "codec plug-in API for user code",

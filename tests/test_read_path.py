@@ -518,6 +518,13 @@ def _ray_remote_sites(tree: ast.AST) -> list[tuple[int, str]]:
 # Read paths that build their Datasets on the driver: ``from_arrow``
 # starts a Ray task for block metadata on every call, ``from_blocks``
 # does not.
+# where a NULL placement or a one-array sort may appear in ORDER_FILES:
+# ``query.order_indices`` decides every row order, and the window pass
+# (``wpass``, nested in ``_run_window_query``) sorts its partitions itself
+ORDER_FILES = {"arcade_ray/pipeline/query.py", "arcade_ray/sql.py"}
+ORDER_ALLOWED = {("arcade_ray/pipeline/query.py", "order_indices"),
+                 ("arcade_ray/sql.py", "_run_window_query")}
+
 NO_FROM_ARROW = {"arcade_ray/pipeline/query.py",
                  "arcade_ray/pipeline/join.py",
                  "arcade_ray/pipeline/decode.py"}
@@ -539,7 +546,10 @@ def test_read_path_guard():
     Dataset of partition paths, and no Ray task is defined outside
     ``RAY_REMOTE_ALLOWED`` (a per-partition map goes through
     ``decode.gather_partitions``). The read paths in ``NO_FROM_ARROW``
-    build no Dataset with ``from_arrow``."""
+    build no Dataset with ``from_arrow``, and in ``ORDER_FILES`` only
+    ``ORDER_ALLOWED`` passes ``null_placement=`` or calls
+    ``array_sort_indices`` (every other sort goes through
+    ``query.order_indices``)."""
     bad = []
     used = set()
     for p in sorted((REPO / "arcade_ray").rglob("*.py")):
@@ -564,6 +574,12 @@ def test_read_path_guard():
                     and isinstance(n.func, ast.Attribute)):
                 continue
             attr = n.func.attr
+            if str(where) in ORDER_FILES and (
+                    attr == "array_sort_indices"
+                    or any(k.arg == "null_placement" for k in n.keywords)) \
+                    and (str(where), owner.get(n)) not in ORDER_ALLOWED:
+                bad.append(f"{where}:{n.lineno} orders rows itself; "
+                           "use query.order_indices")
             if attr == "to_arrow_refs":
                 bad.append(f"{where}:{n.lineno} calls to_arrow_refs()")
             elif attr == "iter_internal_ref_bundles" and (
