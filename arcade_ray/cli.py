@@ -210,18 +210,19 @@ def cmd_verify(args) -> None:
 
 
 def cmd_stats(args) -> None:
-    from .pipeline.encode import load_manifest
+    from .pipeline.encode import read_manifest
 
-    m = load_manifest(args.out_dir)
+    pm = read_manifest(args.out_dir)
+    m = pm.table
     rows = sum(m["rows"].to_pylist())
     enc = sum(m["enc_bytes"].to_pylist())
     raw = sum(m["raw_bytes"].to_pylist())
     print(json.dumps({
         "partitions": m.num_rows, "rows": rows, "enc_bytes": enc,
         "raw_bytes": raw, "ratio": round(enc / max(raw, 1), 4),
-        "codecs": _codec_histogram(m),
-        "distinct_est": _distinct_estimates(m),
-        "quantiles_est": _quantile_estimates(m),
+        "codecs": _codec_histogram(pm),
+        "distinct_est": _distinct_estimates(pm),
+        "quantiles_est": _quantile_estimates(pm),
     }, indent=2))
 
 
@@ -237,10 +238,10 @@ def _quantile_estimates(manifest) -> dict:
     acc: dict[str, list] = {}
     kinds: dict[str, str] = {}
     covered: dict[str, int] = {}
-    total_rows = sum(manifest["rows"].to_pylist())
-    for s, n_rows in zip(manifest["col_stats"].to_pylist(),
-                         manifest["rows"].to_pylist()):
-        for col, st in json.loads(s).items():
+    n_rows_of = manifest.table["rows"].to_pylist()
+    total_rows = sum(n_rows_of)
+    for cs, n_rows in zip(manifest.stats, n_rows_of):
+        for col, st in cs.items():
             if "qs" in st:
                 acc.setdefault(col, []).append(qs_deserialize(st["qs"]))
                 kinds[col] = st["qs"].get("kind", "i")
@@ -269,8 +270,8 @@ def _distinct_estimates(manifest) -> dict:
     from .sketches import MANIFEST_K, deserialize, kmv_estimate, kmv_merge
 
     merged: dict = {}
-    for s in manifest["col_stats"].to_pylist():
-        for col, st in json.loads(s).items():
+    for cs in manifest.stats:
+        for col, st in cs.items():
             if "kmv" not in st:
                 continue
             sk = deserialize(st["kmv"])
@@ -282,8 +283,8 @@ def _distinct_estimates(manifest) -> dict:
 
 def _codec_histogram(manifest) -> dict:
     out: dict[str, int] = {}
-    for s in manifest["col_stats"].to_pylist():
-        for col, st in json.loads(s).items():
+    for cs in manifest.stats:
+        for col, st in cs.items():
             for codec, n in st["codecs"].items():
                 out[codec] = out.get(codec, 0) + n
     return out

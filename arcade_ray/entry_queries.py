@@ -1172,15 +1172,13 @@ def q_distinct_sketch_sources(sf_dir: str) -> pa.Table:
     """Distinct count from the manifest's mergeable KMV sketches alone
     — no data scan, no shuffle (the reference's bloom-overlap intent,
     live). Exact below the sketch size k, so oracle-comparable here."""
-    import json as _json
-
-    from .pipeline.encode import load_manifest
+    from .pipeline.encode import read_manifest
     from .sketches import deserialize, kmv_estimate, kmv_merge
 
     out = encoded_dir(sf_dir, "documents")
     merged = None
-    for s in load_manifest(out)["col_stats"].to_pylist():
-        sk = _json.loads(s).get("source", {}).get("kmv")
+    for st in read_manifest(out).stats:
+        sk = st.get("source", {}).get("kmv")
         if sk is None:
             continue
         arr = deserialize(sk)
@@ -3143,9 +3141,8 @@ def q_zorder_filter(sf_dir: str) -> pa.Table:
     checks the layout actually prunes (box-overlapping partitions are
     a minority); the SQL oracle checks the answer is layout-invariant."""
     import hashlib as _hl
-    import json as _json
 
-    from .pipeline.encode import encode_parquet, load_manifest
+    from .pipeline.encode import encode_parquet, read_manifest
     from .pipeline.query import compound_filter
 
     tag = _hl.md5(f"{sf_dir}|zo-events|{_CACHE_SALT}".encode()) \
@@ -3161,8 +3158,7 @@ def q_zorder_filter(sf_dir: str) -> pa.Table:
              .timestamp() * 1e6)
     hi = int(datetime.datetime(2024, 1, 12, tzinfo=utc)
              .timestamp() * 1e6)
-    stats = [_json.loads(s)
-             for s in load_manifest(out)["col_stats"].to_pylist()]
+    stats = read_manifest(out).stats
     both = sum(1 for st in stats
                if not (st["user_id"]["max"] < 20
                        or st["user_id"]["min"] > 40)

@@ -28,9 +28,9 @@ from .encode import (
     _manifest_schema_table,
     _write_consolidated,
     commit_partition,
-    committed_parts,
     generation_of_row,
     load_manifest,
+    read_manifest,
 )
 
 
@@ -91,7 +91,7 @@ def compact(out_dir: str, weight_cap: int | None = None,
     scans of collapsed appends go empty — the VACUUM trade, like
     OPTIMIZE in lakehouse formats; schemas widen via Arrow's promote
     (an append that omitted columns back-fills NULL)."""
-    rows = load_manifest(out_dir).to_pylist()
+    rows = read_manifest(out_dir).row_dicts()
     by_source: dict[str, list[dict]] = {}
     for r in rows:
         key = _true_source(r) if collapse_generations \
@@ -264,7 +264,8 @@ def delete_rows(out_dir: str, preds) -> dict:
     from .query import _eval_match_idx, _normalize_pred, _zone_pruner
 
     tree = _normalize_pred(preds)
-    rows = load_manifest(out_dir).to_pylist()
+    m = read_manifest(out_dir)
+    rows = m.row_dicts()
     if not rows:  # empty table: nothing to delete
         return {"partitions": 0, "pruned": 0, "rewritten": 0,
                 "dropped": 0, "rows_deleted": 0}
@@ -273,8 +274,7 @@ def delete_rows(out_dir: str, preds) -> dict:
     candidates = []
     pruned = 0
     excluded = _zone_pruner(header0, tree)
-    for r in rows:
-        stats = json.loads(r["col_stats"])
+    for r, stats in zip(rows, m.stats):
         if excluded(stats):
             pruned += 1
             continue
@@ -365,7 +365,8 @@ def update_rows(out_dir: str, preds, assignments: dict) -> dict:
     from .query import _eval_match_idx, _normalize_pred, _zone_pruner
 
     tree = _normalize_pred(preds)
-    rows = load_manifest(out_dir).to_pylist()
+    m = read_manifest(out_dir)
+    rows = m.row_dicts()
     if not rows:
         return {"partitions": 0, "pruned": 0, "rewritten": 0,
                 "rows_updated": 0}
@@ -377,8 +378,7 @@ def update_rows(out_dir: str, preds, assignments: dict) -> dict:
     candidates = []
     pruned = 0
     excluded = _zone_pruner(header0, tree)
-    for r in rows:
-        stats = json.loads(r["col_stats"])
+    for r, stats in zip(rows, m.stats):
         if excluded(stats):
             pruned += 1
             continue
@@ -495,7 +495,8 @@ def merge_rows(out_dir: str, key_col: str, src: pa.Table,
         raise ValueError(
             "MERGE source has duplicate keys — each target row may "
             "match at most one source row")
-    rows = load_manifest(out_dir).to_pylist()
+    m = read_manifest(out_dir)
+    rows = m.row_dicts()
     header0 = None
     if rows:
         header0, _ = read_header(rows[0]["path"])
@@ -528,8 +529,7 @@ def merge_rows(out_dir: str, key_col: str, src: pa.Table,
 
     candidates, pruned = [], 0
     excluded = _zone_pruner(header0, tree) if rows else None
-    for r in rows:
-        stats = json.loads(r["col_stats"])
+    for r, stats in zip(rows, m.stats):
         # a partition lacking the MATCH KEY can't be zone-checked:
         # refuse before anything commits
         if key_col not in stats:

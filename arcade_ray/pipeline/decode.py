@@ -30,21 +30,18 @@ and every emitted block has one uniform schema/column order.
 
 from __future__ import annotations
 
-import json
-
 import pyarrow as pa
 
 from ..format import decode_partition, read_header
-from .encode import load_manifest, read_schema_sidecar
+from .encode import read_manifest, read_schema_sidecar
 
 
-def _partition_colsets(manifest) -> dict[str, list[str]]:
+def _partition_colsets(m) -> dict[str, list[str]]:
     """path -> column names recorded at encode time (col_stats keys;
-    codec histograms etc. ride along but keys ARE the column set)."""
-    out = {}
-    for r in manifest.select(["path", "col_stats"]).to_pylist():
-        out[r["path"]] = list(json.loads(r["col_stats"]).keys())
-    return out
+    codec histograms etc. ride along but keys ARE the column set) of
+    the parsed manifest ``m`` (:func:`encode.read_manifest`)."""
+    return {p: None if st is None else list(st)
+            for p, st in zip(m.table["path"].to_pylist(), m.stats)}
 
 
 def partition_tasks(rows: list[dict]) -> int:
@@ -139,11 +136,8 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
 
     from .encode import generation_of_row
 
-    manifest = load_manifest(out_dir)
-    cols = [c for c in ("path", "part_key", "generation", "rows",
-                        "raw_bytes")
-            if c in manifest.column_names]
-    rows = manifest.select(cols).to_pylist()
+    m = read_manifest(out_dir)
+    rows = m.row_dicts()
     if generation is not None:
         # explicit manifest field ("" = base); legacy rows fall back to
         # key parsing inside generation_of_row
@@ -170,7 +164,7 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
             + (f" for generation {generation!r}" if generation is not None
                else ""))
 
-    colsets = _partition_colsets(manifest)
+    colsets = _partition_colsets(m)
     keep_paths = [r["path"] for r in rows]
     part_rows = {r["path"]: int(r.get("rows") or 0) for r in rows}
     sets = {p: colsets.get(p) for p in keep_paths}

@@ -24,9 +24,11 @@ reference encode that lives in the test.
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import os
+import threading
 import urllib.parse
 
 import numpy as np
@@ -56,18 +58,30 @@ def _manifest_row_path(out_dir: str, part_key: str) -> str:
 def committed_parts(out_dir: str) -> dict[str, dict]:
     """Scan per-partition manifest rows (the checkpoint/lineage log)."""
     mdir = os.path.join(out_dir, MANIFEST_DIR)
+    if not os.path.isdir(mdir):
+        return {}
+    return _read_row_files(out_dir, [fn for fn in os.listdir(mdir)
+                                     if fn.endswith(".json")])
+
+
+def _read_row_files(out_dir: str, names: list[str]) -> dict[str, dict]:
+    """part_key -> row of the manifest row files ``names``, minus the
+    rows a surviving row ``replaces``. A file removed since it was
+    listed is skipped: it is no longer committed."""
+    mdir = os.path.join(out_dir, MANIFEST_DIR)
     out = {}
-    if os.path.isdir(mdir):
-        for fn in os.listdir(mdir):
-            if fn.endswith(".json"):
-                with open(os.path.join(mdir, fn)) as f:
-                    row = json.load(f)
-                # rebase: the partition file always lives at
-                # part_path(out_dir, part_key), so encoded dirs stay
-                # relocatable (copy/move/rsync) — a stored absolute
-                # path from the original location must never win
-                row["path"] = part_path(out_dir, row["part_key"])
-                out[row["part_key"]] = row
+    for fn in names:
+        try:
+            with open(os.path.join(mdir, fn)) as f:
+                row = json.load(f)
+        except FileNotFoundError:
+            continue
+        # rebase: the partition file always lives at
+        # part_path(out_dir, part_key), so encoded dirs stay
+        # relocatable (copy/move/rsync) — a stored absolute
+        # path from the original location must never win
+        row["path"] = part_path(out_dir, row["part_key"])
+        out[row["part_key"]] = row
     return _drop_replaced(out)
 
 
@@ -861,23 +875,120 @@ def all_generations(out_dir: str) -> set[str]:
     return gens
 
 
+class Manifest:
+    """One encoded dir's committed manifest, parsed once: the table
+    :func:`load_manifest` returns, its rows as dicts, and each row's
+    ``col_stats`` parsed on first use. :func:`read_manifest` shares one
+    per dir among all its readers until a row file changes, so it is
+    read-only: :meth:`row_dicts` hands out copies, and ``stats`` must
+    not be mutated."""
+
+    def __init__(self, table: pa.Table):
+        self.table = table
+        self._rows = table.to_pylist()
+
+    def row_dicts(self) -> list[dict]:
+        """The rows in ``part_key`` order, as fresh dicts a caller may
+        mutate (``replaces`` lists are copied too)."""
+        out = [dict(r) for r in self._rows]
+        for r in out:
+            if r.get("replaces"):
+                r["replaces"] = list(r["replaces"])
+        return out
+
+    @functools.cached_property
+    def stats(self) -> list[dict | None]:
+        """Each row's parsed ``col_stats`` (zone maps, null counts,
+        Bloom filters, sketches; None for a row without any), in row
+        order: the engine's one parse of ``col_stats``."""
+        return [json.loads(r["col_stats"]) if r.get("col_stats") else None
+                for r in self._rows]
+
+
+_MANIFEST_CACHE_DIRS = 4
+_manifest_cache: collections.OrderedDict = collections.OrderedDict()
+_manifest_cache_lock = threading.Lock()
+
+
+def _manifest_key(out_dir: str) -> tuple:
+    """What the committed manifest of ``out_dir`` is read from, without
+    opening a row file: (name, inode, size, mtime, ctime) of every row
+    file, else the same stat of the consolidated ``manifest.parquet``;
+    () when there is neither. Writers commit by ``os.replace`` and
+    delete by ``os.remove``, so every commit, append, compaction and
+    DML rewrite changes it."""
+    entries = []
+    try:
+        with os.scandir(os.path.join(out_dir, MANIFEST_DIR)) as it:
+            for e in it:
+                if not e.name.endswith(".json"):
+                    continue
+                try:
+                    st = e.stat()
+                except FileNotFoundError:
+                    continue  # removed since the listing
+                entries.append((e.name, st.st_ino, st.st_size,
+                                st.st_mtime_ns, st.st_ctime_ns))
+    except (FileNotFoundError, NotADirectoryError):
+        pass
+    if entries:
+        return ("rows", tuple(sorted(entries)))
+    try:
+        st = os.stat(os.path.join(out_dir, "manifest.parquet"))
+    except FileNotFoundError:
+        return ()
+    return ("consolidated", st.st_ino, st.st_size, st.st_mtime_ns,
+            st.st_ctime_ns)
+
+
+def _manifest_table(out_dir: str, key: tuple) -> pa.Table:
+    """The manifest table read from what ``key`` names (row files win
+    over the consolidated file, see :func:`ensure_row_files`), paths
+    rebased onto ``out_dir``."""
+    if key and key[0] == "rows":
+        rows = _read_row_files(out_dir, [e[0] for e in key[1]])
+        return _manifest_schema_table(
+            sorted(rows.values(), key=lambda r: r["part_key"]))
+    if not key:
+        return _manifest_schema_table([])
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(os.path.join(out_dir, "manifest.parquet"))
+    # same relocation rebase as committed_parts
+    paths = pa.array([part_path(out_dir, k)
+                      for k in t["part_key"].to_pylist()])
+    return t.set_column(t.column_names.index("path"), "path", paths)
+
+
+def read_manifest(out_dir: str) -> Manifest:
+    """The committed manifest of ``out_dir``, parsed once and reused
+    while :func:`_manifest_key` is unchanged: a repeated read opens no
+    row file and parses no ``col_stats``. The last few dirs read are
+    kept."""
+    key = _manifest_key(out_dir)
+    name = os.fspath(out_dir)
+    with _manifest_cache_lock:
+        hit = _manifest_cache.get(name)
+        if hit is not None and hit[0] == key:
+            _manifest_cache.move_to_end(name)
+            return hit[1]
+    # the key is taken before the rows are read: a commit in between
+    # leaves a key that no longer matches, so the next read reloads
+    m = Manifest(_manifest_table(out_dir, key))
+    if key:
+        with _manifest_cache_lock:
+            _manifest_cache[name] = (key, m)
+            _manifest_cache.move_to_end(name)
+            while len(_manifest_cache) > _MANIFEST_CACHE_DIRS:
+                _manifest_cache.popitem(last=False)
+    return m
+
+
 def load_manifest(out_dir: str) -> pa.Table:
     """Committed-partition manifest: the per-partition row files,
     sorted by ``part_key``, whenever any exist (commits, appends and
     compactions write them); else the consolidated ``manifest.parquet``.
     Paths are rebased onto ``out_dir`` either way. See
-    :func:`ensure_row_files` for why row files win."""
-    import pyarrow.parquet as pq
-
-    consolidated = os.path.join(out_dir, "manifest.parquet")
-    rows = committed_parts(out_dir)
-    if not rows and os.path.exists(consolidated):
-        t = pq.read_table(consolidated)
-        # same relocation rebase as committed_parts
-        paths = pa.array([part_path(out_dir, k)
-                          for k in t["part_key"].to_pylist()])
-        return t.set_column(t.column_names.index("path"), "path",
-                            paths)
-    return _manifest_schema_table(
-        sorted(rows.values(), key=lambda r: r["part_key"])
-    )
+    :func:`ensure_row_files` for why row files win, and
+    :func:`read_manifest` for the rows and parsed ``col_stats``."""
+    return read_manifest(out_dir).table

@@ -38,7 +38,7 @@ import pyarrow.compute as pc
 from ..exchange import pin_arrow_threads
 from ..format import decode_partition
 from .decode import gather_partitions, map_partitions
-from .encode import load_manifest
+from .encode import load_manifest, read_manifest
 
 DEFAULT_MAX_BUILD_ROWS = 50_000_000  # ~hundreds of MB of keys; guardrail
 
@@ -143,7 +143,7 @@ def _decode_all(out_dir: str, columns: list[str]) -> pa.Table:
     """Decode a (small) encoded dataset to one driver-side table via
     grouped per-partition tasks."""
     tables = gather_partitions(
-        load_manifest(out_dir).to_pylist(),
+        read_manifest(out_dir).row_dicts(),
         lambda r: decode_partition(r["path"], columns=columns))
     return pa.concat_tables(tables).combine_chunks()
 
@@ -198,7 +198,7 @@ def broadcast_join(probe_dir: str, build_dir: str, probe_key,
         )
     build_ref = ray.put(build)
 
-    probe_rows = load_manifest(probe_dir).to_pylist()
+    probe_rows = read_manifest(probe_dir).row_dicts()
     need = list(dict.fromkeys(probe_cols + probe_keys))
     out_cols = list(dict.fromkeys(probe_cols + build_cols))
 
@@ -271,8 +271,6 @@ def semi_join(probe_dir: str, probe_key: str, probe_cols: list[str],
 
     ANTI semantics are NOT EXISTS (null-safe): probe rows with a null
     key survive ANTI and never match SEMI."""
-    import json
-
     import ray
     import ray.data as rd
 
@@ -288,7 +286,8 @@ def semi_join(probe_dir: str, probe_key: str, probe_cols: list[str],
             "verify) for huge key sides"
         )
 
-    rows = load_manifest(probe_dir).to_pylist()
+    m = read_manifest(probe_dir)
+    rows = m.row_dicts()
     if not rows:  # empty probe table: semi/anti of nothing is nothing
         return rd.from_blocks([_empty_from_sidecar(
             probe_dir, list(dict.fromkeys(probe_cols + [probe_key]))
@@ -308,8 +307,8 @@ def semi_join(probe_dir: str, probe_key: str, probe_cols: list[str],
 
         sorted_keys = sorted(keyset.to_pylist())
         survivors = []
-        for r in rows:
-            stats = json.loads(r["col_stats"]).get(probe_key, {})
+        for r, cs in zip(rows, m.stats):
+            stats = cs.get(probe_key, {})
             lo, hi = stats.get("min"), stats.get("max")
             if lo is not None and hi is not None:
                 i = bisect.bisect_left(sorted_keys, lo)
@@ -430,7 +429,7 @@ def semi_join_large(probe_dir: str, probe_key: str, probe_cols: list[str],
                 >> (p2 & np.uint64(7)).astype(np.uint8)) & 1
         return (hit1 & hit2).astype(bool)
 
-    rows = load_manifest(probe_dir).to_pylist()
+    rows = read_manifest(probe_dir).row_dicts()
     if not rows:  # empty probe table: semi/anti of nothing is nothing
         return rd.from_blocks([_empty_from_sidecar(
             probe_dir, list(dict.fromkeys(probe_cols + [probe_key]))
@@ -640,14 +639,14 @@ def dataset_join(left, right, left_key, right_key,
         r_empty = right.select(right_need).slice(0, 0)
     else:
         r_man = load_manifest(right)
-        r_paths = [r["path"] for r in r_man.to_pylist()]
+        r_paths = r_man["path"].to_pylist()
         r_bytes = int(pc.sum(r_man["raw_bytes"]).as_py() or 0)
         r_empty = _side_empty(right, r_paths, right_need)
     l_paths: list[str] = []
     l_bytes = 0
     if left_is_dir:
         l_man = load_manifest(left)
-        l_paths = [r["path"] for r in l_man.to_pylist()]
+        l_paths = l_man["path"].to_pylist()
         l_bytes = int(pc.sum(l_man["raw_bytes"]).as_py() or 0)
         l_empty = _side_empty(left, l_paths, left_need)
 

@@ -34,7 +34,6 @@ point lookup or a selective filter pays no task dispatch.
 from __future__ import annotations
 
 import functools
-import json
 from typing import Any
 
 import numpy as np
@@ -45,7 +44,7 @@ from ..codecs.str_codecs import decode_codes, match_codes
 from ..column import make_column_decoder
 from ..format import decode_partition, read_exact, read_header
 from .decode import gather_partitions, map_partitions
-from .encode import load_manifest
+from .encode import read_manifest
 
 
 def _sidecar_empty(out_dir: str, columns: list[str]) -> pa.Table:
@@ -66,8 +65,7 @@ def _sidecar_empty(out_dir: str, columns: list[str]) -> pa.Table:
 
 
 def _manifest_paths(out_dir: str) -> list[dict]:
-    m = load_manifest(out_dir)
-    return m.to_pylist()
+    return read_manifest(out_dir).row_dicts()
 
 
 def _literal_bloom_hashes(cm: dict, literals: list):
@@ -675,7 +673,8 @@ def stats_meta(out_dir: str, cols: list[str]) -> dict:
 
     -> {"rows": int, col: {"min": v, "max": v}, ...}
     """
-    rows = _manifest_paths(out_dir)
+    m = read_manifest(out_dir)
+    rows = m.row_dicts()
     if not rows:  # empty table: COUNT 0, NULL bounds (exact trivially)
         _sidecar_empty(out_dir, cols)  # column existence check
         return {"rows": 0, **{c: {"min": None, "max": None} for c in cols}}
@@ -693,9 +692,8 @@ def stats_meta(out_dir: str, cols: list[str]) -> dict:
     out: dict = {"rows": 0}
     out.update({c: {"min": None, "max": None} for c in cols})
     headers: dict[str, tuple] = {}  # path -> header (nulls fallback)
-    for r in rows:
+    for r, stats in zip(rows, m.stats):
         out["rows"] += int(r["rows"])
-        stats = json.loads(r["col_stats"])
         for c in cols:
             s = stats.get(c, {})
             lo, hi = s.get("min"), s.get("max")
@@ -1008,11 +1006,11 @@ def compound_filter(out_dir: str, preds, project: list[str]):
     import ray.data as rd
 
     tree = _normalize_pred(preds)
-    rows = _manifest_paths(out_dir)
+    m = read_manifest(out_dir)
+    rows, stats = m.row_dicts(), m.stats
     if not rows:  # empty table: typed empty projection
         return rd.from_blocks([_sidecar_empty(out_dir, project)])
     header0, _ = read_header(rows[0]["path"])
-    stats = [json.loads(r["col_stats"]) for r in rows]
     # schema evolution: validate against the UNION of partition column
     # sets (manifest col_stats keys), not just the first header
     known = sorted(set().union(*stats))
@@ -1539,16 +1537,33 @@ def _order_key_u64(v: np.ndarray) -> np.ndarray:
                     b ^ np.uint64(1 << 63), ~b)
 
 
+def float_order_key(a: pa.Array) -> pa.Array:
+    """uint64 key that orders a float array as DuckDB does: every NaN,
+    of either sign, ranks above +inf and -0.0 ties with 0.0 (the
+    :func:`_order_key_u64` key of the canonical value). NULLs stay
+    NULL. :func:`float_from_order_key` maps keys back."""
+    v = a.to_numpy(zero_copy_only=False)
+    v = np.where(np.isnan(v), np.nan, v + 0.0)  # -0.0 + 0.0 == 0.0
+    return pa.array(_order_key_u64(v),
+                    mask=a.is_null().to_numpy(zero_copy_only=False))
+
+
+def float_from_order_key(k: pa.Array) -> pa.Array:
+    """The float64 values of :func:`float_order_key` keys (NaN and 0.0
+    canonical); NULLs stay NULL."""
+    u = pc.fill_null(k, 0).to_numpy(zero_copy_only=False)
+    bits = np.where(u >> np.uint64(63) != 0, u ^ np.uint64(1 << 63), ~u)
+    return pa.array(bits.view(np.float64),
+                    mask=k.is_null().to_numpy(zero_copy_only=False))
+
+
 def _order_key_inverse(u: int, kind: str):
     if kind == "u":
         return int(u)
     if kind == "i":
         v = (int(u) ^ (1 << 63))  # undo the sign-shift
         return v - (1 << 64) if v >= (1 << 63) else v
-    # float: undo the IEEE-754 total-order transform
-    uu = int(u)
-    bits = (uu ^ (1 << 63)) if uu >> 63 else (~uu & ((1 << 64) - 1))
-    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+    return float_from_order_key(pa.array([u], pa.uint64()))[0].as_py()
 
 
 def _disc_rank(p, n):
@@ -1723,7 +1738,8 @@ def sketch_percentiles(out_dir: str, col: str,
     existed — re-encode or use exact_percentiles)."""
     from ..sketches import qs_deserialize, qs_merge, qs_query
 
-    rows = _manifest_paths(out_dir)
+    m = read_manifest(out_dir)
+    rows = m.row_dicts()
     if not rows:
         base = _sidecar_empty(out_dir, [col])
         if not (pa.types.is_integer(base[col].type)
@@ -1743,8 +1759,8 @@ def sketch_percentiles(out_dir: str, col: str,
     # find a partition that HAS the column: under schema evolution the
     # first partition may predate it (the column is then NULL there)
     cm0 = None
-    for r in rows:
-        if col in json.loads(r["col_stats"]):
+    for r, cs in zip(rows, m.stats):
+        if col in cs:
             header0, _ = read_header(r["path"])
             cm0 = header0["columns"][col]
             break
@@ -1759,8 +1775,7 @@ def sketch_percentiles(out_dir: str, col: str,
     out_kind = "f" if is_float else (
         "u" if cm0.get("tag") == "u64" else "i")
     parts = []
-    for r in rows:
-        cs = json.loads(r["col_stats"])
+    for r, cs in zip(rows, m.stats):
         st = cs.get(col)
         if st is None:
             # schema evolution: the column does not exist in this
@@ -1828,10 +1843,7 @@ def order_indices(t: pa.Table, keys: list) -> pa.Array:
         if isinstance(a, pa.ChunkedArray):
             a = a.combine_chunks()
         if pa.types.is_floating(a.type):
-            v = a.to_numpy(zero_copy_only=False)
-            v = np.where(np.isnan(v), np.nan, v + 0.0)  # -0.0 + 0.0 == 0.0
-            a = pa.array(_order_key_u64(v),
-                         mask=a.is_null().to_numpy(zero_copy_only=False))
+            a = float_order_key(a)
         if nulls_first:  # the is-null tier dominates the key's values
             cols[f"n{i}"] = pc.is_null(a)
             sort_keys.append((f"n{i}", "descending"))

@@ -22,7 +22,7 @@ import pyarrow.compute as pc
 from ..hashing import hash_column, hash_ints, hash_strings
 from ..streams import int_stream_from_arrow, str_stream_from_arrow
 from .decode import gather_partitions
-from .encode import load_manifest
+from .encode import read_manifest
 
 
 def table_fingerprint(table: pa.Table, columns: list[str] | None = None) -> tuple[int, int]:
@@ -127,7 +127,7 @@ def verify_roundtrip(out_dir: str, input_paths, columns: list[str] | None = None
         n, h = table_fingerprint(t, columns)
         return {"path": path, "rows": n, "fingerprint": h}
 
-    enc_rows = gather_partitions(load_manifest(out_dir).to_pylist(),
+    enc_rows = gather_partitions(read_manifest(out_dir).row_dicts(),
                                  fp_partition)
     in_rows = gather_partitions([{"path": p} for p in input_paths],
                                 fp_input)

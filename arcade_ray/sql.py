@@ -1681,6 +1681,32 @@ def _expr_columns(node: dict, out: set):
 # --------------------------------------------------------------------------
 # aggregation executors
 
+def _group_aggregate_nan_max(t: pa.Table, keys: list[str],
+                             aggs: list) -> pa.Table:
+    """``collect.group_aggregate`` where MIN/MAX over a float column
+    follow DuckDB: they run over ``query.float_order_key`` keys, which
+    rank NaN above +inf, so MAX is NaN when any value is and MIN only
+    when every value is (Arrow's kernels skip NaN)."""
+    from .pipeline.query import float_from_order_key, float_order_key
+
+    back, aggs2 = {}, []
+    for a in aggs:
+        c, f = a[0], a[1]
+        if f in ("min", "max") and pa.types.is_floating(t[c].type):
+            k = f"__ok_{c}"
+            if k not in t.column_names:
+                t = t.append_column(
+                    k, float_order_key(t[c].combine_chunks()))
+            back[f"{k}_{f}"] = (f"{c}_{f}", t[c].type)
+            a = (k,) + tuple(a[1:])
+        aggs2.append(a)
+    out = group_aggregate(t, keys, aggs2)
+    for k, (name, typ) in back.items():
+        v = float_from_order_key(out[k].combine_chunks()).cast(typ)
+        out = out.set_column(out.column_names.index(k), name, v)
+    return out
+
+
 def _partial_agg_stream(ds, keys: list[str], atoms: list[tuple]):
     """Per-batch pyarrow partial aggregation (the map-side combine),
     merged on the driver: shuffles O(groups) rows per block instead of
@@ -1735,9 +1761,7 @@ def _partial_agg_stream(ds, keys: list[str], atoms: list[tuple]):
                 t = t.append_column(nm, pcc.multiply(x, x))
             else:  # bool -> int8
                 t = t.append_column(nm, pcc.cast(t[col], pa.int8()))
-        from .collect import group_aggregate
-
-        agg = group_aggregate(t, keys or ["__k"], [
+        agg = _group_aggregate_nan_max(t, keys or ["__k"], [
             (c, f) if mode is None
             else (c, f, pcc.CountOptions(mode=mode))
             for c, f, mode, _ in specs])
@@ -1757,8 +1781,8 @@ def _partial_agg_stream(ds, keys: list[str], atoms: list[tuple]):
     if not parts:
         return None
     allp = pa.concat_tables(parts, promote_options="permissive")
-    merged = group_aggregate(allp, keys or ["__k"],
-                             [(n, f) for n, f in merge_specs])
+    merged = _group_aggregate_nan_max(allp, keys or ["__k"],
+                                      [(n, f) for n, f in merge_specs])
     ren = {f"{n}_{f}": n for n, f in merge_specs}
     cols = {}
     for name in merged.column_names:
@@ -1784,13 +1808,13 @@ def _approx_distinct_counts(src, keys: list[str], col: str,
 
     if not keys and src.unfiltered_dir is not None:
         # manifest-only path (the distinct_sketch_sources shape)
-        from .pipeline.encode import load_manifest
+        from .pipeline.encode import read_manifest
 
-        man = load_manifest(src.unfiltered_dir)
+        stats = read_manifest(src.unfiltered_dir).stats
         sk = None
-        ok = man.num_rows > 0
-        for s in man["col_stats"].to_pylist():
-            ent = json.loads(s).get(col, {}).get("kmv")
+        ok = len(stats) > 0
+        for st in stats:
+            ent = st.get(col, {}).get("kmv")
             if ent is None:
                 ok = False
                 break
@@ -1889,18 +1913,20 @@ def _grouping_sets(merged: pa.Table, keys: list[str],
         if sorted(gs) == list(range(len(keys))):
             t = merged
         elif sub:
-            from .collect import group_aggregate
-
-            agg = group_aggregate(merged, sub,
-                                  [(c, _merge_fn(c)) for c in atom_cols])
+            agg = _group_aggregate_nan_max(
+                merged, sub, [(c, _merge_fn(c)) for c in atom_cols])
             t = pa.table({
                 **{k: agg[k] for k in sub},
                 **{c: agg[f"{c}_{_merge_fn(c)}"] for c in atom_cols}})
-        else:  # grand total
+        else:  # grand total: one group over every row
+            agg = _group_aggregate_nan_max(
+                merged.append_column("__all", pa.array(
+                    np.zeros(merged.num_rows, dtype=np.int8))),
+                ["__all"], [(c, _merge_fn(c)) for c in atom_cols])
             cols = {}
             for c in atom_cols:
-                fn = _merge_fn(c)
-                v = getattr(pc, fn)(merged[c]).as_py()
+                v = agg[f"{c}_{_merge_fn(c)}"]
+                v = v[0].as_py() if len(v) else None
                 if v is None and c.startswith("count"):
                     v = 0  # COUNT over zero rows is 0, not NULL
                 cols[c] = pa.array([v], type=merged[c].type)
@@ -2234,7 +2260,7 @@ def _decode_free_eligible(out_dir: str, key: str,
     shape needs the streamed partial path (multiple value columns,
     non-int value, non-string key, or COUNT(col)/AVG over a column
     the manifest shows has nulls)."""
-    from .pipeline.query import _manifest_paths
+    from .pipeline.encode import read_manifest
     from .format import read_header
 
     if any(f not in ("count_star", "count", "sum", "min", "max", "avg")
@@ -2243,10 +2269,10 @@ def _decode_free_eligible(out_dir: str, key: str,
     vcols = {c for f, c in atoms if f != "count_star"}
     if len(vcols) > 1:
         return None
-    rows = _manifest_paths(out_dir)
-    if not rows:
+    m = read_manifest(out_dir)
+    if not m.table.num_rows:
         return None
-    header0, _ = read_header(rows[0]["path"])
+    header0, _ = read_header(m.table["path"][0].as_py())
     if key not in header0["columns"] \
             or header0["columns"][key]["kind"] != "str":
         return None
@@ -2256,15 +2282,17 @@ def _decode_free_eligible(out_dir: str, key: str,
     cm = header0["columns"].get(vcol)
     if cm is None or cm["kind"] not in ("int",):
         return None
+    if cm.get("tag") in ("f32", "f64") and any(
+            f in ("min", "max") for f, _ in atoms):
+        return None  # float MIN/MAX rank NaN as DuckDB does: streamed
     lt = _sidecar_type(out_dir, vcol)
     if lt is not None and (pa.types.is_temporal(lt) or pa.types.is_boolean(
             lt)) and any(f in ("sum", "avg") for f, _ in atoms):
         return None  # SUM over a bit-view int64 would lose the type
     if any(f in ("count", "avg") for f, _ in atoms):
         total_nulls = 0
-        for r in rows:
-            s = json.loads(r["col_stats"]).get(vcol, {})
-            total_nulls += int(s.get("nulls") or 0)
+        for st in m.stats:
+            total_nulls += int(st.get(vcol, {}).get("nulls") or 0)
         if total_nulls:
             return None  # COUNT(col) != n_rows — generic path
     return vcol
@@ -4458,16 +4486,16 @@ def _pruning_counts(out_dir: str, tree) -> tuple[int, int]:
     from manifest zone maps + partition Bloom filters — what
     compound_filter will actually schedule tasks for."""
     from .format import read_header
-    from .pipeline.query import (_manifest_paths, _normalize_pred,
-                                 _zone_pruner)
+    from .pipeline.encode import read_manifest
+    from .pipeline.query import _normalize_pred, _zone_pruner
 
-    rows = _manifest_paths(out_dir)
-    if not rows:
+    m = read_manifest(out_dir)
+    if not m.table.num_rows:
         return 0, 0
-    header0, _ = read_header(rows[0]["path"])
+    header0, _ = read_header(m.table["path"][0].as_py())
     excluded = _zone_pruner(header0, _normalize_pred(tree))
-    surv = sum(1 for r in rows if not excluded(json.loads(r["col_stats"])))
-    return surv, len(rows)
+    surv = sum(1 for st in m.stats if not excluded(st))
+    return surv, len(m.stats)
 
 
 def explain_sql(sql: str, tables: dict[str, str]) -> str:
@@ -4798,10 +4826,11 @@ def _dataset_columns(out_dir) -> list[str]:
     materialized CTE (pa.Table) answers from its schema."""
     if isinstance(out_dir, pa.Table):
         return list(out_dir.column_names)
-    from .pipeline.query import _manifest_paths
+    from .pipeline.encode import read_manifest
     from .format import read_header
 
-    rows = _manifest_paths(out_dir)
+    m = read_manifest(out_dir)
+    rows = m.row_dicts()
     if not rows:
         from .pipeline.encode import read_schema_sidecar
 
@@ -4811,9 +4840,8 @@ def _dataset_columns(out_dir) -> list[str]:
                 f"no committed partitions under {out_dir}")
         return list(sch.names)
     union: list[str] = []
-    for r in rows:
-        cs = r.get("col_stats")
-        names = list(json.loads(cs).keys()) if cs else None
+    for r, st in zip(rows, m.stats):
+        names = None if st is None else list(st)
         if names is None:
             h, _ = read_header(r["path"])
             names = list(h["columns"].keys())
@@ -4958,8 +4986,13 @@ def _run_row_query(src, node: dict, select: list):
         drop = [k for k in keys]
 
         def _aug_nullsafe(b: pa.Table) -> pa.Table:
+            from .pipeline.query import float_order_key
+
             for i, c in hidden:
                 arr = b[c]
+                if pa.types.is_floating(arr.type):
+                    # the key query.order_indices sorts a float by
+                    arr = float_order_key(arr.combine_chunks())
                 if pa.types.is_null(arr.type):
                     isn = pa.array(np.ones(b.num_rows, dtype=np.int8))
                     filled = pa.array(np.zeros(b.num_rows,

@@ -976,6 +976,86 @@ def test_float_order_sites_vs_duckdb(ray_session, tmp_path):
         [(g, val(h), val(lo)) for g, h, lo in want(q)]
 
 
+@pytest.fixture(scope="module")
+def nan_dir(ray_session, tmp_path_factory):
+    """A six-partition dir whose float ``v`` holds -inf, -1.5, -0.0,
+    0.0, 0.5, 2.0, inf, 5% NaN and 10% NULL, with string and int group
+    keys; group ``gnan`` holds only NaN and NULL, ``gnull`` only NULL.
+    -> (dir, the same table registered in a DuckDB connection)."""
+    import duckdb
+    import ray.data as rd
+
+    rng = np.random.default_rng(16)
+    n = 3000
+    pool = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 2.0, np.inf])
+    v = pool[rng.integers(0, len(pool), n)]
+    u = rng.random(n)
+    v[u < 0.05] = np.nan
+    grp = np.array([f"g{i}" for i in rng.integers(0, 4, n)], dtype=object)
+    grp[:40] = "gnan"
+    v[:40:2] = np.nan
+    grp[40:60] = "gnull"
+    i = np.arange(n)
+    null = ((u > 0.05) & (u < 0.15)) | ((i < 40) & (i % 2 == 1)) \
+        | ((i >= 40) & (i < 60))
+    t = pa.table({
+        "doc_id": pa.array(np.arange(n), type=pa.int64()),
+        "part": pa.array([f"p{i % 6}" for i in range(n)]),
+        "grp": pa.array(grp.tolist(), type=pa.string()),
+        "gi": pa.array([7 if g == "gnan" else 8 if g == "gnull"
+                        else int(g[1:]) for g in grp], type=pa.int64()),
+        "v": pa.array(v, type=pa.float64(), mask=null),
+    })
+    d = str(tmp_path_factory.mktemp("nan") / "enc")
+    encode_dataset(rd.from_arrow(t), d, key_col="part", weight_col=None)
+    con = duckdb.connect()
+    con.register("t", t)
+    return d, con
+
+
+def test_float_min_max_nan_vs_duckdb(nan_dir):
+    """SQL MIN/MAX over a float column with NaN match DuckDB, grouped
+    (by a string key, by an int key, by ROLLUP) and global, over
+    several partitions: MAX is NaN when any non-null value is NaN, MIN
+    ignores NaN unless every non-null value is NaN."""
+    from arcade_ray.pipeline.query import _manifest_paths
+    from arcade_ray.sql import sql_query
+
+    d, con = nan_dir
+    assert len(_manifest_paths(d)) >= 4
+
+    def val(r):  # -0.0 and 0.0 tie in MIN/MAX, so either may come
+        return tuple("nan" if x != x else x for x in r)
+
+    for q in ("SELECT grp, min(v) AS lo, max(v) AS hi FROM t "
+              "GROUP BY grp ORDER BY grp",
+              "SELECT gi, min(v) AS lo, max(v) AS hi, count(v) AS c "
+              "FROM t GROUP BY gi ORDER BY gi",
+              "SELECT min(v) AS lo, max(v) AS hi FROM t",
+              "SELECT max(v) AS hi FROM t WHERE grp = 'g1'",
+              "SELECT grp, gi, min(v) AS lo, max(v) AS hi FROM t GROUP BY "
+              "ROLLUP (grp, gi) ORDER BY grp NULLS LAST, gi NULLS LAST"):
+        res = sql_query(q, {"t": d})
+        got = [val(r) for r in zip(*[res[c].to_pylist()
+                                    for c in res.column_names])]
+        assert got == [val(r) for r in con.execute(q).fetchall()], q
+
+
+def test_float_order_by_without_limit_vs_duckdb(nan_dir):
+    """SQL ORDER BY without LIMIT (the distributed sort) orders a float
+    key as DuckDB does: NaN above +inf, -0.0 tied with 0.0 (ties go to
+    the next key), NULLs last unless NULLS FIRST."""
+    from arcade_ray.collect import collect_arrow
+    from arcade_ray.sql import sql_query
+
+    d, con = nan_dir
+    for q in ("SELECT doc_id, v FROM t ORDER BY v DESC, doc_id",
+              "SELECT doc_id, v FROM t ORDER BY v NULLS FIRST, doc_id"):
+        res = collect_arrow(sql_query(q, {"t": d}))
+        got = _nan_safe(zip(*[res[c].to_pylist() for c in ("doc_id", "v")]))
+        assert got == _nan_safe(con.execute(q).fetchall()), q
+
+
 def test_query_surface_over_empty_encoded_dir(ray_session, tmp_path):
     """Every driver-facing query op answers a ZERO-PARTITION encoded
     dir (empty input shard) with a typed empty result instead of

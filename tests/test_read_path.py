@@ -525,6 +525,10 @@ ORDER_FILES = {"arcade_ray/pipeline/query.py", "arcade_ray/sql.py"}
 ORDER_ALLOWED = {("arcade_ray/pipeline/query.py", "order_indices"),
                  ("arcade_ray/sql.py", "_run_window_query")}
 
+# the one parse of manifest ``col_stats`` strings: every reader takes
+# them from the per-dir manifest cache (``encode.read_manifest``)
+COL_STATS_PARSER = ("arcade_ray/pipeline/encode.py", "stats")
+
 NO_FROM_ARROW = {"arcade_ray/pipeline/query.py",
                  "arcade_ray/pipeline/join.py",
                  "arcade_ray/pipeline/decode.py"}
@@ -549,7 +553,9 @@ def test_read_path_guard():
     build no Dataset with ``from_arrow``, and in ``ORDER_FILES`` only
     ``ORDER_ALLOWED`` passes ``null_placement=`` or calls
     ``array_sort_indices`` (every other sort goes through
-    ``query.order_indices``)."""
+    ``query.order_indices``). No function that names ``col_stats``
+    calls ``json.loads`` outside ``COL_STATS_PARSER`` (readers take
+    parsed stats from ``encode.read_manifest``)."""
     bad = []
     used = set()
     for p in sorted((REPO / "arcade_ray").rglob("*.py")):
@@ -569,6 +575,9 @@ def test_read_path_guard():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for n in ast.walk(fn):
                     owner.setdefault(n, fn.name)
+        names_col_stats = {owner.get(n) for n in ast.walk(tree)
+                           if isinstance(n, ast.Constant)
+                           and n.value == "col_stats"}
         for n in ast.walk(tree):
             if not (isinstance(n, ast.Call)
                     and isinstance(n.func, ast.Attribute)):
@@ -580,6 +589,12 @@ def test_read_path_guard():
                     and (str(where), owner.get(n)) not in ORDER_ALLOWED:
                 bad.append(f"{where}:{n.lineno} orders rows itself; "
                            "use query.order_indices")
+            if attr == "loads" and isinstance(n.func.value, ast.Name) \
+                    and n.func.value.id in ("json", "_json") \
+                    and owner.get(n) in names_col_stats \
+                    and (str(where), owner.get(n)) != COL_STATS_PARSER:
+                bad.append(f"{where}:{n.lineno} parses col_stats; use "
+                           "encode.read_manifest(...).stats")
             if attr == "to_arrow_refs":
                 bad.append(f"{where}:{n.lineno} calls to_arrow_refs()")
             elif attr == "iter_internal_ref_bundles" and (
