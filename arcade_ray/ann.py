@@ -28,6 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import indexes
 from .collect import collect_arrow
 from .sources import read_parquet_clean
 
@@ -563,18 +564,17 @@ def build_ivf_index(ds, index_dir: str, n_centroids: int = 64,
       = scale/2 per component) — 8x smaller cells than list<float64>,
       the storage path a 10^9-vector corpus needs. Queries
       reconstruct per batch; recall contract tested/oracled.
-    - ``meta.json`` is the commit marker: a rebuild removes it, then the
-      old cell data, and writes it last (tmp + ``os.replace``), so a
+    - ``meta.json`` is the commit marker of :mod:`.indexes`: a rebuild
+      removes it, then the old cell data, and writes it last, so a
       rebuild never appends to old cells and a crashed build leaves no
       marker (:func:`ivf_index_topk` refuses the dir).
 
     Returns {"cells": n, "rows": n, "dir": index_dir}."""
-    import json
     import os
-    import shutil
 
     import pyarrow.parquet as pq
     import ray
+
 
     if quantize not in (None, "int8"):
         raise ValueError(f"quantize must be None or 'int8', got {quantize!r}")
@@ -582,13 +582,7 @@ def build_ivf_index(ds, index_dir: str, n_centroids: int = 64,
         sample_size, batch_format="pyarrow")
     cents = _kmeans_lite(_to_matrix(sample_tab[vec_col]),
                          n_centroids, seed=seed)
-    os.makedirs(index_dir, exist_ok=True)
-    meta_path = os.path.join(index_dir, "meta.json")
-    data_dir = os.path.join(index_dir, "data")
-    if os.path.exists(meta_path):
-        os.remove(meta_path)
-    if os.path.isdir(data_dir):
-        shutil.rmtree(data_dir)
+    indexes.begin(index_dir, ["data"])
     pq.write_table(
         pa.table({
             "cell": pa.array(np.arange(len(cents)), type=pa.int64()),
@@ -622,52 +616,42 @@ def build_ivf_index(ds, index_dir: str, n_centroids: int = 64,
         })
 
     ds.map_batches(assign, batch_format="pyarrow").write_parquet(
-        data_dir, partition_cols=["cell"])
-    n_rows = int(ds.count())
-    tmp = meta_path + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump({"quantize": quantize, "id_col": id_col,
-                   "vec_col": vec_col}, f)
-    os.replace(tmp, meta_path)  # the build's single commit point
-    return {"cells": len(cents), "rows": n_rows, "dir": index_dir}
+        os.path.join(index_dir, "data"), partition_cols=["cell"])
+    rows = indexes.commit(index_dir, {"quantize": quantize,
+                                      "id_col": id_col,
+                                      "vec_col": vec_col}, "data")
+    return {"cells": len(cents), "rows": rows, "dir": index_dir}
 
 
 def ivf_index_topk(index_dir: str, queries_ids: list[int],
                    queries_mat: np.ndarray, k: int = 10,
-                   n_probe: int = 8, id_col: str = "vec_id",
-                   vec_col: str = "embedding") -> pa.Table:
+                   n_probe: int = 8) -> pa.Table:
     """Query a persisted IVF index: probed cells resolve against the
     tiny codebook on the driver; the data read is FILTERED to those
     cells at the parquet layer (hive-partition pruning — unprobed
     cells are never read). Scoring reuses the brute-force batch kernel
     over the pruned read; per-query results merge like topk_cosine.
-    A dir without ``meta.json`` (a build that did not finish) raises
-    FileNotFoundError."""
-    import json
+    The id and vector columns are the build's (``meta.json``); a dir
+    without a committed marker raises as :func:`indexes.open` does."""
     import os
 
     import pyarrow.parquet as pq
 
-    with open(os.path.join(index_dir, "meta.json")) as f:
-        quantize = json.load(f).get("quantize")
+
+    meta = indexes.open(index_dir)
+    quantize, id_col, vec_col = meta["quantize"], meta["id_col"], \
+        meta["vec_col"]
     book = pq.read_table(os.path.join(index_dir, "codebook.parquet"))
     cents = _to_matrix(book["centroid"])
     q = _normalize(np.asarray(queries_mat, dtype=np.float64))
     probe = np.argsort(-(q @ cents.T), axis=1)[:, :n_probe]
-    cells = sorted({int(c) for row in probe for c in row})
 
     # manual hive-partition pruning: pass ONLY the probed cells' hive
     # directories to the read (Ray's fragment sampler cannot bind a
     # filter on a partition-only column, so directory selection does
     # the pruning — unprobed cells never leave storage either way)
-    data_dir = os.path.join(index_dir, "data")
-    paths = []
-    for c in cells:
-        cdir = os.path.join(data_dir, f"cell={c}")
-        if os.path.isdir(cdir):
-            paths.extend(os.path.join(cdir, f)
-                         for f in sorted(os.listdir(cdir))
-                         if f.endswith(".parquet"))
+    paths = indexes.shard_files(os.path.join(index_dir, "data"),
+                                probe.ravel(), key="cell")
     if not paths:
         return pa.table({"query_id": pa.array([], pa.int64()),
                          id_col: pa.array([], pa.int64()),

@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import indexes
 from .constants import FORMAT_VERSION
 from .pipeline import encode_dataset
 from .pipeline.query import equi_filter, lookup, scan
@@ -41,6 +42,12 @@ TABLE_KEYS = {
 # documents.n_chars is ~characters not tokens; cap chosen so sf0.01
 # yields a handful of partitions per source
 WEIGHT_CAPS = {"documents": 2_000_000}
+
+
+def _mod(col, m: int):
+    """``col % m`` for an integer column (Arrow has no modulo kernel;
+    ``divide`` truncates, so a negative value keeps its sign)."""
+    return pc.subtract(col, pc.multiply(pc.divide(col, m), m))
 
 
 def encoded_dir(sf_dir: str, table: str) -> str:
@@ -869,13 +876,35 @@ def q_ann_filtered_topk(sf_dir: str) -> pa.Table:
     qids = qtab["vec_id"].to_pylist()
     ds = read_parquet_clean(path, columns=["vec_id", "embedding"])
     flt = ds.map_batches(
-        lambda b: b.filter(pc.equal(pc.subtract(
-            b["vec_id"], pc.multiply(pc.divide(b["vec_id"], 3), 3)),
-            0)),
+        lambda b: b.filter(pc.equal(_mod(b["vec_id"], 3), 0)),
         batch_format="pyarrow")
     res = topk_cosine(flt, qids, qmat, k=ANN_K)
     cos = pc.round(res["cos"], 4)
     return res.set_column(res.schema.get_field_index("cos"), "cos", cos)
+
+
+def _cached_index(name: str, sf_dir: str, build, **expect) -> str:
+    """The cache dir of index ``name`` over ``sf_dir``, built by
+    ``build(dir)`` only when :func:`indexes.open` refuses it: no index
+    yet, a build that stopped before its commit, another hash version
+    or other parameters than ``expect``."""
+    tag = hashlib.md5(
+        f"{sf_dir}|{name}|{_CACHE_SALT}".encode()).hexdigest()[:10]
+    idx = os.path.join(CACHE_ROOT, f"{name}-{tag}")
+    try:
+        indexes.open(idx, **expect)
+    except (FileNotFoundError, ValueError):
+        build(idx)
+    return idx
+
+
+def _docs_fifth(sf_dir: str, increment: bool):
+    """The documents with doc_id % 5 == 0 (``increment``) or the other
+    four fifths: the incremental near-dup queries' batch and index."""
+    keep = pc.equal if increment else pc.not_equal
+    return _docs_ds(sf_dir).map_batches(
+        lambda b: b.filter(keep(_mod(b["doc_id"], 5), 0)),
+        batch_format="pyarrow")
 
 
 def q_near_dedup_incremental(sf_dir: str) -> pa.Table:
@@ -887,35 +916,12 @@ def q_near_dedup_incremental(sf_dir: str) -> pa.Table:
     Rows-only (estimated-Jaccard semantics have no SQL equivalent;
     planted-copy + hash-version-refusal tests in
     tests/test_textops.py)."""
-    import hashlib as _h
-
     from .textops import build_minhash_index, query_minhash_index
 
-    def _mod5(col):
-        return pc.subtract(col, pc.multiply(pc.divide(col, 5), 5))
-
-    from .hashing import HASH_VERSION
-
-    # HASH_VERSION in the tag: a hash bump must transparently rebuild
-    # the cached index, not trip query_minhash_index's version refusal
-    tag = _h.md5(
-        f"{sf_dir}|mh-index|{_CACHE_SALT}|hv{HASH_VERSION}"
-        .encode()).hexdigest()[:10]
-    idx = os.path.join(CACHE_ROOT, f"mh-index-{tag}")
-    if not os.path.exists(idx):
-        build = f"{idx}.building"
-        import shutil as _sh
-
-        _sh.rmtree(build, ignore_errors=True)
-        base = _docs_ds(sf_dir).map_batches(
-            lambda b: b.filter(pc.not_equal(_mod5(b["doc_id"]), 0)),
-            batch_format="pyarrow")
-        build_minhash_index(base, build)
-        os.rename(build, idx)
-    inc = _docs_ds(sf_dir).map_batches(
-        lambda b: b.filter(pc.equal(_mod5(b["doc_id"]), 0)),
-        batch_format="pyarrow")
-    return query_minhash_index(inc, idx, jaccard_threshold=0.7)
+    idx = _cached_index("mh-index", sf_dir, lambda d: build_minhash_index(
+        _docs_fifth(sf_dir, False), d))
+    return query_minhash_index(_docs_fifth(sf_dir, True), idx,
+                               jaccard_threshold=0.7)
 
 
 def q_simhash_incremental(sf_dir: str) -> pa.Table:
@@ -927,32 +933,12 @@ def q_simhash_incremental(sf_dir: str) -> pa.Table:
     signatures — corpus text never re-read. Rows-only (banded-SimHash
     semantics have no SQL equivalent; planted-copy +
     hash-version-refusal tests in tests/test_textops.py)."""
-    import hashlib as _h
-
-    from .hashing import HASH_VERSION
     from .textops import build_simhash_index, query_simhash_index
 
-    def _mod5(col):
-        return pc.subtract(col, pc.multiply(pc.divide(col, 5), 5))
-
-    tag = _h.md5(
-        f"{sf_dir}|sh-index|{_CACHE_SALT}|hv{HASH_VERSION}"
-        .encode()).hexdigest()[:10]
-    idx = os.path.join(CACHE_ROOT, f"sh-index-{tag}")
-    if not os.path.exists(idx):
-        build = f"{idx}.building"
-        import shutil as _sh
-
-        _sh.rmtree(build, ignore_errors=True)
-        base = _docs_ds(sf_dir).map_batches(
-            lambda b: b.filter(pc.not_equal(_mod5(b["doc_id"]), 0)),
-            batch_format="pyarrow")
-        build_simhash_index(base, build)
-        os.rename(build, idx)
-    inc = _docs_ds(sf_dir).map_batches(
-        lambda b: b.filter(pc.equal(_mod5(b["doc_id"]), 0)),
-        batch_format="pyarrow")
-    return query_simhash_index(inc, idx, max_hamming=3)
+    idx = _cached_index("sh-index", sf_dir, lambda d: build_simhash_index(
+        _docs_fifth(sf_dir, False), d))
+    return query_simhash_index(_docs_fifth(sf_dir, True), idx,
+                               max_hamming=3)
 
 
 def q_edit_incremental(sf_dir: str) -> pa.Table:
@@ -965,32 +951,11 @@ def q_edit_incremental(sf_dir: str) -> pa.Table:
     (the engine's prefix semantics is planted-pair tested in
     tests/test_textops.py; full recall at distance <= 1 by the
     deletion-variant property)."""
-    import hashlib as _h
-
-    from .hashing import HASH_VERSION
     from .textops import build_edit_index, query_edit_index
 
-    def _mod5(col):
-        return pc.subtract(col, pc.multiply(pc.divide(col, 5), 5))
-
-    tag = _h.md5(
-        f"{sf_dir}|ed-index|{_CACHE_SALT}|hv{HASH_VERSION}"
-        .encode()).hexdigest()[:10]
-    idx = os.path.join(CACHE_ROOT, f"ed-index-{tag}")
-    if not os.path.exists(idx):
-        build = f"{idx}.building"
-        import shutil as _sh
-
-        _sh.rmtree(build, ignore_errors=True)
-        base = _docs_ds(sf_dir).map_batches(
-            lambda b: b.filter(pc.not_equal(_mod5(b["doc_id"]), 0)),
-            batch_format="pyarrow")
-        build_edit_index(base, build, prefix_len=24)
-        os.rename(build, idx)
-    inc = _docs_ds(sf_dir).map_batches(
-        lambda b: b.filter(pc.equal(_mod5(b["doc_id"]), 0)),
-        batch_format="pyarrow")
-    return query_edit_index(inc, idx)
+    idx = _cached_index("ed-index", sf_dir, lambda d: build_edit_index(
+        _docs_fifth(sf_dir, False), d, prefix_len=24), prefix_len=24)
+    return query_edit_index(_docs_fifth(sf_dir, True), idx)
 
 
 def q_sql_merge_upsert(sf_dir: str) -> pa.Table:
@@ -2086,13 +2051,10 @@ def q_ann_ivf_recall(sf_dir: str) -> pa.Table:
                      "recall_ok": pa.array(rows_ok, type=pa.bool_())})
 
 
-def q_ann_index_recall(sf_dir: str) -> pa.Table:
-    """PERSISTED IVF index contract (ann.build_ivf_index /
-    ivf_index_topk): the index builds once into hive-partitioned
-    parquet; queries read ONLY probed-cell directories. Recall vs the
-    exact top-k computed in-query; the oracle asserts all-true."""
+def _ivf_index_recall(sf_dir: str, quantize: str | None) -> pa.Table:
+    """Per ANN query: does the cached persisted IVF index (built with
+    ``quantize``) recall >= 0.6 of the exact top-k?"""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from .ann import build_ivf_index, ivf_index_topk, topk_cosine
 
@@ -2103,10 +2065,10 @@ def q_ann_index_recall(sf_dir: str) -> pa.Table:
     qids = qtab["vec_id"].to_pylist()
     ds = read_parquet_clean(path, columns=["vec_id", "embedding"])
 
-    tag = hashlib.md5(sf_dir.encode()).hexdigest()[:10]
-    idx = os.path.join(CACHE_ROOT, f"ivf-index-{tag}")
-    if not os.path.exists(os.path.join(idx, "meta.json")):
-        build_ivf_index(ds, idx, n_centroids=32, sample_size=4000)
+    idx = _cached_index(
+        "ivf-index-q8" if quantize else "ivf-index", sf_dir,
+        lambda d: build_ivf_index(ds, d, n_centroids=32, sample_size=4000,
+                                  quantize=quantize), quantize=quantize)
     exact = topk_cosine(ds, qids, qmat, k=ANN_K)
     approx = ivf_index_topk(idx, qids, qmat, k=ANN_K, n_probe=16)
     rows_q, rows_ok = [], []
@@ -2117,6 +2079,14 @@ def q_ann_index_recall(sf_dir: str) -> pa.Table:
         rows_ok.append(len(e & a) / max(1, len(e)) >= 0.6)
     return pa.table({"query_id": pa.array(rows_q, type=pa.int64()),
                      "recall_ok": pa.array(rows_ok, type=pa.bool_())})
+
+
+def q_ann_index_recall(sf_dir: str) -> pa.Table:
+    """PERSISTED IVF index contract (ann.build_ivf_index /
+    ivf_index_topk): the index builds once into hive-partitioned
+    parquet; queries read ONLY probed-cell directories. Recall vs the
+    exact top-k computed in-query; the oracle asserts all-true."""
+    return _ivf_index_recall(sf_dir, None)
 
 
 def q_ann_index_q8_recall(sf_dir: str) -> pa.Table:
@@ -2125,32 +2095,7 @@ def q_ann_index_q8_recall(sf_dir: str) -> pa.Table:
     vector (8x smaller than list<float64> — the storage path a
     10^9-vector corpus needs); queries reconstruct per batch. Recall
     contract vs the exact top-k, all-true oracle."""
-    import pyarrow.parquet as pq
-
-    from .ann import build_ivf_index, ivf_index_topk, topk_cosine
-
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    qtab = pq.read_table(path, filters=[("vec_id", "in", ANN_QUERY_IDS)])
-    qmat = np.array([r for r in qtab["embedding"].to_pylist()],
-                    dtype=np.float64)
-    qids = qtab["vec_id"].to_pylist()
-    ds = read_parquet_clean(path, columns=["vec_id", "embedding"])
-
-    tag = hashlib.md5(sf_dir.encode()).hexdigest()[:10]
-    idx = os.path.join(CACHE_ROOT, f"ivf-index-q8-{tag}")
-    if not os.path.exists(os.path.join(idx, "meta.json")):
-        build_ivf_index(ds, idx, n_centroids=32, sample_size=4000,
-                        quantize="int8")
-    exact = topk_cosine(ds, qids, qmat, k=ANN_K)
-    approx = ivf_index_topk(idx, qids, qmat, k=ANN_K, n_probe=16)
-    rows_q, rows_ok = [], []
-    for q in sorted(qids):
-        e = set(exact.filter(pc.equal(exact["query_id"], q))["vec_id"].to_pylist())
-        a = set(approx.filter(pc.equal(approx["query_id"], q))["vec_id"].to_pylist())
-        rows_q.append(q)
-        rows_ok.append(len(e & a) / max(1, len(e)) >= 0.6)
-    return pa.table({"query_id": pa.array(rows_q, type=pa.int64()),
-                     "recall_ok": pa.array(rows_ok, type=pa.bool_())})
+    return _ivf_index_recall(sf_dir, "int8")
 
 
 # --- training-data pipeline operators (dedup / text analysis / ANN) --------
@@ -2183,9 +2128,7 @@ def q_exact_dedup_best(sf_dir: str) -> pa.Table:
     docs = _docs_ds(sf_dir)
 
     def dup_copy(b: pa.Table) -> pa.Table:
-        d = b.filter(pc.equal(
-            pc.subtract(b["doc_id"],
-                        pc.multiply(pc.divide(b["doc_id"], 50), 50)), 0))
+        d = b.filter(pc.equal(_mod(b["doc_id"], 50), 0))
         return pa.table({
             "doc_id": pc.add(d["doc_id"], 10_000_000),
             "text": d["text"],
@@ -2197,9 +2140,7 @@ def q_exact_dedup_best(sf_dir: str) -> pa.Table:
         .map_batches(dup_copy, batch_format="pyarrow"))
 
     def score(b: pa.Table) -> pa.Table:
-        prio = pc.subtract(
-            pc.multiply(b["doc_id"], 37),
-            pc.multiply(pc.divide(pc.multiply(b["doc_id"], 37), 101), 101))
+        prio = _mod(pc.multiply(b["doc_id"], 37), 101)
         return b.append_column("prio", prio)
 
     out = exact_dedup(unioned.map_batches(score, batch_format="pyarrow"),
@@ -2222,18 +2163,12 @@ def q_dedup_incremental(sf_dir: str) -> pa.Table:
 
     from .textops import build_dedup_index, dedup_against_index
 
-    tag = hashlib.md5(sf_dir.encode()).hexdigest()[:10]
-    idx = os.path.join(CACHE_ROOT, f"dedup-sig-{tag}")
-    if not os.path.isdir(idx):
-        build_dedup_index(_docs_ds(sf_dir), idx)
+    idx = _cached_index("dedup-sig", sf_dir,
+                        lambda d: build_dedup_index(_docs_ds(sf_dir), d))
 
     def plant(b: pa.Table) -> pa.Table:
-        seen = b.filter(pc.equal(
-            pc.subtract(b["doc_id"],
-                        pc.multiply(pc.divide(b["doc_id"], 5), 5)), 0))
-        novel = b.filter(pc.equal(
-            pc.subtract(b["doc_id"],
-                        pc.multiply(pc.divide(b["doc_id"], 10), 10)), 0))
+        seen = b.filter(pc.equal(_mod(b["doc_id"], 5), 0))
+        novel = b.filter(pc.equal(_mod(b["doc_id"], 10), 0))
         return pa.table({
             "doc_id": pa.concat_arrays([
                 pc.add(seen["doc_id"], 20_000_000).combine_chunks(),
@@ -2851,9 +2786,7 @@ def _eval_slice(sf_dir: str):
     """Deterministic eval 'benchmark': every 97th document — the
     small side of the decontamination queries."""
     def pick(b: pa.Table) -> pa.Table:
-        return b.filter(pc.equal(
-            pc.subtract(b["doc_id"],
-                        pc.multiply(pc.divide(b["doc_id"], 97), 97)), 0))
+        return b.filter(pc.equal(_mod(b["doc_id"], 97), 0))
 
     return _docs_ds(sf_dir).map_batches(pick, batch_format="pyarrow")
 
@@ -2984,9 +2917,7 @@ def q_decontaminate_tokens(sf_dir: str) -> pa.Table:
     from .tokenops import decontaminate_tokens
 
     def pick(b: pa.Table) -> pa.Table:
-        return b.filter(pc.equal(
-            pc.subtract(b["doc_id"],
-                        pc.multiply(pc.divide(b["doc_id"], 97), 97)), 0))
+        return b.filter(pc.equal(_mod(b["doc_id"], 97), 0))
 
     toks = _toks_ds(sf_dir)  # one vocab build serves both sides
     ev = toks.map_batches(pick, batch_format="pyarrow")

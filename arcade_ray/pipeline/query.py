@@ -41,6 +41,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..codecs.str_codecs import decode_codes, match_codes
+from ..collect import group_aggregate
 from ..column import make_column_decoder
 from ..format import decode_partition, read_exact, read_header
 from .decode import gather_partitions, map_partitions
@@ -1227,12 +1228,13 @@ def _merge_agg_partials(b: pa.Table, key_cols: list[str],
                         agg_t: pa.DataType) -> pa.Table:
     """In-block merge of (keys..., sum_v, min_v, max_v, n_rows)
     aggregate partials — arrow group_by skips nulls, matching the
-    driver fold's all-null-group (sum_v None) semantics."""
+    driver fold's all-null-group (sum_v None) semantics; float MIN/MAX
+    rank NaN as DuckDB does."""
     if b.num_rows == 0:
         return b
-    g = b.group_by(key_cols).aggregate(
-        [("sum_v", "sum"), ("min_v", "min"), ("max_v", "max"),
-         ("n_rows", "sum")])
+    g = _group_aggregate_nan_max(
+        b, key_cols, [("sum_v", "sum"), ("min_v", "min"),
+                      ("max_v", "max"), ("n_rows", "sum")])
     cols = {kc: g[kc] for kc in key_cols}
     cols["sum_v"] = g["sum_v_sum"].cast(agg_t)
     cols["min_v"] = g["min_v_min"].cast(agg_t)
@@ -1352,7 +1354,9 @@ def dict_group_aggregate(out_dir: str, key_col, value_col: str) -> pa.Table:
     GROUP BY). Integer value columns accumulate in int64 (per-chunk
     reduceat) and merge as Python ints — EXACT at any scale, where a
     float64 accumulator silently loses low bits past 2^53 (round-2
-    review finding). Float columns keep the float64 path."""
+    review finding). Float columns keep the float64 path; their MIN and
+    MAX follow DuckDB (MAX is NaN if any value is, MIN only if every
+    value is)."""
     key_cols = [key_col] if isinstance(key_col, str) else list(key_col)
     rows = _manifest_paths(out_dir)
     if not rows:  # empty table: zero groups
@@ -1403,8 +1407,10 @@ def dict_group_aggregate(out_dir: str, key_col, value_col: str) -> pa.Table:
         k = tuple(row[kc] for kc in key_cols)
         if row["sum_v"] is not None:  # group had >=1 non-null value
             sums[k] = sums.get(k, 0) + row["sum_v"]
-            mins[k] = min(mins.get(k, row["min_v"]), row["min_v"])
-            maxs[k] = max(maxs.get(k, row["max_v"]), row["max_v"])
+            mins[k] = min(mins.get(k, row["min_v"]), row["min_v"],
+                          key=_nan_last)
+            maxs[k] = max(maxs.get(k, row["max_v"]), row["max_v"],
+                          key=_nan_last)
         counts[k] = counts.get(k, 0) + row["n_rows"]
     return to_table(sums, mins, maxs, counts)
 
@@ -1513,8 +1519,18 @@ def _dict_group_agg_partition(path: str, key_cols: list[str], value_col: str,
                 if len(seg) == 0:
                     continue
                 sums[key] = sums.get(key, 0) + box(seg.sum())
-                mins[key] = min(mins.get(key, box(seg.min())), box(seg.min()))
-                maxs[key] = max(maxs.get(key, box(seg.max())), box(seg.max()))
+                lo_v, hi_v = box(seg.min()), box(seg.max())  # NaN if any is
+                if lo_v != lo_v and not np.isnan(seg).all():
+                    lo_v = box(np.nanmin(seg))
+                mins[key] = min(mins.get(key, lo_v), lo_v, key=_nan_last)
+                maxs[key] = max(maxs.get(key, hi_v), hi_v, key=_nan_last)
+
+
+def _nan_last(x) -> tuple:
+    """Sort key of a MIN/MAX partial as DuckDB orders floats: NaN above
+    every number, so a merged MAX is NaN when any partial is and a MIN
+    only when every one is."""
+    return (x != x, x)
 
 
 SELECT_BINS = 1 << 16  # per-level bins: 0.5 MB per (range, partition)
@@ -1555,6 +1571,30 @@ def float_from_order_key(k: pa.Array) -> pa.Array:
     bits = np.where(u >> np.uint64(63) != 0, u ^ np.uint64(1 << 63), ~u)
     return pa.array(bits.view(np.float64),
                     mask=k.is_null().to_numpy(zero_copy_only=False))
+
+
+def _group_aggregate_nan_max(t: pa.Table, keys: list[str],
+                             aggs: list) -> pa.Table:
+    """``collect.group_aggregate`` where MIN/MAX over a float column
+    follow DuckDB: they run over :func:`float_order_key` keys, which
+    rank NaN above +inf, so MAX is NaN when any value is and MIN only
+    when every value is (Arrow's kernels skip NaN)."""
+    back, aggs2 = {}, []
+    for a in aggs:
+        c, f = a[0], a[1]
+        if f in ("min", "max") and pa.types.is_floating(t[c].type):
+            k = f"__ok_{c}"
+            if k not in t.column_names:
+                t = t.append_column(
+                    k, float_order_key(t[c].combine_chunks()))
+            back[f"{k}_{f}"] = (f"{c}_{f}", t[c].type)
+            a = (k,) + tuple(a[1:])
+        aggs2.append(a)
+    out = group_aggregate(t, keys, aggs2)
+    for k, (name, typ) in back.items():
+        v = float_from_order_key(out[k].combine_chunks()).cast(typ)
+        out = out.set_column(out.column_names.index(k), name, v)
+    return out
 
 
 def _order_key_inverse(u: int, kind: str):

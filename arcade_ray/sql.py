@@ -51,7 +51,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .collect import group_aggregate
-from .pipeline.query import _run_starts, head, order_indices
+from .pipeline.query import (_group_aggregate_nan_max, _run_starts,
+                             float_order_key, head, order_indices)
 
 __all__ = ["sql_query", "explain_sql", "SqlUnsupported"]
 
@@ -1680,32 +1681,6 @@ def _expr_columns(node: dict, out: set):
 
 # --------------------------------------------------------------------------
 # aggregation executors
-
-def _group_aggregate_nan_max(t: pa.Table, keys: list[str],
-                             aggs: list) -> pa.Table:
-    """``collect.group_aggregate`` where MIN/MAX over a float column
-    follow DuckDB: they run over ``query.float_order_key`` keys, which
-    rank NaN above +inf, so MAX is NaN when any value is and MIN only
-    when every value is (Arrow's kernels skip NaN)."""
-    from .pipeline.query import float_from_order_key, float_order_key
-
-    back, aggs2 = {}, []
-    for a in aggs:
-        c, f = a[0], a[1]
-        if f in ("min", "max") and pa.types.is_floating(t[c].type):
-            k = f"__ok_{c}"
-            if k not in t.column_names:
-                t = t.append_column(
-                    k, float_order_key(t[c].combine_chunks()))
-            back[f"{k}_{f}"] = (f"{c}_{f}", t[c].type)
-            a = (k,) + tuple(a[1:])
-        aggs2.append(a)
-    out = group_aggregate(t, keys, aggs2)
-    for k, (name, typ) in back.items():
-        v = float_from_order_key(out[k].combine_chunks()).cast(typ)
-        out = out.set_column(out.column_names.index(k), name, v)
-    return out
-
 
 def _partial_agg_stream(ds, keys: list[str], atoms: list[tuple]):
     """Per-batch pyarrow partial aggregation (the map-side combine),
@@ -4986,8 +4961,6 @@ def _run_row_query(src, node: dict, select: list):
         drop = [k for k in keys]
 
         def _aug_nullsafe(b: pa.Table) -> pa.Table:
-            from .pipeline.query import float_order_key
-
             for i, c in hidden:
                 arr = b[c]
                 if pa.types.is_floating(arr.type):
@@ -5294,6 +5267,8 @@ def _run_window_query(src, node: dict, select: list):
         # fixed bucket co-locates them (wpass re-groups by value)
         arr = col.combine_chunks() \
             if isinstance(col, pa.ChunkedArray) else col
+        if pa.types.is_floating(arr.type):  # -0.0 with 0.0, NaN with NaN
+            arr = float_order_key(arr)
         if arr.null_count:
             valid = pc.is_valid(arr).to_numpy(zero_copy_only=False)
             out = np.zeros(len(arr), dtype=np.int64)
@@ -5343,10 +5318,8 @@ def _run_window_query(src, node: dict, select: list):
         t = t.drop_columns(["_wb"]) if "_wb" in t.column_names else t
         if t.num_rows == 0:
             return pa.table({})
-        sort_keys = [(k, "ascending") for k in pk_list] + \
-            [(c, "descending" if d else "ascending") for c, d in orders]
-        t = t.take(pc.sort_indices(t, sort_keys=sort_keys,
-                                   null_placement="at_end"))
+        t = t.take(order_indices(t, [(k, False, False) for k in pk_list]
+                                 + [(c, d, False) for c, d in orders]))
         n = t.num_rows
 
         def col_np(c):
@@ -5361,6 +5334,8 @@ def _run_window_query(src, node: dict, select: list):
             m[0] = True
             for c in cols:
                 a = col_np(c)
+                if pa.types.is_floating(a.type):  # NaN rows are peers
+                    a = float_order_key(a)
                 neq = pc.fill_null(
                     pc.not_equal(a.slice(1), a.slice(0, n - 1)), False) \
                     .to_numpy(zero_copy_only=False)

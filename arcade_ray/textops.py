@@ -38,6 +38,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import indexes
 from .hashing import hash_strings
 from .sources import read_parquet_clean
 
@@ -379,12 +380,8 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         from .streams import str_stream_from_arrow
 
         lengths, data, _ = str_stream_from_arrow(sub[text_col])
-        sigs = np.ascontiguousarray(
-            batch_minhash_signatures(lengths, data, n_perm, shingle_k))
-        arr = pa.Array.from_buffers(
-            pa.binary(n_perm * 8), len(lengths),
-            [None, pa.py_buffer(sigs.tobytes())])
-        return sub.append_column("_sig", arr)
+        return sub.append_column("_sig", _sig_array(
+            batch_minhash_signatures(lengths, data, n_perm, shingle_k)))
 
     def verify(pairs: pa.Table, payload: pa.Table) -> pa.Table:
         from .streams import str_stream_from_arrow
@@ -392,11 +389,7 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         ids_f = payload[id_col].to_numpy(zero_copy_only=False)
         order = np.argsort(ids_f)
         ids_sorted = ids_f[order]
-        sig_arr = payload["_sig"].combine_chunks()
-        sig_mat = np.frombuffer(
-            sig_arr.buffers()[1], dtype=np.uint64,
-            count=(sig_arr.offset + len(sig_arr)) * n_perm,
-        ).reshape(-1, n_perm)[sig_arr.offset:]
+        sig_mat = _sig_matrix(payload["_sig"], n_perm)
         ai = order[np.searchsorted(
             ids_sorted, pairs["id_a"].to_numpy(zero_copy_only=False))]
         bi = order[np.searchsorted(
@@ -2111,34 +2104,16 @@ def normalize_text(ds, text_col: str = "text", out_col: str = "norm_text",
 def build_dedup_index(ds, index_dir: str, text_col: str = "text",
                       id_col: str = "doc_id") -> int:
     """Persist a corpus's exact-dedup SIGNATURE INDEX: (h1, h2, id)
-    parquet shards — 24 B/doc regardless of document size. Continuous
-    ingest then dedups NEW batches against the index
+    parquet files under ``sigs/`` — 24 B/doc regardless of document
+    size. Continuous ingest then dedups NEW batches against the index
     (:func:`dedup_against_index`) without ever re-reading the old
-    corpus text. Returns the indexed row count.
-
-    ``_index_meta.json`` is the commit marker: a rebuild removes it,
-    then the old shards, and writes it last (tmp + ``os.replace``), so
-    a rebuild replaces the index and a crashed one has no marker."""
-    import json as _json
-
-    from .hashing import HASH_VERSION
-
-    meta_p = os.path.join(index_dir, "_index_meta.json")
-    if os.path.exists(meta_p):
-        os.remove(meta_p)
-    if os.path.isdir(index_dir):
-        for fn in os.listdir(index_dir):
-            if fn.endswith(".parquet"):
-                os.remove(os.path.join(index_dir, fn))
-    sig = ds.map_batches(lambda b: dedup_signatures(b, text_col, id_col),
-                         batch_format="pyarrow")
-    sig.write_parquet(index_dir)
-    n = int(read_parquet_clean(index_dir).count())
-    tmp = meta_p + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        _json.dump({"hash_version": HASH_VERSION}, f)
-    os.replace(tmp, meta_p)
-    return n
+    corpus text. Committed by :mod:`.indexes` (``meta.json`` last).
+    Returns the indexed row count."""
+    indexes.begin(index_dir, ["sigs"])
+    ds.map_batches(lambda b: dedup_signatures(b, text_col, id_col),
+                   batch_format="pyarrow").write_parquet(
+        os.path.join(index_dir, "sigs"))
+    return indexes.commit(index_dir, {"id_col": id_col}, "sigs")
 
 
 def dedup_against_index(ds, index_dir: str, text_col: str = "text",
@@ -2156,21 +2131,7 @@ def dedup_against_index(ds, index_dir: str, text_col: str = "text",
     128-bit hash alone (the index stores no text to verify against);
     within the new batch, survivors still get the text-verified
     exact_dedup."""
-    import json as _json
-
-    from .hashing import HASH_VERSION
-
-    meta_p = os.path.join(index_dir, "_index_meta.json")
-    iv = None
-    if os.path.exists(meta_p):
-        with open(meta_p) as f:
-            iv = _json.load(f).get("hash_version")
-    if iv != HASH_VERSION:
-        raise ValueError(
-            f"signature index at {index_dir} was built under hash "
-            f"version {iv or 1}, current is {HASH_VERSION}: its "
-            f"signatures no longer match newly hashed text — rebuild "
-            f"it with build_dedup_index")
+    indexes.open(index_dir)
 
     import ray
     import ray.data as rd
@@ -2183,7 +2144,7 @@ def dedup_against_index(ds, index_dir: str, text_col: str = "text",
     new_sig = ds.map_batches(
         lambda b: dedup_signatures(b, text_col, id_col),
         batch_format="pyarrow")
-    index = read_parquet_clean(index_dir)
+    index = read_parquet_clean(os.path.join(index_dir, "sigs"))
     # resolve the id type ONCE — schema() inside the batch fn would
     # trigger a limit-1 execution per call
     sch = new_sig.schema()
@@ -2380,6 +2341,83 @@ def _band_keys(sigs: np.ndarray, bands: int) -> np.ndarray:
     return bh.view(np.int64)
 
 
+def _sig_array(sigs: np.ndarray) -> pa.Array:
+    """(n, n_perm) uint64 MinHash signatures as one fixed-size binary
+    array, n_perm * 8 bytes a row."""
+    sigs = np.ascontiguousarray(sigs, dtype=np.uint64)
+    return pa.Array.from_buffers(pa.binary(sigs.shape[1] * 8), len(sigs),
+                                 [None, pa.py_buffer(sigs.tobytes())])
+
+
+def _sig_matrix(col, n_perm: int) -> np.ndarray:
+    """The (n, n_perm) uint64 view of a :func:`_sig_array` column."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    return np.frombuffer(
+        arr.buffers()[1], dtype=np.uint64,
+        count=(arr.offset + len(arr)) * n_perm,
+    ).reshape(-1, n_perm)[arr.offset:]
+
+
+def _probe_bands(index_dir: str, n_shards: int, keys: np.ndarray,
+                 owner: np.ndarray, carry: dict, owner_col: str):
+    """Candidate pairs of a band-index query: stream only the
+    ``bands/`` shards that can hold one of the new band ``keys`` and,
+    for every index row whose ``bk`` equals a new key (a key may belong
+    to several new rows), emit the ``carry`` columns (index column ->
+    output name) and ``owner_col``, that key's ``owner``, all int64.
+    -> the candidate table, or None when nothing matches."""
+    import ray
+    import ray.data as rd
+
+    from .collect import collect_arrow
+
+    order = np.argsort(keys)
+    sorted_bk = keys[order]
+    paths = indexes.shard_files(os.path.join(index_dir, "bands"),
+                                indexes.shard_of(sorted_bk, n_shards))
+    if not paths:
+        return None
+    ref = ray.put((sorted_bk, owner[order]))
+
+    def probe(b: pa.Table) -> pa.Table:
+        sbk, own = ray.get(ref)
+        bk = b["bk"].to_numpy(zero_copy_only=False)
+        lo = np.searchsorted(sbk, bk, side="left")
+        hi = np.searchsorted(sbk, bk, side="right")
+        idx = np.flatnonzero(hi > lo)
+        counts = (hi - lo)[idx]
+        # the new-key positions lo..hi-1 of every hit, run after run
+        pos = np.repeat(lo[idx] - np.cumsum(counts) + counts, counts) \
+            + np.arange(counts.sum())
+        out = {name: pa.array(np.repeat(
+            b[c].to_numpy(zero_copy_only=False)[idx], counts)
+            .astype(np.int64)) for c, name in carry.items()}
+        out[owner_col] = pa.array(own[pos].astype(np.int64))
+        return pa.table(out)
+
+    cand = collect_arrow(
+        rd.read_parquet(paths).map_batches(probe, batch_format="pyarrow"))
+    if cand.num_rows == 0 or owner_col not in cand.column_names:
+        return None
+    return cand
+
+
+def _index_rows(index_dir: str, sub: str, n_shards: int, ids: np.ndarray,
+                col: str):
+    """The (id, ``col``) rows of the ``ids`` from the id-sharded subdir
+    ``sub``, reading only their shards. -> a table, or None if empty."""
+    import pyarrow.parquet as pq
+
+    need = pa.array(ids)
+    parts = []
+    for p in indexes.shard_files(os.path.join(index_dir, sub),
+                                 indexes.shard_of(ids, n_shards)):
+        t = pq.read_table(p, columns=["id", col])
+        parts.append(t.filter(pc.is_in(t["id"], value_set=need)))
+    t = pa.concat_tables(parts) if parts else None
+    return t if t is not None and t.num_rows else None
+
+
 def build_minhash_index(ds, index_dir: str, text_col: str = "text",
                         id_col: str = "doc_id", n_perm: int = 64,
                         bands: int = 16, shingle_k: int = 5,
@@ -2395,85 +2433,51 @@ def build_minhash_index(ds, index_dir: str, text_col: str = "text",
     - ``sigs/shard=S/``: (id, sig fixed_binary(n_perm*8)) signatures,
       S = id mod ``n_shards`` — read only for candidate-matched ids
       to estimate Jaccard;
-    - ``meta.json``: parameters + the hash version
-      (:data:`arcade_ray.hashing.HASH_VERSION`) — queries REFUSE an
-      index built by a different hash version rather than silently
-      missing duplicates.
+    - ``meta.json``: parameters + the hash version, the commit marker
+      of :mod:`.indexes` — queries REFUSE a partial build or one of a
+      different hash version rather than silently missing duplicates.
 
     ``id_col`` must be integer-typed. Returns {"rows", "dir"}."""
-    import json as _json
-    import os as _os
+    import ray.data as rd
 
-    from .hashing import HASH_VERSION
     from .streams import str_stream_from_arrow
 
-    # meta.json is the COMMIT MARKER: written atomically (tmp+rename)
-    # as the LAST step, so a crashed partial build has no meta.json and
-    # query_minhash_index refuses loudly (FileNotFoundError) instead of
-    # probing a half-written band table and silently reporting no
-    # duplicates. A stale marker from a previous build is removed first
-    # so a rebuild that crashes mid-way is equally detectable.
-    import shutil as _shutil
-
-    _os.makedirs(index_dir, exist_ok=True)
-    meta_path = _os.path.join(index_dir, "meta.json")
-    if _os.path.exists(meta_path):
-        _os.remove(meta_path)
-    for sub in ("sigs", "bands"):  # drop any partial-build leftovers
-        p = _os.path.join(index_dir, sub)
-        if _os.path.isdir(p):
-            _shutil.rmtree(p)
+    indexes.begin(index_dir, ["sigs", "bands"])
 
     def sig_rows(b: pa.Table) -> pa.Table:
         lengths, data, _ = str_stream_from_arrow(b[text_col])
-        sigs = np.ascontiguousarray(
-            batch_minhash_signatures(lengths, data, n_perm, shingle_k))
         ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        arr = pa.Array.from_buffers(
-            pa.binary(n_perm * 8), len(ids),
-            [None, pa.py_buffer(sigs.tobytes())])
         return pa.table({
             "id": pa.array(ids),
-            "sig": arr,
-            "shard": pa.array((ids % n_shards + n_shards) % n_shards),
+            "sig": _sig_array(batch_minhash_signatures(
+                lengths, data, n_perm, shingle_k)),
+            "shard": pa.array(indexes.shard_of(ids, n_shards)),
         })
 
     # signatures (the expensive pass: shingle + n_perm permutations)
     # compute ONCE; the band table then derives from the PERSISTED
-    # signatures — a cheap re-read instead of a second signature pass,
-    # and the row count comes from the sig table's parquet metadata
-    import ray.data as rd
-
+    # signatures — a cheap re-read instead of a second signature pass
     ds.map_batches(sig_rows, batch_format="pyarrow").write_parquet(
-        _os.path.join(index_dir, "sigs"), partition_cols=["shard"])
-    sig_ds = rd.read_parquet(_os.path.join(index_dir, "sigs"),
+        os.path.join(index_dir, "sigs"), partition_cols=["shard"])
+    sig_ds = rd.read_parquet(os.path.join(index_dir, "sigs"),
                              columns=["id", "sig"])
 
     def band_rows(b: pa.Table) -> pa.Table:
-        sig_arr = b["sig"].combine_chunks()
-        m = len(sig_arr)
-        sigs = np.frombuffer(
-            sig_arr.buffers()[1], dtype=np.uint64,
-            count=(sig_arr.offset + m) * n_perm,
-        ).reshape(-1, n_perm)[sig_arr.offset:]
-        bh = _band_keys(sigs, bands)
+        bh = _band_keys(_sig_matrix(b["sig"], n_perm), bands)
         ids = b["id"].to_numpy(zero_copy_only=False)
         bk = bh.reshape(-1)
         return pa.table({
             "bk": pa.array(bk),
             "id": pa.array(np.repeat(ids, bands).astype(np.int64)),
-            "shard": pa.array((bk % n_shards + n_shards) % n_shards),
+            "shard": pa.array(indexes.shard_of(bk, n_shards)),
         })
 
     sig_ds.map_batches(band_rows, batch_format="pyarrow").write_parquet(
-        _os.path.join(index_dir, "bands"), partition_cols=["shard"])
-    tmp = meta_path + f".tmp.{_os.getpid()}"
-    with open(tmp, "w") as f:
-        _json.dump({"n_perm": n_perm, "bands": bands,
-                    "shingle_k": shingle_k, "n_shards": n_shards,
-                    "id_col": id_col, "hash_version": HASH_VERSION}, f)
-    _os.replace(tmp, meta_path)  # the build's single commit point
-    return {"rows": int(sig_ds.count()), "dir": index_dir}
+        os.path.join(index_dir, "bands"), partition_cols=["shard"])
+    rows = indexes.commit(index_dir, {
+        "n_perm": n_perm, "bands": bands, "shingle_k": shingle_k,
+        "n_shards": n_shards, "id_col": id_col}, "sigs")
+    return {"rows": rows, "dir": index_dir}
 
 
 def query_minhash_index(new_ds, index_dir: str,
@@ -2491,40 +2495,20 @@ def query_minhash_index(new_ds, index_dir: str,
     shards of the band table (hive pruning), candidate ids then select
     only their signature shards, filtered at the parquet layer. The
     corpus text is never re-read and the index never loads whole."""
-    import json as _json
-    import os as _os
-
-    import pyarrow.parquet as _pq
-    import ray
-    import ray.data as rd
-
-    from .hashing import HASH_VERSION
+    from .collect import collect_arrow
     from .streams import str_stream_from_arrow
 
-    with open(_os.path.join(index_dir, "meta.json")) as f:
-        meta = _json.load(f)
-    if meta.get("hash_version") != HASH_VERSION:
-        raise ValueError(
-            f"index at {index_dir} was built with hash version "
-            f"{meta.get('hash_version')}, current is {HASH_VERSION}: "
-            "rebuild the index (probing would silently miss "
-            "duplicates)")
+    meta = indexes.open(index_dir)
     n_perm, bands = meta["n_perm"], meta["bands"]
     shingle_k, n_shards = meta["shingle_k"], meta["n_shards"]
 
-    from .collect import collect_arrow
-
     def new_rows(b: pa.Table) -> pa.Table:
         lengths, data, _ = str_stream_from_arrow(b[text_col])
-        sigs = np.ascontiguousarray(
-            batch_minhash_signatures(lengths, data, n_perm, shingle_k))
-        bh = _band_keys(sigs, bands)
+        sigs = batch_minhash_signatures(lengths, data, n_perm, shingle_k)
         ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        sig_arr = pa.Array.from_buffers(
-            pa.binary(n_perm * 8), len(ids),
-            [None, pa.py_buffer(sigs.tobytes())])
+        bh = _band_keys(sigs, bands)
         return pa.table({
-            "id": pa.array(ids), "sig": sig_arr,
+            "id": pa.array(ids), "sig": _sig_array(sigs),
             "bks": pa.array(bh.tolist(),
                             type=pa.list_(pa.int64())),
         })
@@ -2538,82 +2522,22 @@ def query_minhash_index(new_ds, index_dir: str,
         return empty
     new_ids = new_tab["id"].to_numpy(zero_copy_only=False)
     bk_mat = np.asarray(new_tab["bks"].to_pylist(), dtype=np.int64)
-    flat_bk = bk_mat.reshape(-1)
-    order = np.argsort(flat_bk)
-    sorted_bk = flat_bk[order]
-    owner = np.repeat(np.arange(len(new_ids)), bands)[order]
-    shards = sorted({int(s) for s in
-                     (sorted_bk % n_shards + n_shards) % n_shards})
-    paths = []
-    for s in shards:
-        d = _os.path.join(index_dir, "bands", f"shard={s}")
-        if _os.path.isdir(d):
-            paths.extend(_os.path.join(d, f)
-                         for f in sorted(_os.listdir(d))
-                         if f.endswith(".parquet"))
-    if not paths:
-        return empty
-    ref = ray.put((sorted_bk, owner))
-
-    def probe(b: pa.Table) -> pa.Table:
-        sbk, own = ray.get(ref)
-        bk = b["bk"].to_numpy(zero_copy_only=False)
-        lo = np.searchsorted(sbk, bk, side="left")
-        hi = np.searchsorted(sbk, bk, side="right")
-        hit = hi > lo
-        if not hit.any():
-            return pa.table({"index_id": pa.array([], pa.int64()),
-                             "new_row": pa.array([], pa.int64())})
-        # a band key may collide with SEVERAL new docs: expand runs
-        idx = np.flatnonzero(hit)
-        counts = (hi - lo)[idx]
-        iid = np.repeat(b["id"].to_numpy(zero_copy_only=False)[idx],
-                        counts)
-        pos = np.concatenate([np.arange(a, z) for a, z in
-                              zip(lo[idx], hi[idx])])
-        return pa.table({"index_id": pa.array(iid.astype(np.int64)),
-                         "new_row": pa.array(own[pos].astype(np.int64))})
-
-    cand = collect_arrow(
-        rd.read_parquet(paths).map_batches(probe,
-                                           batch_format="pyarrow"))
-    if cand.num_rows == 0 or "index_id" not in cand.column_names:
+    cand = _probe_bands(index_dir, n_shards, bk_mat.reshape(-1),
+                        np.repeat(np.arange(len(new_ids)), bands),
+                        {"id": "index_id"}, "new_row")
+    if cand is None:
         return empty
     # dedup (index_id, new_row) across bands
     pairs = cand.group_by(["index_id", "new_row"]).aggregate([])
-    need_ids = np.unique(pairs["index_id"].to_numpy(
-        zero_copy_only=False))
-    sig_shards = sorted({int(s) for s in
-                         (need_ids % n_shards + n_shards) % n_shards})
-    sig_paths = []
-    for s in sig_shards:
-        d = _os.path.join(index_dir, "sigs", f"shard={s}")
-        if _os.path.isdir(d):
-            sig_paths.extend(_os.path.join(d, f)
-                             for f in sorted(_os.listdir(d))
-                             if f.endswith(".parquet"))
-    need_set = pa.array(need_ids)
-    sig_parts = []
-    for p in sig_paths:
-        t = _pq.read_table(p, columns=["id", "sig"])
-        sig_parts.append(t.filter(pc.is_in(t["id"],
-                                           value_set=need_set)))
-    sig_tab = pa.concat_tables(sig_parts) if sig_parts else None
-    if sig_tab is None or sig_tab.num_rows == 0:
+    sig_tab = _index_rows(index_dir, "sigs", n_shards, np.unique(
+        pairs["index_id"].to_numpy(zero_copy_only=False)), "sig")
+    if sig_tab is None:
         return empty
     iids = sig_tab["id"].to_numpy(zero_copy_only=False)
     iorder = np.argsort(iids)
     iids_sorted = iids[iorder]
-    sig_arr = sig_tab["sig"].combine_chunks()
-    sig_mat = np.frombuffer(
-        sig_arr.buffers()[1], dtype=np.uint64,
-        count=(sig_arr.offset + len(sig_arr)) * n_perm,
-    ).reshape(-1, n_perm)[sig_arr.offset:]
-    new_sig_arr = new_tab["sig"].combine_chunks()
-    new_sig = np.frombuffer(
-        new_sig_arr.buffers()[1], dtype=np.uint64,
-        count=(new_sig_arr.offset + len(new_sig_arr)) * n_perm,
-    ).reshape(-1, n_perm)[new_sig_arr.offset:]
+    sig_mat = _sig_matrix(sig_tab["sig"], n_perm)
+    new_sig = _sig_matrix(new_tab["sig"], n_perm)
     pa_i = pairs["index_id"].to_numpy(zero_copy_only=False)
     pa_n = pairs["new_row"].to_numpy(zero_copy_only=False)
     ipos = np.searchsorted(iids_sorted, pa_i)
@@ -2648,47 +2572,24 @@ def build_simhash_index(ds, index_dir: str, text_col: str = "text",
       least one band), S = bk mod ``n_shards``. The row CARRIES the
       full 64-bit signature, so the verify needs no second signature
       table — 8 extra bytes/row buys one fewer pruned read.
-    - ``meta.json``: parameters + hash version, written atomically as
-      the LAST step (commit marker — a crashed partial build refuses
-      to probe rather than silently missing duplicates).
+    - ``meta.json``: parameters + hash version, the commit marker of
+      :mod:`.indexes` (a partial build refuses to probe rather than
+      silently missing duplicates).
 
     ``id_col`` must be integer-typed. Returns {"rows", "dir"}."""
-    import json as _json
-    import os as _os
-    import shutil as _shutil
-
-    from .hashing import HASH_VERSION
-
-    _os.makedirs(index_dir, exist_ok=True)
-    meta_path = _os.path.join(index_dir, "meta.json")
-    if _os.path.exists(meta_path):
-        _os.remove(meta_path)
-    p = _os.path.join(index_dir, "bands")
-    if _os.path.isdir(p):
-        _shutil.rmtree(p)
+    indexes.begin(index_dir, ["bands"])
 
     def band_rows(b: pa.Table) -> pa.Table:
         t = simhash_band_rows(b, text_col, id_col)
         t = t.rename_columns(["bk", "id", "sh"])
         bk = t["bk"].to_numpy(zero_copy_only=False)
         return t.append_column(
-            "shard", pa.array((bk % n_shards + n_shards) % n_shards))
+            "shard", pa.array(indexes.shard_of(bk, n_shards)))
 
     ds.map_batches(band_rows, batch_format="pyarrow").write_parquet(
-        _os.path.join(index_dir, "bands"), partition_cols=["shard"])
-    import pyarrow.parquet as _pq
-
-    n_band_rows = 0
-    for root, _, files in _os.walk(_os.path.join(index_dir, "bands")):
-        for f in files:
-            if f.endswith(".parquet"):
-                n_band_rows += _pq.read_metadata(
-                    _os.path.join(root, f)).num_rows
-    tmp = meta_path + f".tmp.{_os.getpid()}"
-    with open(tmp, "w") as f:
-        _json.dump({"bands": 4, "n_shards": n_shards, "id_col": id_col,
-                    "hash_version": HASH_VERSION}, f)
-    _os.replace(tmp, meta_path)  # the build's single commit point
+        os.path.join(index_dir, "bands"), partition_cols=["shard"])
+    n_band_rows = indexes.commit(index_dir, {
+        "bands": 4, "n_shards": n_shards, "id_col": id_col}, "bands")
     return {"rows": n_band_rows // 4, "dir": index_dir}
 
 
@@ -2707,24 +2608,9 @@ def query_simhash_index(new_ds, index_dir: str, max_hamming: int = 3,
     bucket shards (hive pruning), and the XOR-popcount verify runs on
     the signatures the band rows already carry — the corpus text is
     never re-read and the index never loads whole."""
-    import json as _json
-    import os as _os
-
-    import ray
-    import ray.data as rd
-
     from .collect import collect_arrow
-    from .hashing import HASH_VERSION
 
-    with open(_os.path.join(index_dir, "meta.json")) as f:
-        meta = _json.load(f)
-    if meta.get("hash_version") != HASH_VERSION:
-        raise ValueError(
-            f"index at {index_dir} was built with hash version "
-            f"{meta.get('hash_version')}, current is {HASH_VERSION}: "
-            "rebuild the index (probing would silently miss "
-            "duplicates)")
-    n_shards = meta["n_shards"]
+    n_shards = indexes.open(index_dir)["n_shards"]
 
     def new_rows(b: pa.Table) -> pa.Table:
         h = simhash64(b[text_col])
@@ -2748,49 +2634,10 @@ def query_simhash_index(new_ds, index_dir: str, max_hamming: int = 3,
     new_ids = new_tab["id"].to_numpy(zero_copy_only=False)
     new_sh = new_tab["sh"].to_numpy(zero_copy_only=False).view(np.uint64)
     bk_mat = np.asarray(new_tab["bks"].to_pylist(), dtype=np.int64)
-    flat_bk = bk_mat.reshape(-1)
-    order = np.argsort(flat_bk)
-    sorted_bk = flat_bk[order]
-    owner = np.repeat(np.arange(len(new_ids)), 4)[order]
-    shards = sorted({int(s) for s in
-                     (sorted_bk % n_shards + n_shards) % n_shards})
-    paths = []
-    for s in shards:
-        d = _os.path.join(index_dir, "bands", f"shard={s}")
-        if _os.path.isdir(d):
-            paths.extend(_os.path.join(d, f)
-                         for f in sorted(_os.listdir(d))
-                         if f.endswith(".parquet"))
-    if not paths:
-        return empty
-    ref = ray.put((sorted_bk, owner))
-
-    def probe(b: pa.Table) -> pa.Table:
-        sbk, own = ray.get(ref)
-        bk = b["bk"].to_numpy(zero_copy_only=False)
-        lo = np.searchsorted(sbk, bk, side="left")
-        hi = np.searchsorted(sbk, bk, side="right")
-        hit = hi > lo
-        if not hit.any():
-            return pa.table({"index_id": pa.array([], pa.int64()),
-                             "index_sh": pa.array([], pa.int64()),
-                             "new_row": pa.array([], pa.int64())})
-        idx = np.flatnonzero(hit)
-        counts = (hi - lo)[idx]
-        iid = np.repeat(b["id"].to_numpy(zero_copy_only=False)[idx],
-                        counts)
-        ish = np.repeat(b["sh"].to_numpy(zero_copy_only=False)[idx],
-                        counts)
-        pos = np.concatenate([np.arange(a, z) for a, z in
-                              zip(lo[idx], hi[idx])])
-        return pa.table({"index_id": pa.array(iid.astype(np.int64)),
-                         "index_sh": pa.array(ish.astype(np.int64)),
-                         "new_row": pa.array(own[pos].astype(np.int64))})
-
-    cand = collect_arrow(
-        rd.read_parquet(paths).map_batches(probe,
-                                           batch_format="pyarrow"))
-    if cand.num_rows == 0 or "index_id" not in cand.column_names:
+    cand = _probe_bands(index_dir, n_shards, bk_mat.reshape(-1),
+                        np.repeat(np.arange(len(new_ids)), 4),
+                        {"id": "index_id", "sh": "index_sh"}, "new_row")
+    if cand is None:
         return empty
     # dedup (index_id, new_row) across bands (signature rides along —
     # identical for every band row of the same indexed doc)
@@ -2827,31 +2674,18 @@ def build_edit_index(ds, index_dir: str, text_col: str = "text",
     - ``pfx/shard=S/``: (id, pfx string) the indexed prefixes,
       S = id mod ``n_shards`` — read only for candidate-matched ids
       to run the exact character verify;
-    - ``meta.json``: parameters + hash version, written atomically
-      LAST (commit marker).
+    - ``meta.json``: parameters + hash version, the commit marker of
+      :mod:`.indexes`.
 
     ``id_col`` must be integer-typed. Returns {"rows", "dir"}."""
-    import json as _json
-    import os as _os
-    import shutil as _shutil
-
-    from .hashing import HASH_VERSION
-
-    _os.makedirs(index_dir, exist_ok=True)
-    meta_path = _os.path.join(index_dir, "meta.json")
-    if _os.path.exists(meta_path):
-        _os.remove(meta_path)
-    for sub in ("bands", "pfx"):
-        p = _os.path.join(index_dir, sub)
-        if _os.path.isdir(p):
-            _shutil.rmtree(p)
+    indexes.begin(index_dir, ["bands", "pfx"])
 
     def band_rows(b: pa.Table) -> pa.Table:
         t = _deletion_key_rows(b, text_col, id_col, prefix_len)
         t = t.rename_columns(["bk", "id"])
         bk = t["bk"].to_numpy(zero_copy_only=False)
         return t.append_column(
-            "shard", pa.array((bk % n_shards + n_shards) % n_shards))
+            "shard", pa.array(indexes.shard_of(bk, n_shards)))
 
     def pfx_rows(b: pa.Table) -> pa.Table:
         keep = pc.is_valid(b[text_col])
@@ -2861,27 +2695,17 @@ def build_edit_index(ds, index_dir: str, text_col: str = "text",
             "id": pa.array(ids),
             "pfx": pc.utf8_slice_codeunits(
                 t[text_col].combine_chunks(), 0, prefix_len),
-            "shard": pa.array((ids % n_shards + n_shards) % n_shards),
+            "shard": pa.array(indexes.shard_of(ids, n_shards)),
         })
 
     ds.map_batches(band_rows, batch_format="pyarrow").write_parquet(
-        _os.path.join(index_dir, "bands"), partition_cols=["shard"])
+        os.path.join(index_dir, "bands"), partition_cols=["shard"])
     ds.map_batches(pfx_rows, batch_format="pyarrow").write_parquet(
-        _os.path.join(index_dir, "pfx"), partition_cols=["shard"])
-    import pyarrow.parquet as _pq
-
-    n_rows = 0
-    for root, _, files in _os.walk(_os.path.join(index_dir, "pfx")):
-        for f in files:
-            if f.endswith(".parquet"):
-                n_rows += _pq.read_metadata(
-                    _os.path.join(root, f)).num_rows
-    tmp = meta_path + f".tmp.{_os.getpid()}"
-    with open(tmp, "w") as f:
-        _json.dump({"prefix_len": prefix_len, "n_shards": n_shards,
-                    "id_col": id_col, "hash_version": HASH_VERSION}, f)
-    _os.replace(tmp, meta_path)  # the build's single commit point
-    return {"rows": n_rows, "dir": index_dir}
+        os.path.join(index_dir, "pfx"), partition_cols=["shard"])
+    rows = indexes.commit(index_dir, {
+        "prefix_len": prefix_len, "n_shards": n_shards,
+        "id_col": id_col}, "pfx")
+    return {"rows": rows, "dir": index_dir}
 
 
 def query_edit_index(new_ds, index_dir: str, text_col: str = "text",
@@ -2897,27 +2721,12 @@ def query_edit_index(new_ds, index_dir: str, text_col: str = "text",
     matching band shards (hive pruning), candidate ids then select
     only their prefix shards for the exact character verify — the
     corpus never re-reads and the index never loads whole."""
-    import json as _json
-    import os as _os
-
-    import pyarrow.parquet as _pq
-    import ray
-    import ray.data as rd
-
     from .collect import collect_arrow
-    from .hashing import HASH_VERSION
 
     if not 0 <= max_dist <= 1:
         raise ValueError("deletion neighborhoods guarantee recall "
                          "only for max_dist <= 1")
-    with open(_os.path.join(index_dir, "meta.json")) as f:
-        meta = _json.load(f)
-    if meta.get("hash_version") != HASH_VERSION:
-        raise ValueError(
-            f"index at {index_dir} was built with hash version "
-            f"{meta.get('hash_version')}, current is {HASH_VERSION}: "
-            "rebuild the index (probing would silently miss "
-            "duplicates)")
+    meta = indexes.open(index_dir)
     n_shards, prefix_len = meta["n_shards"], meta["prefix_len"]
 
     def new_rows(b: pa.Table) -> pa.Table:
@@ -2931,65 +2740,16 @@ def query_edit_index(new_ds, index_dir: str, text_col: str = "text",
                       "dist": pa.array([], pa.int64())})
     if new_tab.num_rows == 0:
         return empty
-    nbk = new_tab["bk"].to_numpy(zero_copy_only=False)
-    nid = new_tab["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(nbk)
-    sorted_bk, owner_ids = nbk[order], nid[order]
-    shards = sorted({int(s) for s in
-                     (sorted_bk % n_shards + n_shards) % n_shards})
-    paths = []
-    for s in shards:
-        d = _os.path.join(index_dir, "bands", f"shard={s}")
-        if _os.path.isdir(d):
-            paths.extend(_os.path.join(d, f)
-                         for f in sorted(_os.listdir(d))
-                         if f.endswith(".parquet"))
-    if not paths:
-        return empty
-    ref = ray.put((sorted_bk, owner_ids))
-
-    def probe(b: pa.Table) -> pa.Table:
-        sbk, own = ray.get(ref)
-        bk = b["bk"].to_numpy(zero_copy_only=False)
-        lo = np.searchsorted(sbk, bk, side="left")
-        hi = np.searchsorted(sbk, bk, side="right")
-        hit = hi > lo
-        if not hit.any():
-            return pa.table({"index_id": pa.array([], pa.int64()),
-                             "new_id": pa.array([], pa.int64())})
-        idx = np.flatnonzero(hit)
-        counts = (hi - lo)[idx]
-        iid = np.repeat(b["id"].to_numpy(zero_copy_only=False)[idx],
-                        counts)
-        pos = np.concatenate([np.arange(a, z) for a, z in
-                              zip(lo[idx], hi[idx])])
-        return pa.table({"index_id": pa.array(iid.astype(np.int64)),
-                         "new_id": pa.array(own[pos].astype(np.int64))})
-
-    cand = collect_arrow(
-        rd.read_parquet(paths).map_batches(probe,
-                                           batch_format="pyarrow"))
-    if cand.num_rows == 0 or "index_id" not in cand.column_names:
+    cand = _probe_bands(
+        index_dir, n_shards, new_tab["bk"].to_numpy(zero_copy_only=False),
+        new_tab["id"].to_numpy(zero_copy_only=False).astype(np.int64),
+        {"id": "index_id"}, "new_id")
+    if cand is None:
         return empty
     pairs = cand.group_by(["index_id", "new_id"]).aggregate([])
-    need_ids = np.unique(pairs["index_id"].to_numpy(
-        zero_copy_only=False))
-    pfx_shards = sorted({int(s) for s in
-                         (need_ids % n_shards + n_shards) % n_shards})
-    pfx_paths = []
-    for s in pfx_shards:
-        d = _os.path.join(index_dir, "pfx", f"shard={s}")
-        if _os.path.isdir(d):
-            pfx_paths.extend(_os.path.join(d, f)
-                             for f in sorted(_os.listdir(d))
-                             if f.endswith(".parquet"))
-    need_set = pa.array(need_ids)
-    parts = []
-    for p in pfx_paths:
-        t = _pq.read_table(p, columns=["id", "pfx"])
-        parts.append(t.filter(pc.is_in(t["id"], value_set=need_set)))
-    ptab = pa.concat_tables(parts) if parts else None
-    if ptab is None or ptab.num_rows == 0:
+    ptab = _index_rows(index_dir, "pfx", n_shards, np.unique(
+        pairs["index_id"].to_numpy(zero_copy_only=False)), "pfx")
+    if ptab is None:
         return empty
     ipfx = dict(zip(ptab["id"].to_pylist(), ptab["pfx"].to_pylist()))
     # new-side prefixes from the increment itself (driver-bounded)

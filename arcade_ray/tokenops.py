@@ -402,6 +402,7 @@ def token_minhash_pairs(ds, tokens_col: str = "tokens",
     (the verify exchange buckets on it). Returns
     (id_a, id_b, jaccard) with id_a < id_b."""
     from .collect import lsh_pairs_verify
+    from .textops import _sig_array, _sig_matrix
 
     sig_ds = ds.map_batches(
         lambda b: token_minhash_band_rows(b, tokens_col, id_col,
@@ -413,20 +414,13 @@ def token_minhash_pairs(ds, tokens_col: str = "tokens",
             sub[tokens_col], n_perm, ngram)
         full = np.zeros((sub.num_rows, n_perm), dtype=np.uint64)
         full[row_idx] = sigs
-        arr = pa.Array.from_buffers(
-            pa.binary(n_perm * 8), sub.num_rows,
-            [None, pa.py_buffer(np.ascontiguousarray(full).tobytes())])
-        return sub.append_column("_sig", arr)
+        return sub.append_column("_sig", _sig_array(full))
 
     def verify(pairs: pa.Table, payload: pa.Table) -> pa.Table:
         ids_f = payload[id_col].to_numpy(zero_copy_only=False)
         order = np.argsort(ids_f)
         ids_sorted = ids_f[order]
-        sig_arr = payload["_sig"].combine_chunks()
-        sig_mat = np.frombuffer(
-            sig_arr.buffers()[1], dtype=np.uint64,
-            count=(sig_arr.offset + len(sig_arr)) * n_perm,
-        ).reshape(-1, n_perm)[sig_arr.offset:]
+        sig_mat = _sig_matrix(payload["_sig"], n_perm)
         ai = order[np.searchsorted(
             ids_sorted, pairs["id_a"].to_numpy(zero_copy_only=False))]
         bi = order[np.searchsorted(

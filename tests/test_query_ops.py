@@ -1041,6 +1041,30 @@ def test_float_min_max_nan_vs_duckdb(nan_dir):
         assert got == [val(r) for r in con.execute(q).fetchall()], q
 
 
+def test_dict_group_aggregate_float_nan_vs_duckdb(nan_dir):
+    """dict_group_aggregate's float MIN/MAX follow DuckDB over several
+    partitions, by one key and by two: MAX is NaN when any non-null
+    value is NaN, MIN only when every non-null value is."""
+    from arcade_ray.pipeline.query import dict_group_aggregate
+
+    d, con = nan_dir
+
+    def val(r):  # -0.0 and 0.0 tie in MIN/MAX, so either may come
+        return tuple("nan" if x != x else x for x in r)
+
+    for keys in (["grp"], ["part", "grp"]):
+        got = dict_group_aggregate(d, keys if len(keys) > 1 else keys[0],
+                                   "v")
+        k = ", ".join(keys)
+        want = con.execute(
+            f"SELECT {k}, min(v), max(v), count(*) FROM t GROUP BY {k} "
+            f"ORDER BY {k}").fetchall()
+        assert [val(r) for r in zip(*[got[c].to_pylist() for c in
+                                      keys + ["min_v", "max_v",
+                                              "n_rows"]])] == \
+            [val(r) for r in want], keys
+
+
 def test_float_order_by_without_limit_vs_duckdb(nan_dir):
     """SQL ORDER BY without LIMIT (the distributed sort) orders a float
     key as DuckDB does: NaN above +inf, -0.0 tied with 0.0 (ties go to
@@ -1053,6 +1077,28 @@ def test_float_order_by_without_limit_vs_duckdb(nan_dir):
               "SELECT doc_id, v FROM t ORDER BY v NULLS FIRST, doc_id"):
         res = collect_arrow(sql_query(q, {"t": d}))
         got = _nan_safe(zip(*[res[c].to_pylist() for c in ("doc_id", "v")]))
+        assert got == _nan_safe(con.execute(q).fetchall()), q
+
+
+def test_window_float_order_vs_duckdb(nan_dir):
+    """The SQL window pass orders a float key as DuckDB does (NaN above
+    +inf, -0.0 tied with 0.0, NULLs last), ranks NaN rows as peers and
+    puts -0.0 with 0.0 and NaN with NaN in one PARTITION BY group."""
+    from arcade_ray.collect import collect_arrow
+    from arcade_ray.sql import sql_query
+
+    d, con = nan_dir
+    for q in ("SELECT grp, doc_id, v, row_number() OVER (PARTITION BY grp "
+              "ORDER BY v DESC, doc_id) AS rn FROM t ORDER BY grp, rn",
+              "SELECT doc_id, rank() OVER (PARTITION BY grp ORDER BY v) AS r,"
+              " dense_rank() OVER (PARTITION BY grp ORDER BY v) AS dr "
+              "FROM t ORDER BY doc_id",
+              "SELECT doc_id, row_number() OVER (PARTITION BY v ORDER BY "
+              "doc_id) AS rn FROM t ORDER BY doc_id"):
+        res = sql_query(q, {"t": d})
+        if not isinstance(res, pa.Table):
+            res = collect_arrow(res)
+        got = _nan_safe(zip(*[res[c].to_pylist() for c in res.column_names]))
         assert got == _nan_safe(con.execute(q).fetchall()), q
 
 

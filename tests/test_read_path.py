@@ -519,11 +519,9 @@ def _ray_remote_sites(tree: ast.AST) -> list[tuple[int, str]]:
 # starts a Ray task for block metadata on every call, ``from_blocks``
 # does not.
 # where a NULL placement or a one-array sort may appear in ORDER_FILES:
-# ``query.order_indices`` decides every row order, and the window pass
-# (``wpass``, nested in ``_run_window_query``) sorts its partitions itself
+# ``query.order_indices`` decides every row order
 ORDER_FILES = {"arcade_ray/pipeline/query.py", "arcade_ray/sql.py"}
-ORDER_ALLOWED = {("arcade_ray/pipeline/query.py", "order_indices"),
-                 ("arcade_ray/sql.py", "_run_window_query")}
+ORDER_ALLOWED = {("arcade_ray/pipeline/query.py", "order_indices")}
 
 # the one parse of manifest ``col_stats`` strings: every reader takes
 # them from the per-dir manifest cache (``encode.read_manifest``)
@@ -623,4 +621,36 @@ def test_read_path_guard():
                                "outside decode.map_partitions")
     bad += [f"stale RAY_REMOTE_ALLOWED entry {k}"
             for k in sorted(set(RAY_REMOTE_ALLOWED) - used)]
+    assert not bad, "\n".join(bad)
+
+
+# modules that build or query a persisted index: the marker's name and
+# the hash-version gate live in ``arcade_ray/indexes.py`` alone
+INDEX_USERS = ("arcade_ray/textops.py", "arcade_ray/ann.py",
+               "arcade_ray/entry_queries.py")
+
+
+def test_index_marker_guard():
+    """No index builder, query or cached entry query names an index
+    marker file or compares ``HASH_VERSION`` itself: each goes through
+    ``indexes.begin`` / ``commit`` / ``open`` (docstrings may name the
+    marker)."""
+    bad = []
+    for rel in INDEX_USERS:
+        tree = ast.parse((REPO / rel).read_text())
+        docs = {id(n.body[0].value) for n in ast.walk(tree)
+                if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                and n.body and isinstance(n.body[0], ast.Expr)
+                and isinstance(n.body[0].value, ast.Constant)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                    and "meta.json" in n.value and id(n) not in docs:
+                bad.append(f"{rel}:{n.lineno} names an index marker")
+            if (isinstance(n, ast.Name) and n.id == "HASH_VERSION") or (
+                    isinstance(n, ast.Attribute)
+                    and n.attr == "HASH_VERSION") or (
+                    isinstance(n, ast.alias) and n.name == "HASH_VERSION"):
+                bad.append(f"{rel}:{getattr(n, 'lineno', '?')} reads "
+                           "HASH_VERSION; use indexes.open")
     assert not bad, "\n".join(bad)

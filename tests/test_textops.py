@@ -513,31 +513,6 @@ def test_dedup_against_index(ray_session, tmp_path):
     assert out["doc_id"].tolist() == [11, 14]
 
 
-def test_dedup_index_rebuild_equals_one_build(ray_session, tmp_path):
-    """A second build into the same dir replaces the index: the same
-    rows as one build, not the old shards plus the new ones."""
-    import ray.data as rd
-
-    import pyarrow.parquet as pq
-
-    from arcade_ray.textops import build_dedup_index
-
-    docs = pa.table({"doc_id": pa.array(range(100), type=pa.int64()),
-                     "text": [f"doc number {i}" for i in range(100)]})
-    once, twice = str(tmp_path / "once"), str(tmp_path / "twice")
-    assert build_dedup_index(rd.from_arrow(docs), once) == 100
-    build_dedup_index(rd.from_arrow(docs.slice(0, 40)), twice)
-    assert build_dedup_index(rd.from_arrow(docs), twice) == 100
-
-    def rows(d):
-        t = pq.read_table(d)
-        return sorted(zip(*(t[c].to_pylist() for c in t.column_names)))
-
-    assert rows(twice) == rows(once)
-    assert sorted(f for f in os.listdir(twice)
-                  if not f.endswith(".parquet")) == ["_index_meta.json"]
-
-
 def test_text_analyzer_vectorized_matches_per_row():
     """The Arrow-vectorized TextAnalyzer must be value-identical to the
     original per-row pandas semantics (findall/str.count/map loops) on
