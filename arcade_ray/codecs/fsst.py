@@ -15,11 +15,12 @@ palette mandated by BASELINE.json:north_star.
 Table training is vectorised numpy: each generation re-encodes the
 sample, tallies unit and adjacent-pair gains with two bincounts over
 integer keys (a string of <= 8 bytes is a uint64 plus a length) and
-keeps the 255 best. Streams are encoded by the native C kernel (true
-greedy, codecs/native.py) or, without a compiler, by the block-parallel
-numpy walk (fsst_vec.py); tests check both against a per-byte greedy
-loop (``tests/test_codecs.py``). The cost model encodes a full stream
-only when FSST wins on estimated bytes.
+keeps the 255 best, still as (value, length) arrays: only the final
+table becomes Python ``bytes``. Streams are encoded by the native C
+kernel (true greedy, codecs/native.py) or, without a compiler, by the
+block-parallel numpy walk (fsst_vec.py); tests check both against a
+per-byte greedy loop (``tests/test_codecs.py``). The cost model encodes
+a full stream only when FSST wins on estimated bytes.
 """
 
 from __future__ import annotations
@@ -63,23 +64,20 @@ def _parse_codes(encoded: bytes):
     return codes
 
 
-def _unit_words(symbols: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+def _unit_words(sym_val: np.ndarray,
+                sym_len: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every unit of an encoded stream as (big-endian value, length):
-    code c < 256 is symbols[c], code 256 + b the escaped byte b. A
-    string of <= 8 bytes is identified by its value AND its length
-    (b"a" and b"\\0a" share the value 0x61)."""
-    val = np.empty(512, dtype=np.uint64)
-    val[256:] = np.arange(256, dtype=np.uint64)
-    ln = np.ones(512, dtype=np.int64)
-    k = len(symbols)
-    if k:
-        ln[:k] = np.fromiter(map(len, symbols), dtype=np.int64, count=k)
-        val[:k] = np.frombuffer(
-            b"".join(s.rjust(8, b"\0") for s in symbols), dtype=">u8")
-    return val, ln
+    code c < 256 is symbol c, given as ``(sym_val[c], sym_len[c])``
+    (``fsst_vec.symbol_words``), code 256 + b the escaped byte b."""
+    uval = np.empty(512, dtype=np.uint64)
+    uval[256:] = np.arange(256, dtype=np.uint64)
+    ulen = np.ones(512, dtype=np.int64)
+    uval[:len(sym_val)] = sym_val
+    ulen[:len(sym_len)] = sym_len
+    return uval, ulen
 
 
-def _tally_gains(encoded: bytes, symbols: list[bytes]):
+def _tally_gains(encoded: bytes, sym_val: np.ndarray, sym_len: np.ndarray):
     """gain(sym) = occurrences x len over the encoded sample, plus the
     same for every adjacent-unit concatenation <= FSST_MAX_SYMBOL_LEN:
     one bincount for units, one over packed pair keys for pairs.
@@ -87,7 +85,7 @@ def _tally_gains(encoded: bytes, symbols: list[bytes]):
     where ``first`` ranks its first appearance in the tally order
     (units by code, then pairs by (left, right) code)."""
     codes = _parse_codes(encoded)
-    uval, ulen = _unit_words(symbols)
+    uval, ulen = _unit_words(sym_val, sym_len)
     cnt = np.bincount(codes, minlength=512)
     units = np.flatnonzero(cnt)
     vals, lens, counts = [uval[units]], [ulen[units]], [cnt[units]]
@@ -122,30 +120,32 @@ def _tally_gains(encoded: bytes, symbols: list[bytes]):
 
 
 def _top_symbols(val: np.ndarray, ln: np.ndarray, gain: np.ndarray,
-                 first: np.ndarray) -> list[bytes]:
-    """The FSST_MAX_SYMBOLS best candidates: gain descending, ties by
-    first appearance (collections.Counter.most_common's order)."""
+                 first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The FSST_MAX_SYMBOLS best candidates as (value, length) arrays:
+    gain descending, ties by first appearance
+    (collections.Counter.most_common's order)."""
     top = np.lexsort((first, -gain))[:FSST_MAX_SYMBOLS]
-    return [int(v).to_bytes(int(n), "big") for v, n in zip(val[top], ln[top])]
+    return val[top], ln[top]
 
 
 def build_symbol_table(sample: bytes) -> list[bytes]:
     """Iterative greedy construction: start from the most frequent
     single bytes, then repeatedly re-encode the sample and promote the
-    highest-gain symbols and concatenations of adjacent symbols."""
+    highest-gain symbols and concatenations of adjacent symbols. The
+    candidates stay (value, length) arrays until the table is final."""
     sample = sample[:FSST_SAMPLE_BYTES]
     if not sample:
         return []
-    from .fsst_vec import encode_stream
+    from .fsst_vec import _Matcher, encode_matched, word_symbols
 
     byte, first, count = np.unique(np.frombuffer(sample, dtype=np.uint8),
                                    return_index=True, return_counts=True)
-    symbols = _top_symbols(byte.astype(np.uint64), np.ones_like(first),
+    val, ln = _top_symbols(byte.astype(np.uint64), np.ones_like(first),
                            count, first)
     for _ in range(FSST_GENERATIONS):
-        encoded = encode_stream(sample, symbols)
-        symbols = _top_symbols(*_tally_gains(encoded, symbols))
-    return symbols
+        encoded = encode_matched(sample, _Matcher.from_words(val, ln))
+        val, ln = _top_symbols(*_tally_gains(encoded, val, ln))
+    return word_symbols(val, ln)
 
 
 def serialize_table(symbols: list[bytes]) -> bytes:

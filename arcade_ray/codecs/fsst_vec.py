@@ -48,16 +48,43 @@ _HASH_MULS = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
                       dtype=np.uint64)
 
 
+def symbol_words(symbols: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """Each symbol as (big-endian uint64 value, length): a string of
+    <= 8 bytes is identified by its value AND its length (b"a" and
+    b"\\0a" share the value 0x61)."""
+    k = len(symbols)
+    lens = np.fromiter(map(len, symbols), dtype=np.int64, count=k)
+    val = np.frombuffer(b"".join(s.rjust(8, b"\0") for s in symbols),
+                        dtype=">u8").astype(np.uint64)
+    return val, lens
+
+
+def word_symbols(val: np.ndarray, lens: np.ndarray) -> list[bytes]:
+    """The inverse of :func:`symbol_words`."""
+    return [int(v).to_bytes(int(n), "big") for v, n in zip(val, lens)]
+
+
 class _Matcher:
     """Greedy longest-match lookup vectorized over cursor positions."""
 
     def __init__(self, symbols: list[bytes]):
-        k = len(symbols)
-        lens = np.fromiter(map(len, symbols), dtype=np.int64, count=k)
+        self._build(*symbol_words(symbols))
+
+    @classmethod
+    def from_words(cls, val: np.ndarray, lens: np.ndarray) -> "_Matcher":
+        """The matcher of the symbols :func:`symbol_words` gives as
+        ``(val, lens)``, without building their bytes."""
+        m = cls.__new__(cls)
+        m._build(val, lens)
+        return m
+
+    def _build(self, val: np.ndarray, lens: np.ndarray) -> None:
+        k = len(lens)
+        lens = np.asarray(lens, dtype=np.int64)
         # symbols left-aligned in big-endian words: the top byte is the
         # first symbol byte, as in the 8-byte windows they match against
-        left = np.frombuffer(b"".join(s.ljust(8, b"\0") for s in symbols),
-                             dtype=">u8").astype(np.uint64)
+        left = np.asarray(val, dtype=np.uint64) << \
+            (np.uint64(8) * (np.uint64(8) - lens.astype(np.uint64)))
         codes = np.arange(k, dtype=np.int64)
         self.lut1 = np.full(256, -1, dtype=np.int16)
         self.lut2 = np.full(65536, -1, dtype=np.int16)
@@ -269,11 +296,17 @@ def encode_stream(data: bytes, symbols: list[bytes]) -> bytes:
     cursor. No per-iteration emit lists, no final lexsort: the old
     sort-assembled path spent ~60% of wall time re-ordering what the
     cursors already knew."""
+    if not len(data):
+        return b""
+    return encode_matched(data, _Matcher(symbols))
+
+
+def encode_matched(data: bytes, matcher: _Matcher) -> bytes:
+    """:func:`encode_stream` with the symbol table's matcher built."""
     arr = np.frombuffer(data, dtype=np.uint8)
     n = len(arr)
     if n == 0:
         return b""
-    matcher = _Matcher(symbols)
     if n >= 4096:  # C kernel wins once table build amortizes
         from .native import encode_native
 

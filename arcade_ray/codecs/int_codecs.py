@@ -34,7 +34,7 @@ from ..bitpack import (
     unpack_gather,
 )
 from ..constants import ESTIMATE_SAMPLE_BYTES, PLAIN_DISTINCT_RATIO
-from ..profile import IntProfile, profile_int
+from ..profile import IntProfile, profile_int, run_starts
 from ..streams import STORAGE_DTYPES
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -174,7 +174,7 @@ def _rle_est(p: IntProfile, tag: str):
 
 
 def _rle_enc(vals: np.ndarray, p: IntProfile, tag: str):
-    starts = p.run_starts
+    starts = run_starts(vals)
     run_vals = vals[starts]
     run_lens = np.diff(np.append(starts, p.n))
     wv = bits_needed(p.vmax - p.vmin)

@@ -1,8 +1,8 @@
 """Optional native (C) kernels for the sequential hot loops of encode
 and decode.
 
-Two kinds of loop are compiled here, because numpy cannot express them
-without a large intermediate:
+Three kinds of loop are compiled here, because numpy cannot express
+them without a large intermediate:
 
 - FSST encode walk and decode expansion: byte-cursor loops (fsst_vec.py
   gets to ~25 MB/s with block-parallel cursors; the real FSST runs GB/s
@@ -19,6 +19,9 @@ without a large intermediate:
   builds an n x width bit matrix. Each kernel writes the caller's
   output dtype (the column's Arrow storage type), so no int64 copy sits
   between the payload and the Arrow buffer.
+- The row gather of list columns (exchange.take_rows): one memcpy per
+  row's span of values, where numpy first expands the spans into one
+  index per value.
 
 The kernels are compiled with the system compiler ON FIRST USE; the
 shared object is cached under the temp dir keyed by a source hash and
@@ -257,6 +260,17 @@ int64_t arc_rle_expand(const void* vals, const uint64_t* lens_m1,
     }
     return pos;
 }
+
+/* Copy n byte spans back to back into out: span i is len[i] bytes at
+   address src[i]. The row gather of list columns (gather_lists). */
+void arc_gather_spans(const int64_t* src, const int64_t* len, int64_t n,
+                      uint8_t* out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        memcpy(out, (const void*)(intptr_t)src[i], (size_t)len[i]);
+        out += len[i];
+    }
+}
 """
 
 _lib = None
@@ -328,6 +342,8 @@ def get_lib():
         lib.arc_match_eq.argtypes = [vp, c64, c64, c64, cu64, vp]
         lib.arc_rle_expand.restype = c64
         lib.arc_rle_expand.argtypes = [vp, vp, c64, vp, c64, c64]
+        lib.arc_gather_spans.restype = None
+        lib.arc_gather_spans.argtypes = [vp, vp, c64, vp]
         _lib = lib
     except Exception:
         _lib = None
@@ -472,3 +488,80 @@ def rle_expand_native(vals: np.ndarray, lens_m1: np.ndarray,
     if got != n:
         raise ValueError(f"RLE runs do not add up to {n} rows")
     return out
+
+
+# --- list-column row gather --------------------------------------------------
+
+
+def _list_spans(chunks, wb: int, native: bool):
+    """Per row of the list arrays ``chunks``: where its values start
+    and how many there are. ``native``: the start is an address (the
+    child's data buffer + (child offset + list offset) * wb, as list
+    offsets index the child from the child's own offset); else it is
+    an index into the chunks' values laid end to end, returned too."""
+    import pyarrow as pa
+
+    starts, lens, views, base = [], [], [], 0
+    for ch in chunks:
+        odt = np.int64 if pa.types.is_large_list(ch.type) else np.int32
+        off = np.frombuffer(ch.buffers()[1], dtype=odt, count=len(ch) + 1,
+                            offset=ch.offset * np.dtype(odt).itemsize) \
+            .astype(np.int64)
+        child = ch.values
+        data = child.buffers()[1] or pa.py_buffer(b"")  # None: no values
+        lens.append(np.diff(off))
+        if native:
+            starts.append(data.address + (child.offset + off[:-1]) * wb)
+            continue
+        lo, hi = child.offset + off[0], child.offset + off[-1]
+        views.append(np.frombuffer(data, dtype=f"V{wb}", count=hi)[lo:])
+        starts.append(base + off[:-1] - off[0])
+        base += hi - lo
+    flat = None if native else np.concatenate(views or [np.empty(0, f"V{wb}")])
+    return np.concatenate(starts), np.concatenate(lens), flat
+
+
+def gather_lists(col, idx: np.ndarray):
+    """Rows ``idx`` (int64) of a list or large_list column (an Array or
+    a ChunkedArray) whose values are fixed-width, with no null at
+    either level, as one array of the column's type. Each row's values
+    are one contiguous span, copied whole: by the C kernel, or by numpy
+    over the same spans (``column._ranges``), with identical output;
+    Arrow's ``take`` moves list values one at a time. None when the
+    column is not such a list: the caller then takes it with Arrow."""
+    import pyarrow as pa
+
+    t = col.type
+    if not (pa.types.is_list(t) or pa.types.is_large_list(t)):
+        return None
+    vt = t.value_type
+    if not (pa.types.is_integer(vt) or pa.types.is_floating(vt)
+            or pa.types.is_temporal(vt)) or vt.bit_width % 8:
+        return None
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    if any(ch.null_count or ch.values.null_count for ch in chunks):
+        return None
+    odt = np.int64 if pa.types.is_large_list(t) else np.int32
+    wb = vt.bit_width // 8
+    lib = get_lib()
+    starts, lens, flat = _list_spans(chunks, wb, lib is not None)
+    starts, lens = starts[idx], lens[idx]
+    offsets = np.zeros(len(idx) + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    total = int(offsets[-1])
+    if total > np.iinfo(odt).max:
+        return None  # too many values for the offset type: Arrow raises
+    if lib is not None:
+        out = np.empty(total * wb, dtype=np.uint8)
+        nbytes = lens * wb  # named: it must outlive the call
+        lib.arc_gather_spans(starts.ctypes.data, nbytes.ctypes.data,
+                             len(idx), out.ctypes.data)
+    else:
+        from ..column import _ranges
+
+        some = lens > 0
+        out = flat[_ranges(starts[some], lens[some])].view(np.uint8)
+    values = pa.Array.from_buffers(vt, total, [None, pa.py_buffer(out)])
+    return pa.Array.from_buffers(
+        t, len(idx), [None, pa.py_buffer(offsets.astype(odt))],
+        children=[values])

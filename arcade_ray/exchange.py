@@ -12,9 +12,14 @@ Two fragment sinks:
 - ``"objects"``: each split task ``ray.put``s ONE object, its rows in
   bucket order, from INSIDE the task (measured ~16x faster than the
   task-return path for large payloads), and returns only a
-  ``(ref, lo, hi)`` handle per non-empty bucket. A consumer
+  ``(ref, lo, hi)`` handle per non-empty bucket. The object is one
+  gather of the split's rows (:func:`take_rows`: a list column of
+  fixed-width values moves a row's values as one span, ~14x Arrow's
+  per-value list take), so it owns compact buffers. A consumer
   ``ray.get``s the split objects its bucket has rows in (a zero-copy
-  map on one node) and copies only its own rows. One put per split,
+  map on one node) and copies only its own rows, once, when
+  :func:`read` concatenates them; the encode consumer gathers them
+  again only if they do not arrive in partition order. One put per split,
   not per (split, bucket): in a 1-CPU session encoding the perfbench
   corpus, 12 splits x 16 buckets of puts took 0.66 s of a 0.93 s
   split wave, against 0.13 s for one put per split. The whole routed
@@ -136,8 +141,25 @@ def _bucket_order(buckets, n_buckets: int):
                    for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _take(table: pa.Table, idx) -> pa.Table:
-    return table.take(pa.array(idx, type=pa.int64()))
+def take_rows(table: pa.Table, idx) -> pa.Table:
+    """Rows ``idx`` of ``table`` (any chunking), in that order, as one
+    chunk of compact buffers: the one row gather of the exchange and of
+    the encode consumer's reorder. A list column of fixed-width values
+    copies each row's values as one span (``codecs.native.
+    gather_lists``); every other column goes through Arrow's take."""
+    from .codecs.native import gather_lists
+
+    idx = np.asarray(idx, dtype=np.int64)
+    arrow_idx = None
+    cols = []
+    for col in table.columns:
+        out = gather_lists(col, idx)
+        if out is None:
+            if arrow_idx is None:
+                arrow_idx = pa.array(idx, type=pa.int64())
+            out = col.take(arrow_idx)
+        cols.append(out)
+    return pa.Table.from_arrays(cols, schema=table.schema)
 
 
 def _write_buckets(table: pa.Table, buckets, n_buckets: int,
@@ -150,7 +172,7 @@ def _write_buckets(table: pa.Table, buckets, n_buckets: int,
         if sp is None:
             out.append(None)
             continue
-        frag = _take(table, order[sp[0]:sp[1]])
+        frag = take_rows(table, order[sp[0]:sp[1]])
         d = os.path.join(shuffle_dir, f"b{b:05d}")
         os.makedirs(d, exist_ok=True)
         final = os.path.join(d, f"s{split_id:05d}.arrow")
@@ -223,7 +245,7 @@ def _split(route, item, n_buckets: int, shuffle_dir: str | None,
     table, buckets, *info = route(item)
     if shuffle_dir is None:
         parts = put_buckets(buckets, n_buckets,
-                            lambda idx: _take(table, idx))
+                            lambda idx: take_rows(table, idx))
     else:
         parts = _write_buckets(table, buckets, n_buckets, shuffle_dir,
                                split_id)

@@ -5,8 +5,9 @@ min/max zone-map construction (src/writer.cpp:55-61, 91) — generalized
 to run counts and value ranges so the wider codec palette (RLE, FoR,
 bit-pack) can be costed (SURVEY.md §2.2, last paragraph).
 
-Profiles cache the expensive intermediates (sorted uniques, run arrays)
-so the chosen codec re-uses them instead of recomputing.
+Profiles cache the expensive intermediate every stream needs (the
+sorted distinct values: the sketches hash them, the dictionary codec
+stores them); what only one codec needs, it builds when it is chosen.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ class IntProfile:
     n_distinct: int
     n_runs: int
     unique: np.ndarray          # sorted distinct values (int64)
-    run_starts: np.ndarray      # indices where a new run begins (incl. 0)
     dmin: int | None = None     # min/max of successive diffs (None when
     dmax: int | None = None     # n < 2 or the span risks int64 overflow)
 
@@ -33,39 +33,76 @@ class IntProfile:
         return self.n_distinct / self.n if self.n else 0.0
 
 
+# values in the strided sample that picks how profile_int finds a wide
+# stream's distinct set
+UNIQUE_SAMPLE = 1024
+
+
 def profile_int(vals: np.ndarray) -> IntProfile:
+    """One stream's statistics. The run count comes from the diffs the
+    delta codec needs anyway (a run starts wherever a diff is nonzero);
+    the run starts themselves are built only if RLE is encoded
+    (:func:`run_starts`)."""
     n = len(vals)
     if n == 0:
-        return IntProfile(0, 0, 0, 0, 0, np.empty(0, np.int64), np.empty(0, np.int64))
+        return IntProfile(0, 0, 0, 0, 0, np.empty(0, np.int64))
     vmin, vmax = int(vals.min()), int(vals.max())
     span = vmax - vmin
-    if span <= max(65536, 4 * n):
-        # narrow range: distinct set via bincount — O(n + span), no sort
-        counts = np.bincount((vals - vmin).astype(np.int64), minlength=span + 1)
-        unique = (np.flatnonzero(counts) + vmin).astype(np.int64)
-    else:
-        unique = np.unique(vals)
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(vals[1:], vals[:-1], out=change[1:])
-    run_starts = np.flatnonzero(change)
+    unique = _distinct(vals, vmin, span)
     dmin = dmax = None
     if n >= 2 and span < (1 << 62):
         # diff stats for the delta codec; skipped when the span could
         # overflow int64 diffs (e.g. float64 bit patterns)
         d = np.diff(vals)
         dmin, dmax = int(d.min()), int(d.max())
+        n_runs = int(np.count_nonzero(d)) + 1
+    else:
+        n_runs = int(np.count_nonzero(vals[1:] != vals[:-1])) + 1
     return IntProfile(
         n=n,
         vmin=vmin,
         vmax=vmax,
         n_distinct=len(unique),
-        n_runs=len(run_starts),
+        n_runs=n_runs,
         unique=unique,
-        run_starts=run_starts,
         dmin=dmin,
         dmax=dmax,
     )
+
+
+def _distinct(vals: np.ndarray, vmin: int, span: int) -> np.ndarray:
+    """The sorted distinct values. A narrow range counts them with a
+    bincount, O(n + span). A wide one hashes them when a strided
+    sample looks low-cardinality (few of its values occur once: the
+    sample has met most of the set), and sorts the stream otherwise: a
+    hash table over a high-cardinality stream costs several sorts."""
+    n = len(vals)
+    if span <= max(65536, 4 * n):
+        counts = np.bincount((vals - vmin).astype(np.int64),
+                             minlength=span + 1)
+        return (np.flatnonzero(counts) + vmin).astype(np.int64)
+    sample = vals[::max(1, n // UNIQUE_SAMPLE)]
+    _, seen = np.unique(sample, return_counts=True)
+    if np.count_nonzero(seen == 1) * 8 <= len(sample):
+        return hash_unique(vals)
+    return np.unique(vals)
+
+
+def hash_unique(vals: np.ndarray) -> np.ndarray:
+    """``np.unique(vals)`` by a hash pass, then a sort of the distinct
+    values only."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    return np.sort(pc.unique(pa.array(vals, type=pa.int64())).to_numpy())
+
+
+def run_starts(vals: np.ndarray) -> np.ndarray:
+    """Indices where a new run of equal values begins (0 included)."""
+    change = np.empty(len(vals), dtype=bool)
+    change[:1] = True
+    np.not_equal(vals[1:], vals[:-1], out=change[1:])
+    return np.flatnonzero(change)
 
 
 @dataclass

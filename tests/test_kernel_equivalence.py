@@ -3,8 +3,11 @@
 Write path: each oracle below is the plain implementation the engine
 used before its kernel was vectorised: the ``collections.Counter`` FSST
 table build, the n x width bit-matrix ``pack_bits`` and the
-binary-search dictionary codes. The fast kernels must give exactly the
-same output, because every one of them decides stored bytes.
+binary-search dictionary codes, the sort-based stream profile with
+eager run starts, and Arrow's ``take`` for the list-column row gather.
+The fast kernels must give exactly the same output, because every one
+of them decides stored bytes (the gather decides which rows a
+partition holds, in which order).
 
 Read path: the C decode kernels (bit-unpack with a FoR add, the fused
 dictionary gather, RLE expansion and the packed-code compare) must give
@@ -19,6 +22,7 @@ import sys
 from collections import Counter
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from arcade_ray.bitpack import (
@@ -498,3 +502,181 @@ def test_decode_and_query_suites_without_native():
     summary = [ln for ln in r.stdout.splitlines() if " passed" in ln]
     assert summary and "failed" not in summary[-1] and \
         "error" not in summary[-1], tail
+
+
+# --- list-column row gather against Arrow's take -----------------------------
+
+LIST_TYPES = [pa.list_(pa.int32()), pa.list_(pa.int64()),
+              pa.list_(pa.float32()), pa.large_list(pa.int32())]
+
+
+def _list_array(typ, lens, seed: int, child_offset: int = 0):
+    """A list array of ``typ`` with rows of ``lens`` values; its values
+    are a slice at ``child_offset`` of a larger array."""
+    rng = np.random.default_rng(seed)
+    total = int(np.sum(lens))
+    vt = typ.value_type
+    if pa.types.is_floating(vt):
+        raw = rng.standard_normal(total + child_offset + 3)
+    else:
+        raw = rng.integers(-2**31, 2**31, total + child_offset + 3)
+    values = pa.array(raw, type=vt).slice(child_offset, total)
+    large = pa.types.is_large_list(typ)
+    cls = pa.LargeListArray if large else pa.ListArray
+    offs = pa.array(np.concatenate([[0], np.cumsum(lens)]),
+                    pa.int64() if large else pa.int32())
+    return cls.from_arrays(offs, values)
+
+
+def _list_columns(typ):
+    rng = np.random.default_rng(7)
+    lens = rng.integers(0, 40, 300)
+    lens[::7] = 0  # empty lists
+    whole = _list_array(typ, lens, 1)
+    no_values = pa.Array.from_buffers(  # empty lists, no value buffer
+        typ, 3, [None, pa.py_buffer(bytes(
+            4 * (8 if pa.types.is_large_list(typ) else 4)))],
+        children=[pa.Array.from_buffers(typ.value_type, 0, [None, None])])
+    return {
+        "whole": whole,
+        "sliced": whole.slice(37, 200),
+        "child_offset": _list_array(typ, lens[:100], 2, child_offset=11),
+        "chunked": pa.chunked_array([whole.slice(0, 50), no_values,
+                                     whole.slice(120), whole.slice(0, 0)]),
+        "no_values": no_values,
+        "zero_rows": whole.slice(300),
+    }
+
+
+def _indices(n: int) -> dict:
+    rng = np.random.default_rng(n)
+    return {"permutation": rng.permutation(n), "reversed": np.arange(n)[::-1],
+            "repeated": rng.integers(0, n, 2 * n) if n else np.arange(0),
+            "none": np.arange(0)}
+
+
+@pytest.mark.parametrize("typ", LIST_TYPES, ids=str)
+def test_list_gather_matches_arrow_take(kernel_mode, typ):
+    """``exchange.take_rows`` equals ``pa.Table.take`` on list columns
+    of every fixed-width kind, sliced parents and children, chunked
+    columns, empty lists and zero rows; the list gather (not Arrow)
+    moves the list column."""
+    from arcade_ray.codecs.native import gather_lists
+    from arcade_ray.exchange import take_rows
+
+    for name, col in _list_columns(typ).items():
+        n = len(col)
+        table = pa.table({"tokens": col,
+                          "row": pa.array(np.arange(n), pa.int64())})
+        for how, idx in _indices(n).items():
+            idx = np.asarray(idx, dtype=np.int64)
+            want = table.take(pa.array(idx, pa.int64()))
+            got = take_rows(table, idx)
+            assert got.schema == want.schema, (name, how)
+            assert got.equals(want), (name, how)
+            direct = gather_lists(col, idx)
+            assert direct is not None and direct.type == col.type
+            assert direct.equals(want["tokens"].combine_chunks()), (name, how)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], None, [], [3, 4, 5], None],       # null lists
+    [[1, None], [2], [], [None, None, 3]],     # null values
+], ids=["null_lists", "null_values"])
+def test_list_gather_nulls_fall_back(kernel_mode, rows):
+    """Nulls at either level leave the column to Arrow's take, which
+    keeps the validity."""
+    from arcade_ray.codecs.native import gather_lists
+    from arcade_ray.exchange import take_rows
+
+    col = pa.array(rows, pa.list_(pa.int32()))
+    idx = np.array([3, 0, 1, 2, 1][:len(rows)], dtype=np.int64)
+    assert gather_lists(col, idx) is None
+    table = pa.table({"tokens": col})
+    got = take_rows(table, idx)
+    assert got.equals(table.take(pa.array(idx)))
+    assert got["tokens"].to_pylist() == [rows[i] for i in idx]
+
+
+# --- profiling against the eager, sort-based profile ------------------------
+
+
+def _golden_lists_stream() -> np.ndarray:
+    """The token stream of the golden ``lists`` table: 256 narrow values
+    and 2**31 - 1 at every 997th position, 257 distinct values."""
+    from test_golden_bytes import _tables
+
+    return _tables()["lists"]["tokens"].combine_chunks().values \
+        .to_numpy().astype(np.int64)
+
+
+def _profile_streams() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(31)
+    wide = rng.integers(-(1 << 40), 1 << 40, 8000)
+    return {
+        "golden_lists": _golden_lists_stream(),
+        "random": rng.integers(0, 2**31 - 1, 200_000),
+        "wide_8000": wide[rng.integers(0, len(wide), 200_000)],
+        "runs": np.repeat(rng.integers(0, 2**40, 3000),
+                          rng.integers(1, 60, 3000)),
+        "int64_extremes": rng.choice(np.array([-2**63, -1, 0, 2**63 - 1]),
+                                     5000),
+        "one": np.array([2**31 - 1]),
+    }
+
+
+def _oracle_profile(vals: np.ndarray):
+    change = np.empty(len(vals), dtype=bool)
+    change[:1] = True
+    np.not_equal(vals[1:], vals[:-1], out=change[1:])
+    return np.unique(vals), np.flatnonzero(change)
+
+
+@pytest.mark.parametrize("name", sorted(_profile_streams()))
+def test_profile_matches_sort_unique(name):
+    """profile_int's distinct set and run count, whichever of hash or
+    sort finds the set, equal the sort-based eager profile's; hash and
+    sort agree on the stream themselves."""
+    from arcade_ray.profile import hash_unique, profile_int
+
+    vals = _profile_streams()[name]
+    unique, starts = _oracle_profile(vals)
+    p = profile_int(vals)
+    assert np.array_equal(p.unique, unique) and p.unique.dtype == np.int64
+    assert p.n_distinct == len(unique)
+    assert p.n_runs == len(starts)
+    assert np.array_equal(hash_unique(vals), unique)
+
+
+def test_profile_hashes_the_golden_stream(monkeypatch):
+    """The 257-value stream takes the hash path, a high-cardinality
+    stream the sort."""
+    import arcade_ray.profile as prof
+
+    hashed = []
+    real = prof.hash_unique
+    monkeypatch.setattr(prof, "hash_unique",
+                        lambda v: hashed.append(len(v)) or real(v))
+    streams = _profile_streams()
+    prof.profile_int(streams["golden_lists"])
+    assert hashed == [len(streams["golden_lists"])]
+    prof.profile_int(streams["random"])
+    assert len(hashed) == 1
+
+
+@pytest.mark.parametrize("name", ["golden_lists", "runs", "int64_extremes"])
+def test_rle_lazy_run_starts(name):
+    """RLE builds its run starts when it is encoded: the same starts as
+    the eager profile built, one per counted run, and the same
+    stream back."""
+    from arcade_ray.codecs.int_codecs import INT_CODECS, decode_int
+    from arcade_ray.profile import profile_int, run_starts
+
+    vals = _profile_streams()[name]
+    _, eager = _oracle_profile(vals)
+    assert np.array_equal(run_starts(vals), eager)
+    p = profile_int(vals)
+    assert p.n_runs == len(eager)
+    payload, meta = INT_CODECS["rle"][1](vals, p, "i64")
+    assert meta["r"] == len(eager)
+    assert np.array_equal(decode_int("rle", payload, meta, len(vals)), vals)
