@@ -174,7 +174,7 @@ PACK_COUNTS = (0, 1, 63, 64, 65, 1000, (1 << 18) + 17)
 
 
 @pytest.mark.parametrize("width", range(1, 65))
-def test_pack_bits_matches_bit_matrix(width):
+def test_pack_bits_matches_bit_matrix(kernel_mode, width):
     rng = np.random.default_rng(width)
     for n in PACK_COUNTS:
         if width == 64:
@@ -450,7 +450,21 @@ for width in range(1, 65):
         if width <= 16:
             table = np.arange(1 << width, dtype=np.int64)
             assert np.array_equal(unpack_gather(view, width, n, table), vals)
+        # the packer writes exactly the packed bytes
+        want = bytes(view)
+        _, out = at_page_end(bytes(len(want)), 1)
+        lib.arc_pack(vals.ctypes.data, n, width, out)
+        assert buf[out - addr:out - addr + len(want)] == want
         view.release()
+# the span gather reads and writes exactly the spans' bytes
+src, at = at_page_end(bytes(range(40)))
+_, out = at_page_end(bytes(25), 1)
+starts = np.array([at + 30, at, at + 35], dtype=np.int64)
+lens = np.array([10, 10, 5], dtype=np.int64)
+lib.arc_gather_spans(starts.ctypes.data, lens.ctypes.data, 3, out)
+assert buf[out - addr:out - addr + 25] == \
+    bytes(range(30, 40)) + bytes(range(10)) + bytes(range(35, 40))
+src.release()
 # a code past a dictionary that ends at a guard page is reported, not read
 codes, _ = at_page_end(pack_bits(np.array([0, 2, 5], dtype=np.uint64), 3))
 _, table = at_page_end(np.arange(3, dtype=np.int32).tobytes(), 1)
