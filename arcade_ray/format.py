@@ -142,7 +142,7 @@ def encode_partition(table: pa.Table, part_key: str) -> tuple[bytes, dict[str, A
     payload = b"".join(payload_parts)
     blob = MAGIC + len(header_bytes).to_bytes(4, "little") + header_bytes + payload
 
-    raw_bytes = table.nbytes
+    raw_bytes = sum(_arrow_bytes(col) for col in table.columns)
     manifest = {
         "part_key": part_key,
         "rows": int(table.num_rows),
@@ -155,6 +155,29 @@ def encode_partition(table: pa.Table, part_key: str) -> tuple[bytes, dict[str, A
         "col_stats": json.dumps(_column_stats(columns_meta, sketches)),
     }
     return blob, manifest
+
+
+def _arrow_bytes(col) -> int:
+    """The Arrow size of a column's values (an Array or ChunkedArray),
+    as Arrow's ``take`` lays them out: one chunk, every array with a
+    validity bitmap, n offsets per var-width or list array (as
+    ``nbytes`` counts them). A function of the values alone, so a
+    partition's ``raw_bytes`` does not depend on how its rows were
+    chunked, sliced or moved."""
+    import pyarrow.compute as pc
+
+    t, n = col.type, len(col)
+    size = (n + 7) // 8
+    large = (pa.types.is_large_list(t) or pa.types.is_large_string(t)
+             or pa.types.is_large_binary(t))
+    if pa.types.is_list(t) or pa.types.is_large_list(t):
+        return size + (8 if large else 4) * n + _arrow_bytes(
+            pc.list_flatten(col))
+    if (pa.types.is_string(t) or pa.types.is_binary(t)
+            or pa.types.is_large_string(t) or pa.types.is_large_binary(t)):
+        chars = pc.sum(pc.binary_length(col)).as_py() if n else 0
+        return size + (8 if large else 4) * n + int(chars or 0)
+    return size + (n * t.bit_width + 7) // 8
 
 
 def _column_stats(columns_meta: dict, sketches: dict | None = None) -> dict:

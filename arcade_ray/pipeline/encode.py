@@ -456,7 +456,7 @@ def _encode_bucket(pid_keys: list[str], out_dir: str, sort_by: str | None,
     if sort_by is not None and sort_by not in table.column_names:
         sort_by = None
     pids = table["_pid"].to_numpy(zero_copy_only=False)
-    order = _partition_order(table, pids, sort_by)
+    order = _partition_order(table, sort_by)
     if order is not None:
         table = take_rows(table, order)
         pids = pids[order]
@@ -470,40 +470,16 @@ def _encode_bucket(pid_keys: list[str], out_dir: str, sort_by: str | None,
     return rows
 
 
-def _partition_order(table: pa.Table, pids: np.ndarray,
+def _partition_order(table: pa.Table,
                      sort_by: str | None) -> np.ndarray | None:
     """The stable sort of a bucket's rows by (``_pid``, ``sort_by``),
-    or None when the rows already arrive in it. The check compares
-    adjacent rows: integer, string and temporal keys without nulls
-    directly; any other ``sort_by`` (a float's NaN, a null) against
-    the sort itself."""
-    if not (pids[1:] >= pids[:-1]).all():
-        in_order = False
-    elif sort_by is None:
-        in_order = True
-    elif _comparable(table[sort_by]):
-        col = table[sort_by]
-        down = pc.less(col[1:], col[:-1]).to_numpy(zero_copy_only=False)
-        in_order = not (down & (pids[1:] == pids[:-1])).any()
-    else:
-        in_order = None  # unknown until sorted
-    if in_order:
-        return None
+    or None when it is the order the rows arrived in."""
     keys = [("_pid", "ascending")] + \
         ([(sort_by, "ascending")] if sort_by is not None else [])
     order = pc.sort_indices(table, sort_keys=keys).to_numpy()
-    if in_order is None and (order == np.arange(len(order))).all():
+    if (order == np.arange(len(order))).all():
         return None
     return order
-
-
-def _comparable(col) -> bool:
-    """Whether an adjacent ``less`` orders ``col`` as its sort does."""
-    t = col.type
-    return not col.null_count and (
-        pa.types.is_integer(t) or pa.types.is_temporal(t)
-        or pa.types.is_string(t) or pa.types.is_large_string(t)
-        or pa.types.is_binary(t) or pa.types.is_large_binary(t))
 
 
 def _read_piece(item, columns: list[str] | None = None) -> pa.Table:

@@ -225,6 +225,37 @@ def test_encode_bucket_interleaved_pids(monkeypatch, tmp_path):
     assert gathers == [400]
 
 
+def test_raw_bytes_independent_of_row_movement():
+    """A partition's ``raw_bytes`` is a function of its values: the
+    same with or without validity bitmaps, over any chunking or slice,
+    and equal to ``nbytes`` of the one-chunk table Arrow's take lays
+    out (every array with a bitmap)."""
+    from arcade_ray.format import _arrow_bytes
+
+    lens = [3, 0, 5, 1, 0, 2, 7, 4, 0, 6, 2, 1]
+    t = pa.table({
+        "i": pa.array(range(12), pa.int32()),
+        "f": pa.array(np.linspace(0, 1, 12)),
+        "s": pa.array([f"v{i * i}" for i in range(12)]),
+        "ls": pa.array([f"w{i}" for i in range(12)], pa.large_string()),
+        "tokens": _lists(lens, 1),
+        "big": pa.array([[i] * (i % 3) for i in range(12)],
+                        pa.large_list(pa.int64())),
+    })
+
+    def raw(tab):
+        return sum(_arrow_bytes(c) for c in tab.columns)
+
+    chunked = pa.concat_tables([t.slice(0, 5), t.slice(5)])
+    taken = t.take(pa.array(range(12)))
+    assert taken["i"].chunk(0).buffers()[0] is not None
+    assert raw(t) == raw(chunked) == raw(taken) == taken.nbytes
+    for lo, n in [(0, 8), (8, 4), (3, 6), (5, 0)]:
+        fresh = t.slice(lo, n).take(pa.array(range(n), pa.int64()))
+        assert raw(t.slice(lo, n)) == raw(chunked.slice(lo, n)) \
+            == raw(taken.slice(lo, n)) == fresh.nbytes
+
+
 def _wait_dead(pid: int, timeout: float = 30.0) -> None:
     deadline = time.time() + timeout
     while time.time() < deadline:
@@ -270,11 +301,12 @@ def test_objects_sink_lost_owner_fails_consume(ray_session):
 
 
 def test_layout_independent_of_fan_out(ray_session, tmp_path, monkeypatch):
-    """The same parquet input encodes to the same ``(part_key, crc32)``
-    layout with 1 encode bucket or 16, and with 1 split or 12: one
-    bucket interleaves every partition's rows (the consumer gathers
-    them into order), 16 give most partitions a bucket of their own
-    (their rows arrive in order, and no gather runs)."""
+    """The same parquet input encodes to the same manifest rows (all
+    but ``path`` and ``encode_s``: part keys, crc32s, sizes including
+    ``raw_bytes``, zone maps) with 1 encode bucket or 16, and with 1
+    split or 12: one bucket interleaves every partition's rows (the
+    consumer gathers them into order), 16 give most partitions a bucket
+    of their own (their rows arrive in order, and no gather runs)."""
     import pyarrow.parquet as pq
 
     import arcade_ray.pipeline.encode as enc
@@ -296,7 +328,8 @@ def test_layout_independent_of_fan_out(ray_session, tmp_path, monkeypatch):
         m = enc.encode_parquet(str(src), str(tmp_path / f"{n_buckets}x"
                                              f"{n_splits}"),
                                weight_cap=50_000)
-        return sorted(zip(m["part_key"].to_pylist(), m["crc32"].to_pylist()))
+        rows = m.drop_columns(["path", "encode_s"]).to_pylist()
+        return sorted(tuple(map(str, r.values())) for r in rows)
 
     base = layout(16, 12)
     assert len(base) > 6  # sources hash-split into several partitions
