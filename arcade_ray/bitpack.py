@@ -7,9 +7,9 @@ dictionary content a ``width``-bit code buffer is strictly <= the
 reference's byte-aligned buffer, which underwrites the
 "<= reference compressed size" criterion (SURVEY.md §7.3 item 2).
 
-Packing, and the decode side (unpack, unpack fused with a
+Packing is numpy. The decode side (unpack, unpack fused with a
 frame-of-reference add or a dictionary gather, run expansion, and the
-equality compare on packed codes), run in the C kernels of
+equality compare on packed codes) runs in the C kernels of
 codecs/native.py when they are available, and in numpy otherwise; the
 two give identical results. Unit-testable without Ray.
 """
@@ -59,11 +59,6 @@ def pack_bits(values: np.ndarray, width: int) -> bytes:
         # byte-aligned fast path: a narrowing cast IS the packing
         np_t = {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}[width]
         return v.astype(np_t).tobytes()
-    from .codecs.native import pack_native
-
-    packed = pack_native(v, width, packed_nbytes(len(v), width))
-    if packed is not None:
-        return packed
     if width == 1 or len(v) * width < _WORD_MIN_BITS:
         shifts = np.arange(width, dtype=np.uint64)
         parts = []

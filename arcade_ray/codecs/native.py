@@ -11,15 +11,14 @@ them without a large intermediate:
   prefix groups), so both encoders share one greedy-match definition;
   the C walk is TRUE greedy (no block clamping), so its output is never
   larger than the numpy walk's and decodes through the same format.
-- Fixed-width code loops (bitpack.py): bit-packing on the write path;
-  on the read path bit-unpack with a fused frame-of-reference add,
-  unpack fused with a dictionary gather, run expansion for RLE, and an
-  equality compare on packed codes that returns match positions
-  without building the code array (ARCADE's code-domain compare,
-  SIGMOD 2021). numpy's path for these builds an n x width bit matrix
-  or shifts whole lanes of words. Each decode kernel writes the
-  caller's output dtype (the column's Arrow storage type), so no int64
-  copy sits between the payload and the Arrow buffer.
+- Fixed-width code loops of the read path (bitpack.py): bit-unpack
+  with a fused frame-of-reference add, unpack fused with a dictionary
+  gather, run expansion for RLE, and an equality compare on packed
+  codes that returns match positions without building the code array
+  (ARCADE's code-domain compare, SIGMOD 2021). numpy's path for these
+  builds an n x width bit matrix. Each kernel writes the caller's
+  output dtype (the column's Arrow storage type), so no int64 copy sits
+  between the payload and the Arrow buffer.
 - The row gather of list columns (exchange.take_rows): one memcpy per
   row's span of values, where numpy first expands the spans into one
   index per value.
@@ -262,28 +261,6 @@ int64_t arc_rle_expand(const void* vals, const uint64_t* lens_m1,
     return pos;
 }
 
-/* Pack count values, each < 2^width (1 <= width <= 64), LSB-first into
-   out, which holds exactly ceil(count * width / 8) bytes: bitpack.py's
-   layout, one word at a time. */
-void arc_pack(const uint64_t* v, int64_t count, int64_t width, uint8_t* out)
-{
-    uint64_t acc = 0;
-    int64_t nb = 0, o = 0;
-    for (int64_t i = 0; i < count; i++) {
-        uint64_t x = v[i];
-        acc |= x << nb;
-        if (nb + width >= 64) {
-            memcpy(out + o, &acc, 8);
-            o += 8;
-            acc = nb ? x >> (64 - nb) : 0;
-            nb += width - 64;
-        } else {
-            nb += width;
-        }
-    }
-    memcpy(out + o, &acc, (size_t)((nb + 7) >> 3));
-}
-
 /* Copy n byte spans back to back into out: span i is len[i] bytes at
    address src[i]. The row gather of list columns (gather_lists). */
 void arc_gather_spans(const int64_t* src, const int64_t* len, int64_t n,
@@ -365,8 +342,6 @@ def get_lib():
         lib.arc_match_eq.argtypes = [vp, c64, c64, c64, cu64, vp]
         lib.arc_rle_expand.restype = c64
         lib.arc_rle_expand.argtypes = [vp, vp, c64, vp, c64, c64]
-        lib.arc_pack.restype = None
-        lib.arc_pack.argtypes = [vp, c64, c64, vp]
         lib.arc_gather_spans.restype = None
         lib.arc_gather_spans.argtypes = [vp, vp, c64, vp]
         _lib = lib
@@ -482,17 +457,6 @@ def unpack_gather_native(data, width: int, count: int,
             f"dictionary code at row {bad} is out of range for "
             f"{len(table)} entries")
     return out
-
-
-def pack_native(v: np.ndarray, width: int, nbytes: int) -> bytes | None:
-    """The ``nbytes``-byte packing of the contiguous uint64 values ``v``
-    at ``width`` bits each (bitpack.pack_bits checks the arguments)."""
-    lib = get_lib()
-    if lib is None:
-        return None
-    out = np.empty(nbytes, dtype=np.uint8)
-    lib.arc_pack(v.ctypes.data, len(v), width, out.ctypes.data)
-    return out.tobytes()
 
 
 def match_eq_native(data, width: int, count: int,
