@@ -38,10 +38,9 @@ def _pool_size(concurrency: int | None) -> int:
     pool reserving every CPU deadlocks the pipeline."""
     if concurrency is not None:
         return concurrency
-    import ray
+    from .exchange import avail_cpus
 
-    avail = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(1, min(8, avail - 1))
+    return max(1, min(8, avail_cpus() - 1))
 
 
 def _partial_topk_rows(neg_scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
@@ -700,8 +699,9 @@ def semantic_dedup(ds, threshold: float = 0.95, k: int = 16,
     driver query's in-result contract columns).
 
     Scale shape: the codebook comes from a driver sample
-    (:func:`_kmeans_lite`, broadcast via ``ray.put`` once); ONE
-    shuffle moves each (id, vec) row to its cluster's group — the one
+    (:func:`_kmeans_lite`, broadcast via ``ray.put`` once); ONE key
+    co-location (``exchange.by_key``, staged when this is called)
+    moves each (id, vec) row to its cluster's bucket — the one
     exchange the algorithm inherently needs, since exact within-
     cluster cosines require co-located vectors. Inside a cluster the
     greedy pass runs in 256-row tiles: one matmul against the
@@ -713,6 +713,8 @@ def semantic_dedup(ds, threshold: float = 0.95, k: int = 16,
     worker's heap)."""
     import ray
     import ray.data as rd
+
+    from .exchange import by_key
 
     empty = pa.table({
         id_col: pa.array([], pa.int64()),
@@ -755,8 +757,6 @@ def semantic_dedup(ds, threshold: float = 0.95, k: int = 16,
         })
 
     def dedup_cluster(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
         # Recompute centroid sims for the WHOLE cluster with the same
         # fixed-order einsum the assign stage uses: the visit order —
         # and the survivor of an exact-dup tie — must never depend on
@@ -820,9 +820,12 @@ def semantic_dedup(ds, threshold: float = 0.95, k: int = 16,
                                    mask=rep_idx < 0),
         })
 
-    return (ds.map_batches(assign, batch_format="pyarrow")
-            .groupby("cluster")
-            .map_groups(dedup_cluster, batch_format="pyarrow"))
+    def dedup_bucket(t: pa.Table) -> pa.Table:
+        outs = [dedup_cluster(t.filter(pc.equal(t["cluster"], c)))
+                for c in pc.unique(t["cluster"]).to_pylist()]
+        return pa.concat_tables(outs) if outs else empty
+
+    return by_key([ds], ["cluster"], dedup_bucket, maps=[assign])
 
 
 

@@ -73,15 +73,13 @@ def distributed_components(pair_refs, n_parts: int | None = None):
     driver besides per-round changed counts."""
     import ray
 
-    from .exchange import fetch
+    from .exchange import avail_cpus, fetch
 
     pair_refs = [r for r in pair_refs if r is not None]
     if not pair_refs:
         return np.empty(0, dtype=np.int64)
     if n_parts is None:
-        avail = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        n_parts = max(1, min(32, avail))
+        n_parts = max(1, min(32, avail_cpus()))
 
     @ray.remote
     def adj_split(tab: pa.Table):

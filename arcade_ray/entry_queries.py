@@ -563,8 +563,8 @@ def q_sql_qualify_topn(sf_dir: str) -> pa.Table:
 
 
 def q_sql_asof(sf_dir: str) -> pa.Table:
-    """SQL ASOF JOIN: lowers onto windows.asof_join (one
-    co-partitioned union shuffle + vectorized segment-reset
+    """SQL ASOF JOIN: lowers onto windows.asof_join (both sides
+    co-located by key through exchange.by_key + vectorized segment-reset
     running-max merge per bucket); the CTE build side dedupes
     (user_id, ts) so the backward match is deterministic; INNER
     drops unmatched events."""
@@ -639,8 +639,8 @@ def q_sql_group_expr(sf_dir: str) -> pa.Table:
 
 def q_sql_window_rank(sf_dir: str) -> pa.Table:
     """SQL frontend, window path: per-partition ROW_NUMBER + running
-    SUM computed by one hash-bucketed shuffle + vectorized segment
-    pass (the ranked_gaps scale shape), then distributed top-k."""
+    SUM computed by one key co-location (exchange.by_key) + vectorized
+    segment pass (the ranked_gaps scale shape), then distributed top-k."""
     from .sql import sql_query
 
     return sql_query(_SQL_WINDOW_RANK,
@@ -1343,9 +1343,10 @@ def q_session_windows(sf_dir: str) -> pa.Table:
 
 def q_asof_join_events(sf_dir: str) -> pa.Table:
     """Backward AS-OF join per user over the events stream: each click
-    picks up the value of the latest preceding view (one co-partitioned
-    union shuffle + a vectorized segment-reset running-max merge per
-    bucket — windows.asof_join). Oracle: DuckDB ASOF LEFT JOIN."""
+    picks up the value of the latest preceding view (both sides
+    co-located by key through exchange.by_key + a vectorized
+    segment-reset running-max merge per bucket — windows.asof_join).
+    Oracle: DuckDB ASOF LEFT JOIN."""
     import ray.data as rd
 
     from .windows import asof_join
@@ -1478,7 +1479,7 @@ def q_interval_join_events(sf_dir: str) -> pa.Table:
 
 def q_ranked_gaps(sf_dir: str) -> pa.Table:
     """Per-key window functions: ROW_NUMBER + LAG-gap per user over
-    the events stream (windows.ranked_gaps — one hash shuffle, one
+    the events stream (windows.ranked_gaps — one key co-location, one
     vectorized segment pass per bucket, zero per-key Python). Oracle:
     SQL window functions."""
     import ray.data as rd
@@ -1494,7 +1495,8 @@ def q_ranked_gaps(sf_dir: str) -> pa.Table:
 
 def q_frame_aggs(sf_dir: str) -> pa.Table:
     """Per-key window FRAMES: running SUM + 4-row moving AVG per user
-    (windows.frame_aggs — one shuffle, one cumsum pass per bucket).
+    (windows.frame_aggs — one key co-location, one cumsum pass per
+    bucket).
     Both sides round to 6 dp: the engine's prefix-sum addition order
     differs from the oracle's incremental window, so last-ulp float64
     skew is expected and immaterial."""

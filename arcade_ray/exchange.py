@@ -1,11 +1,15 @@
 """The engine's one fragment exchange: route rows to buckets, stage the
 fragments, consume one bucket per task.
 
-The encode rebalance, the co-partitioned join and the exact-verify
-barriers in collect.py all run through here. A caller supplies a route
-function (one split input -> its table plus a bucket id per row) and a
-consume function (one bucket's table -> a result); everything between
-them lives in this module.
+The encode rebalance, the co-partitioned join, the exact-verify
+barriers in collect.py and every operator that co-locates rows by key
+(:func:`by_key`: the window operators and the time joins in
+windows.py, ``transforms.stratified_sample``, ``join.semi_join_large``,
+``textops.dedup_against_index``, ``ann.semantic_dedup`` and the SQL
+window pass) all run through here. A caller supplies a route function
+(one split input -> its table plus a bucket id per row) and a consume
+function (one bucket's table -> a result); everything between them
+lives in this module, and :func:`key_buckets` is the one key hash.
 
 Two fragment sinks:
 
@@ -51,6 +55,7 @@ run through the disk sink.
 from __future__ import annotations
 
 import atexit
+import functools
 import os
 import shutil
 import tempfile
@@ -331,3 +336,124 @@ def run(route, inputs, fn, n_buckets: int, mode: str, tag: str,
     """:func:`stage` then :func:`consume` over every non-empty bucket."""
     staged = stage(route, inputs, n_buckets, mode, tag, parent)
     return consume(fn, [staged], staged.live(), as_refs)
+
+
+def key_buckets(table: pa.Table, keys: list[str], n_buckets: int):
+    """The engine's one key hash: each row's bucket in [0, n_buckets)
+    by the values of its ``keys`` columns. A NULL key goes to bucket 0
+    (it forms its own group or matches nothing; it only has to land
+    somewhere), a float key hashes its ``query.float_order_key`` so
+    -0.0 meets 0.0 and every NaN meets every other, and several keys
+    combine as ``b = (b * 31 + bucket(k)) % n_buckets`` from b = 0 (no
+    key: every row in bucket 0)."""
+    from .hashing import hash_column
+    from .pipeline.query import float_order_key
+
+    out = np.zeros(table.num_rows, dtype=np.int64)
+    for k in keys:
+        arr = table[k].combine_chunks()
+        if pa.types.is_floating(arr.type):
+            arr = float_order_key(arr)
+        if arr.null_count:
+            b = np.zeros(len(arr), dtype=np.int64)
+            valid = arr.is_valid().to_numpy(zero_copy_only=False)
+            if valid.any():
+                b[valid] = (hash_column(arr.drop_null())
+                            % np.uint64(n_buckets)).astype(np.int64)
+        else:
+            b = (hash_column(arr) % np.uint64(n_buckets)).astype(np.int64)
+        out = (out * 31 + b) % n_buckets
+    return out
+
+
+def key_bucket_count() -> int:
+    """Buckets of a :func:`by_key` exchange: about two per CPU, so a
+    skewed bucket does not leave the others idle."""
+    return max(8, 2 * avail_cpus())
+
+
+def _route_keyed(keys: list[str], n_buckets: int, prep, table: pa.Table):
+    """:func:`by_key` route: one block, mapped by ``prep``, to its key
+    buckets, reporting ``(block has no rows, block schema)``, None for
+    Ray's schema-less empty blocks."""
+    if prep is not None and table.num_columns:
+        table = prep(table)
+    if table.num_rows == 0:
+        return (table, np.empty(0, dtype=np.int64),
+                (True, table.schema) if table.num_columns else None)
+    return table, key_buckets(table, keys, n_buckets), (False, table.schema)
+
+
+def _side_schema(info: list):
+    """A staged side's schema: a block with rows has it (Ray passes an
+    empty block around a map UDF, so an empty one may carry an
+    upstream schema), else any typed empty block; None when neither
+    ran."""
+    known = [i for i in info if i is not None]
+    return min(known, key=lambda i: i[0])[1] if known else None
+
+
+def by_key(sides: list, keys: list[str], fn, maps: list | None = None):
+    """Co-locate the rows of one or more Datasets by the hash of their
+    ``keys`` columns (every side carries them under the same names)
+    and return a lazy Dataset of ``fn(*tables)``, one call per bucket
+    the FIRST side has rows in: each argument is that side's rows of
+    the bucket, a zero-row table of the side's schema where it has
+    none. An input whose first side has no rows gets ``fn`` over
+    zero-row sides once, so the result keeps its schema; when a
+    side's schema is unknown too (it sent only schema-less blocks),
+    the result is one schema-less empty block.
+
+    ``maps[i]``, when given, maps each block of side i before it is
+    routed, in the split task, empty blocks included: a UDF that
+    reshapes a side belongs here, not in a ``map_batches`` upstream,
+    because Ray passes an empty block around a map UDF and the side's
+    empty schema would miss the reshaping.
+
+    The sides are staged (executed) here, when this is called, each
+    block as it streams off its plan (``collect.iter_arrow_refs``),
+    through the sink the auto rule picks from the sides' metadata
+    sizes; ``fn`` runs when the result is consumed."""
+    import ray.data as rd
+
+    from .collect import iter_arrow_refs
+
+    n_buckets = key_bucket_count()
+    mode = auto_mode(sum(dataset_bytes(ds) or 0 for ds in sides))
+    stages: list[Staged] = []
+    try:
+        for i, ds in enumerate(sides):
+            route = functools.partial(_route_keyed, list(keys), n_buckets,
+                                      maps[i] if maps else None)
+            stages.append(stage(route, iter_arrow_refs(ds), n_buckets,
+                                mode, f"key{i}"))
+    except BaseException:
+        for s in stages:
+            s.cleanup()
+        raise
+    schemas = [_side_schema(s.info) for s in stages]
+    live = stages[0].live()
+    if not live or None in schemas:
+        for s in stages:
+            s.cleanup()
+        if None in schemas:
+            if live:
+                raise ValueError(
+                    f"by_key: side {schemas.index(None)} is empty with "
+                    "no schema, so its rows cannot be typed")
+            return rd.from_blocks([pa.table({})])
+        return rd.from_blocks([fn(*[sch.empty_table()
+                                    for sch in schemas])])
+    parts = [s.parts for s in stages]
+
+    def run_buckets(batch: pa.Table) -> pa.Table:
+        pin_arrow_threads()
+        outs = []
+        for b in batch["bucket"].to_pylist():
+            tables = [read(p[b]) for p in parts]
+            outs.append(fn(*[t if t is not None else sch.empty_table()
+                             for t, sch in zip(tables, schemas)]))
+        return pa.concat_tables(outs)
+
+    return rd.from_items([{"bucket": b} for b in live]).map_batches(
+        run_buckets, batch_format="pyarrow", batch_size=1)

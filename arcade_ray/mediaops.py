@@ -98,10 +98,9 @@ def extract_image_features(ds, concurrency: int | None = None,
     stays inside the worker heap (guide: memory-aware batch sizing).
     The pool leaves >=1 CPU for the read stage."""
     if concurrency is None:
-        import ray
+        from .exchange import avail_cpus
 
-        avail = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        concurrency = max(1, min(8, avail - 1))
+        concurrency = max(1, min(8, avail_cpus() - 1))
     return ds.map_batches(
         ImageFeatureExtractor, batch_format="pyarrow",
         batch_size=batch_size, concurrency=concurrency,
@@ -170,11 +169,9 @@ def resize_images(ds, width: int = 32, height: int = 32,
     small batches for big payloads — same sizing rules as
     extract_image_features)."""
     if concurrency is None:
-        import ray
+        from .exchange import avail_cpus
 
-        avail = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        concurrency = max(1, min(8, avail - 1))
+        concurrency = max(1, min(8, avail_cpus() - 1))
     return ds.map_batches(
         ImageResizer, fn_constructor_kwargs={"width": width,
                                              "height": height},
@@ -303,10 +300,9 @@ class AudioFeatureExtractor:
 def extract_audio_features(ds, concurrency: int | None = None,
                            batch_size: int = 64):
     if concurrency is None:
-        import ray
+        from .exchange import avail_cpus
 
-        avail = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        concurrency = max(1, min(8, avail - 1))
+        concurrency = max(1, min(8, avail_cpus() - 1))
     return ds.map_batches(
         AudioFeatureExtractor, batch_format="pyarrow",
         batch_size=batch_size, concurrency=concurrency,
@@ -362,9 +358,8 @@ def sample_frames(ds, every: int = 4, concurrency: int | None = None,
         })
 
     if concurrency is None:
-        import ray
+        from .exchange import avail_cpus
 
-        avail = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        concurrency = max(1, min(8, avail - 1))
+        concurrency = max(1, min(8, avail_cpus() - 1))
     return ds.map_batches(run, batch_format="pyarrow",
                           batch_size=batch_size, concurrency=concurrency)

@@ -35,32 +35,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..exchange import pin_arrow_threads
+from ..exchange import avail_cpus, pin_arrow_threads
 from ..format import decode_partition
 from .decode import gather_partitions, map_partitions
 from .encode import load_manifest, read_manifest
 
 DEFAULT_MAX_BUILD_ROWS = 50_000_000  # ~hundreds of MB of keys; guardrail
-
-
-def null_safe_buckets(col, n_buckets: int) -> "np.ndarray":
-    """Key-hash bucket ids with NULL keys routed to bucket 0: a NULL
-    join key matches nothing (the Arrow join inside the bucket gives
-    the SQL semantics), it only needs to land SOMEWHERE so outer
-    joins can null-extend it. hash_column itself refuses null-bearing
-    columns, which outer joins earlier in a chain routinely produce."""
-    from ..hashing import hash_column
-
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) \
-        else col
-    if arr.null_count:
-        valid = pc.is_valid(arr).to_numpy(zero_copy_only=False)
-        out = np.zeros(len(arr), dtype=np.int64)
-        if valid.any():
-            out[valid] = (hash_column(arr.drop_null())
-                          % np.uint64(n_buckets)).astype(np.int64)
-        return out
-    return (hash_column(arr) % np.uint64(n_buckets)).astype(np.int64)
 
 
 def shuffle_join(left_dir: str, right_dir: str, left_key: str,
@@ -338,8 +318,7 @@ def semi_join(probe_dir: str, probe_key: str, probe_cols: list[str],
 
 
 def semi_join_large(probe_dir: str, probe_key: str, probe_cols: list[str],
-                    keys_ds, anti: bool = False,
-                    bits_per_key: int = 12, n_buckets: int | None = None):
+                    keys_ds, anti: bool = False, bits_per_key: int = 12):
     """EXACT SEMI/ANTI join when the key side is TOO BIG to broadcast
     as a set (:func:`semi_join`'s guardrail case): a Bloom bitmap
     prefilter + a co-partitioned exact verify.
@@ -354,9 +333,10 @@ def semi_join_large(probe_dir: str, probe_key: str, probe_cols: list[str],
        for ANTI, dropped for SEMI); only bloom HITS (true members +
        ~FP-rate false positives) continue.
     3. Exact verify: the surviving probe rows and the key rows
-       co-partition by key hash into coarse buckets (one shuffle of
-       the small surviving set + the keys); per bucket one vectorized
-       ``pc.is_in`` settles membership exactly.
+       co-locate by key (``exchange.by_key``: one exchange of the
+       small surviving set + the keys, staged when this is called);
+       per bucket one vectorized ``pc.is_in`` settles membership
+       exactly.
 
     Null keys: never match SEMI, survive ANTI (NOT EXISTS).
 
@@ -372,11 +352,6 @@ def semi_join_large(probe_dir: str, probe_key: str, probe_cols: list[str],
 
     from ..hashing import hash_column
     from ..format import read_header
-
-    if n_buckets is None:
-        avail = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        n_buckets = max(8, 2 * avail)
 
     n_keys = max(int(keys_ds.count()), 1)
     m_bits = 1 << max(int(np.ceil(np.log2(n_keys * bits_per_key))), 10)
@@ -477,70 +452,25 @@ def semi_join_large(probe_dir: str, probe_key: str, probe_cols: list[str],
 
     survivors = map_partitions(rows, prefilter)
 
-    # exact verify: co-partition pending probe rows + keys by key hash
-    def tag_probe(b: pa.Table) -> pa.Table:
-        # hash only rows that still need verification: settled rows get
-        # bucket -1, and null-key rows (already settled by prefilter —
-        # bloom-miss for ANTI, dropped for SEMI) must never reach
-        # hash_column, whose no-nulls guard would raise.
-        col = b[probe_key].combine_chunks()
-        settled = b["_settled"].to_numpy(zero_copy_only=False)
-        todo = pc.is_valid(col).to_numpy(zero_copy_only=False) & ~settled
-        bk = np.full(b.num_rows, -1, dtype=np.int64)
-        if todo.any():
-            bk[todo] = (hash_column(col.filter(pa.array(todo)))
-                        % np.uint64(n_buckets)).astype(np.int64)
-        return b.append_column("_jb", pa.array(bk))
+    # exact verify: probe rows and keys co-locate by key; settled
+    # rows pass through their bucket untouched
+    from ..exchange import by_key
+    from .query import _col_type
 
-    k_sch, s_sch = keys_ds.schema(), survivors.schema()
-    if k_sch is None or s_sch is None:
-        raise ValueError("semi_join_large over an empty dataset with no "
-                         "schema (keys empty: %s, probe empty: %s)"
-                         % (k_sch is None, s_sch is None))
-    key_name = k_sch.names[0]
-    probe_schema = {f.name: f.type for f in s_sch.base_schema}
+    ptype = _col_type(header0["columns"][probe_key])
 
-    def tag_keys2(b: pa.Table) -> pa.Table:
-        col = pc.drop_null(b[key_name].combine_chunks())
-        bk = (hash_column(col) % np.uint64(n_buckets)).astype(np.int64)
-        # column order mirrors the probe side exactly (same-schema
-        # RefBundles let Ray Data dedup/union without a warning)
-        cols = {"_settled": pa.array(np.zeros(len(col), dtype=bool))}
-        for c in need:
-            cols[c] = col.cast(probe_schema[c]) if c == probe_key \
-                else pa.nulls(len(col), probe_schema[c])
-        cols["_is_key"] = pa.array(np.ones(len(col), dtype=bool))
-        t = pa.table(cols)
-        return t.append_column("_jb", pa.array(bk))
+    def key_rows(b: pa.Table) -> pa.Table:
+        return pa.table({probe_key: pc.drop_null(
+            b.column(0).combine_chunks()).cast(ptype)})
 
-    def mark_probe(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "_is_key", pa.array(np.zeros(b.num_rows, dtype=bool)))
+    def verify(t: pa.Table, keys: pa.Table) -> pa.Table:
+        member = pc.is_in(t[probe_key], value_set=keys[probe_key])
+        keep = pc.or_kleene(t["_settled"],
+                            pc.invert(member) if anti else member)
+        return t.filter(keep).select(probe_cols)
 
-    unified = survivors.map_batches(mark_probe, batch_format="pyarrow") \
-        .map_batches(tag_probe, batch_format="pyarrow") \
-        .union(keys_ds.map_batches(tag_keys2, batch_format="pyarrow"))
-
-    empty_out = pa.table({c: pa.array([], type=probe_schema[c])
-                          for c in probe_cols})
-
-    def verify(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            # typed empty: Ray's sort hands schema-less blocks to
-            # empty key ranges
-            return empty_out
-        settled = t.filter(t["_settled"])
-        pend = t.filter(pc.and_(pc.invert(t["_settled"]),
-                                pc.invert(t["_is_key"])))
-        keys = t.filter(t["_is_key"])[probe_key].combine_chunks()
-        member = pc.is_in(pend[probe_key].combine_chunks(), value_set=keys)
-        keep = pc.invert(member) if anti else member
-        return pa.concat_tables([
-            settled.select(probe_cols),
-            pend.filter(keep).select(probe_cols),
-        ])
-
-    return unified.groupby("_jb").map_groups(verify, batch_format="pyarrow")
+    return by_key([survivors, keys_ds], [probe_key], verify,
+                  maps=[None, key_rows])
 
 
 # dataset_join: the shared bucket exchange --------------------------
@@ -626,7 +556,7 @@ def dataset_join(left, right, left_key, right_key,
         if arrow_how not in ("left semi", "left anti") \
         else list(dict.fromkeys(list(left_cols)))
     if n_buckets is None:
-        n_buckets = max(16, int(ray.cluster_resources().get("CPU", 8)))
+        n_buckets = max(16, avail_cpus())
 
     left_is_dir = isinstance(left, str)
     right_is_mem = isinstance(right, pa.Table)
@@ -734,7 +664,8 @@ def dataset_join(left, right, left_key, right_key,
                          f"got {strategy!r}")
 
     from ..collect import iter_arrow_refs
-    from ..exchange import auto_mode, dataset_bytes, read, stage
+    from ..exchange import (auto_mode, dataset_bytes, key_buckets, read,
+                            stage)
 
     if left_is_dir:
         l_srcs: list = l_paths
@@ -766,7 +697,7 @@ def dataset_join(left, right, left_key, right_key,
     def route(keys: list[str], cols: list[str], src):
         t = decode_partition(src, columns=cols) \
             if isinstance(src, str) else src.select(cols)
-        return t, null_safe_buckets(t[keys[0]], n_buckets)
+        return t, key_buckets(t, keys[:1], n_buckets)
 
     l_stage = stage(functools.partial(route, lkeys, left_need),
                     l_srcs, n_buckets, mode, "joinL")

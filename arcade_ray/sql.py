@@ -3665,8 +3665,9 @@ def _asof_cond(cond: dict, lb, rb):
 
 class _AsofSource:
     """ASOF JOIN (DuckDB ref_type ASOF): lowers onto
-    windows.asof_join — ONE co-partitioned union shuffle plus a
-    vectorized segment-reset running-max merge per bucket. All four
+    windows.asof_join — both sides co-located by key through
+    exchange.by_key plus a vectorized segment-reset running-max merge
+    per bucket; a NULL key never matches (DuckDB's semantics). All four
     directions compile: backward/forward x strict/non-strict (forward
     negates the order key; strict flips the tie order — see
     windows.asof_join). INNER drops unmatched left rows (matched right
@@ -4555,9 +4556,10 @@ def explain_sql(sql: str, tables: dict[str, str]) -> str:
                                  "vectorized 3VL expression mask "
                                  "(post-scan, no pruning)")
     elif ft.get("type") == "JOIN" and ft.get("ref_type") == "ASOF":
-        lines.append("asof join -> windows.asof_join: one "
-                     "co-partitioned union shuffle + vectorized "
-                     "segment-reset running-max merge per bucket"
+        lines.append("asof join -> windows.asof_join: both sides "
+                     "co-located by key through exchange.by_key + "
+                     "vectorized segment-reset running-max merge per "
+                     "bucket"
                      + ("" if ft.get("join_type") == "LEFT"
                         else "; INNER filters matched rows"))
     elif ft.get("type") == "JOIN":
@@ -4567,9 +4569,10 @@ def explain_sql(sql: str, tables: dict[str, str]) -> str:
         raise SqlUnsupported(f"FROM type {ft.get('type')!r}")
 
     if has_window or node.get("qualify") is not None:
-        lines.append("window functions -> hash-bucketed shuffle on "
-                     "PARTITION BY keys + one vectorized segment pass "
-                     "per bucket (O(buckets) Python)")
+        lines.append("window functions -> exchange.by_key on the "
+                     "PARTITION BY keys (fragment exchange, ~2 buckets "
+                     "per CPU) + one vectorized segment pass per "
+                     "bucket (O(buckets) Python)")
         if node.get("qualify") is not None:
             lines.append("  qualify -> post-window in-bucket filter "
                          "(hidden window columns dropped)")
@@ -5120,8 +5123,9 @@ def _run_window_query(src, node: dict, select: list):
     """Window functions over the filtered stream: ROW_NUMBER / RANK /
     DENSE_RANK / LAG / LEAD / running SUM-COUNT-AVG, all sharing one
     OVER (PARTITION BY ... ORDER BY ...) spec. Scale shape =
-    windows.ranked_gaps: one hash shuffle into ~2x-CPU coarse buckets
-    co-locates each partition key's rows; inside a bucket ONE arrow
+    windows.ranked_gaps: ``exchange.by_key`` co-locates each partition
+    key's rows (NULL keys form their own partition), staging the
+    filtered stream when the query runs; inside a bucket ONE arrow
     sort + numpy segment arithmetic computes every window column at
     once — Python cost is O(buckets), not O(keys). Running aggregates
     follow SQL's default frame (RANGE UNBOUNDED PRECEDING .. CURRENT
@@ -5246,46 +5250,11 @@ def _run_window_query(src, node: dict, select: list):
            and w["children"][0]["class"] == "COLUMN_REF"] + qplain
         if c != "__w1"))
     ds = src.stream(need)
-    if inject_onepart:
-        def _addone(b: pa.Table) -> pa.Table:
-            return b.append_column(
-                "__w1", pa.array(np.zeros(b.num_rows, dtype=np.int64)))
-
-        ds = ds.map_batches(_addone, batch_format="pyarrow")
-
-    from .hashing import hash_column
-
-    import ray
-
-    avail = int(ray.cluster_resources().get("CPU", 8)) \
-        if ray.is_initialized() else 8
-    n_buckets = max(8, 2 * avail)
     pk_list = list(pkeys)
 
-    def _bk(col) -> "np.ndarray":
-        # null-safe: NULL keys form their own partition group, so any
-        # fixed bucket co-locates them (wpass re-groups by value)
-        arr = col.combine_chunks() \
-            if isinstance(col, pa.ChunkedArray) else col
-        if pa.types.is_floating(arr.type):  # -0.0 with 0.0, NaN with NaN
-            arr = float_order_key(arr)
-        if arr.null_count:
-            valid = pc.is_valid(arr).to_numpy(zero_copy_only=False)
-            out = np.zeros(len(arr), dtype=np.int64)
-            if valid.any():
-                out[valid] = (hash_column(arr.drop_null())
-                              % np.uint64(n_buckets)).astype(np.int64)
-            return out
-        return (hash_column(arr) % np.uint64(n_buckets)).astype(np.int64)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        if pk_list:
-            b = _bk(batch[pk_list[0]])
-            for k in pk_list[1:]:
-                b = (b * 31 + _bk(batch[k])) % n_buckets
-        else:
-            b = np.zeros(batch.num_rows, dtype=np.int64)
-        return batch.append_column("_wb", pa.array(b))
+    def _addone(b: pa.Table) -> pa.Table:
+        return b.append_column(
+            "__w1", pa.array(np.zeros(b.num_rows, dtype=np.int64)))
 
     out_names = list(names)
 
@@ -5315,9 +5284,18 @@ def _run_window_query(src, node: dict, select: list):
                  for nm, w, cast in wins]
 
     def wpass(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["_wb"]) if "_wb" in t.column_names else t
         if t.num_rows == 0:
-            return pa.table({})
+            # the typed empty result: the whole pass over ONE synthetic
+            # row of type-appropriate constants, sliced away (exotic
+            # column types: no schema)
+            from .collect import _fill_zero
+
+            try:
+                return wpass(pa.table({
+                    f.name: _fill_zero(pa.nulls(1, f.type))
+                    for f in t.schema})).slice(0, 0)
+            except Exception:
+                return pa.table({})
         t = t.take(order_indices(t, [(k, False, False) for k in pk_list]
                                  + [(c, d, False) for c, d in orders]))
         n = t.num_rows
@@ -5692,24 +5670,10 @@ def _run_window_query(src, node: dict, select: list):
             return res.select([nm for nm, _ in sel_map])
         return pa.table(proj)
 
-    out = (ds.map_batches(assign, batch_format="pyarrow")
-             .groupby("_wb")
-             .map_groups(wpass, batch_format="pyarrow"))
-    try:
-        # typed zero-row block so an all-filtered input keeps the
-        # output schema (Ray's groupby emits nothing for an empty
-        # stream): run the whole window pass over ONE synthetic row
-        # of type-appropriate constants, then slice it away
-        from .collect import _fill_zero
+    from .exchange import by_key
 
-        et = src.empty(need)
-        dummy = pa.table({f.name: _fill_zero(pa.nulls(1, f.type))
-                          for f in et.schema})
-        if inject_onepart:
-            dummy = _addone(dummy)
-        out = _with_typed_empty(out, wpass(assign(dummy)).slice(0, 0))
-    except Exception:
-        pass  # exotic column types: the schema rides the blocks
+    out = by_key([ds], pk_list, wpass,
+                 maps=[_addone] if inject_onepart else None)
 
     order, limit, offset = _modifiers(node, select)
     if order and limit is not None:

@@ -2070,10 +2070,9 @@ def analyze_text(ds, concurrency: int | None = None, batch_size: int = 4096):
         # leave headroom for the read stage — an actor pool that
         # reserves every CPU starves upstream operators and the
         # pipeline deadlocks (guide: size concurrency x num_cpus)
-        import ray
+        from .exchange import avail_cpus
 
-        avail = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        concurrency = max(1, min(8, avail - 1))
+        concurrency = max(1, min(8, avail_cpus() - 1))
     return ds.map_batches(TextAnalyzer, batch_format="pyarrow",
                           batch_size=batch_size, concurrency=concurrency)
 
@@ -2117,15 +2116,15 @@ def build_dedup_index(ds, index_dir: str, text_col: str = "text",
 
 
 def dedup_against_index(ds, index_dir: str, text_col: str = "text",
-                        id_col: str = "doc_id",
-                        n_buckets: int | None = None):
+                        id_col: str = "doc_id"):
     """Incremental exact dedup: drop rows of ``ds`` whose 128-bit text
     hash already appears in a persisted signature index (an earlier
     corpus), then dedup the batch against ITSELF (text-verified, via
-    :func:`exact_dedup`). Returns the filtered Dataset.
+    :func:`exact_dedup`). Returns the filtered Dataset; finding the
+    already-seen rows executes ``ds`` when this is called.
 
-    Scale shape: new-batch signatures and index rows co-partition by
-    hash bucket (one shuffle of 24 B/row each — the index text never
+    Scale shape: new-batch signatures and index rows co-locate by
+    hash (``exchange.by_key``: 24 B/row each — the index text never
     existed, the new text never moves); per bucket one vectorized
     join finds already-seen hashes. Identity vs the INDEX is the
     128-bit hash alone (the index stores no text to verify against);
@@ -2134,60 +2133,19 @@ def dedup_against_index(ds, index_dir: str, text_col: str = "text",
     indexes.open(index_dir)
 
     import ray
-    import ray.data as rd
-
-    if n_buckets is None:
-        avail = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        n_buckets = max(8, 2 * avail)
-
-    new_sig = ds.map_batches(
-        lambda b: dedup_signatures(b, text_col, id_col),
-        batch_format="pyarrow")
-    index = read_parquet_clean(os.path.join(index_dir, "sigs"))
-    # resolve the id type ONCE — schema() inside the batch fn would
-    # trigger a limit-1 execution per call
-    sch = new_sig.schema()
-    if sch is None:  # wholly empty new batch: nothing to check
-        return exact_dedup(ds, text_col=text_col, id_col=id_col)
-    id_type = sch.base_schema.field(id_col).type
-
-    def tag(b: pa.Table, is_new: bool) -> pa.Table:
-        h = b["_h"].to_numpy(zero_copy_only=False)
-        bk = (h.view(np.uint64) % np.uint64(n_buckets)).astype(np.int64)
-        ids = b[id_col] if is_new else pa.nulls(b.num_rows, id_type)
-        return pa.table({
-            "_db": pa.array(bk),
-            "_h": b["_h"], "_h2": b["_h2"],
-            "_new": pa.array(np.full(b.num_rows, is_new)),
-            id_col: ids,
-        })
-
-    unified = new_sig.map_batches(
-        lambda b: tag(b, True), batch_format="pyarrow").union(
-        index.map_batches(lambda b: tag(b, False), batch_format="pyarrow"))
-
-    def seen(t: pa.Table) -> pa.Table:
-        out_t = t[id_col].type if id_col in t.column_names else id_type
-        if t.num_rows == 0:
-            return pa.table({id_col: pa.array([], type=out_t)})
-        new = t.filter(t["_new"])
-        old = t.filter(pc.invert(t["_new"]))
-        if new.num_rows == 0 or old.num_rows == 0:
-            return pa.table({id_col: pa.array([], type=out_t)})
-        # composite 128-bit membership via a join on both hash halves
-        probe = pa.table({"_h": new["_h"], "_h2": new["_h2"],
-                          id_col: new[id_col]})
-        hit = probe.join(
-            pa.table({"_h": old["_h"], "_h2": old["_h2"]})
-            .group_by(["_h", "_h2"]).aggregate([]),
-            keys=["_h", "_h2"], join_type="inner")
-        return pa.table({id_col: hit[id_col]})
 
     from .collect import collect_arrow
+    from .exchange import by_key
 
-    losers = collect_arrow(
-        unified.groupby("_db").map_groups(seen, batch_format="pyarrow"))
+    def seen(new: pa.Table, old: pa.Table) -> pa.Table:
+        # composite 128-bit membership via a join on both hash halves
+        return new.join(
+            old.select(["_h", "_h2"]).group_by(["_h", "_h2"]).aggregate([]),
+            keys=["_h", "_h2"], join_type="inner").select([id_col])
+
+    losers = collect_arrow(by_key(
+        [ds, read_parquet_clean(os.path.join(index_dir, "sigs"))], ["_h"],
+        seen, maps=[lambda b: dedup_signatures(b, text_col, id_col), None]))
     survivors = ds
     if losers.num_rows:
         lose_ref = ray.put(losers[id_col].combine_chunks())

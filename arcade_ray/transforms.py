@@ -196,70 +196,52 @@ def pack_sequences(ds, tokens_col: str = "tokens", max_len: int = 2048,
 
 
 def stratified_sample(ds, key_col: str, n_per_group: int, id_col: str,
-                      keep: list[str] | None = None,
-                      n_buckets: int | None = None):
+                      keep: list[str] | None = None):
     """Deterministic per-GROUP sample: the ``n_per_group`` rows with
     the smallest md5(id) per key — the reproducible class-balancing
     draw a training corpus wants (stable across runs, machines and
-    partitionings; SQL-checkable via ORDER BY md5(id)).
+    partitionings; SQL-checkable via ORDER BY md5(id)). A NULL key is
+    a group of its own. Stages ``ds`` when called.
 
     Scale shape: each batch first cuts itself to its own per-group
     top-n candidates (global winners are a subset of per-batch
-    winners), so the groupby shuffle moves at most n rows per (block,
-    group); one vectorized segment-rank pass per coarse hash bucket
-    then picks the global winners. No full sort, no per-key Python."""
+    winners), so the key co-location (``exchange.by_key``) moves at
+    most n rows per (block, group); one vectorized segment-rank pass
+    per bucket then picks the global winners. No full sort, no
+    per-key Python."""
     import hashlib
 
     import pyarrow.compute as pc
 
-    from .hashing import hash_column
+    from .exchange import by_key
+    from .windows import key_codes
 
     if n_per_group < 1:
         raise ValueError(f"n_per_group must be >= 1, got {n_per_group}")
     keep = list(keep or [key_col, id_col])
-    if n_buckets is None:
-        import ray
 
-        avail = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        n_buckets = max(8, 2 * avail)
-
-    def _rank_cut(t: pa.Table, drop_bucket: bool) -> pa.Table:
+    def _rank_cut(t: pa.Table) -> pa.Table:
         t = t.take(pc.sort_indices(t, sort_keys=[
             (key_col, "ascending"), ("_mk", "ascending"),
             (id_col, "ascending")]))
-        keys = t[key_col].combine_chunks()
-        kc = keys if pa.types.is_dictionary(keys.type) \
-            else pc.dictionary_encode(keys)
-        codes = kc.indices.to_numpy(zero_copy_only=False)
+        codes = key_codes(t[key_col])
         n = len(codes)
         new_key = np.ones(n, dtype=bool)
         new_key[1:] = codes[1:] != codes[:-1]
         starts = np.flatnonzero(new_key)
-        lens = np.diff(np.concatenate([starts, [n]]))
+        lens = np.diff(np.append(starts, n))
         rank = np.arange(n, dtype=np.int64) - np.repeat(starts, lens)
-        out = t.filter(pa.array(rank < n_per_group))
-        return out.drop_columns(["_sk"]) if drop_bucket else out
+        return t.filter(pa.array(rank < n_per_group))
 
     def candidates(batch: pa.Table) -> pa.Table:
         md5s = [hashlib.md5(str(v).encode()).hexdigest()
                 for v in batch[id_col].to_pylist()]
         t = batch.select(list(dict.fromkeys(keep + [key_col, id_col])))
-        t = t.append_column("_mk", pa.array(md5s, type=pa.string()))
-        t = _rank_cut(t, drop_bucket=False)
-        b = (hash_column(t[key_col]) % np.uint64(n_buckets)).astype(np.int64)
-        return t.append_column("_sk", pa.array(b))
+        return _rank_cut(t.append_column(
+            "_mk", pa.array(md5s, type=pa.string())))
 
-    def winners(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            want = [c for c in keep if c in t.column_names]
-            return t.select(want) if len(want) == len(keep) \
-                else pa.table({})
-        return _rank_cut(t, drop_bucket=True).select(keep)
-
-    return (ds.map_batches(candidates, batch_format="pyarrow")
-            .groupby("_sk")
-            .map_groups(winners, batch_format="pyarrow"))
+    return by_key([ds], [key_col], lambda t: _rank_cut(t).select(keep),
+                  maps=[candidates])
 
 
 def mix_sources(ds, rates: dict, key_col: str = "source",

@@ -1,107 +1,98 @@
-"""Stream-shaped window operators (tumbling windows live in the
-query surface; here: gap-based session windows).
+"""Stream-shaped operators keyed by time: gap-based session windows,
+sliding-window assignment, as-of / range / interval joins, and the
+per-key window functions ``ranked_gaps`` and ``frame_aggs`` (tumbling
+windows live in the query surface).
 
 Ray Data has no event-time window/watermark primitives (guide
-'Streaming-shaped workloads'); windows are expressed as
-groupby(key).map_groups over ts-sorted groups — the ordering
-assumption is per-key, enforced by the in-group sort."""
+'Streaming-shaped workloads'); every keyed operator here co-locates
+each key's rows through the fragment exchange (``exchange.by_key``,
+about two hash buckets per CPU) and runs one vectorized pass per
+bucket: the ordering assumption is per key, enforced by the in-bucket
+sort, and the Python cost is O(buckets), not O(keys). Keyed operators
+stage (execute) their input when called. A NULL key follows SQL: it
+forms its own group in a window and never matches in a join."""
 
 from __future__ import annotations
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from .exchange import by_key
+
+
+def _plain(col) -> pa.Array:
+    """One chunk, dictionary-decoded."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    return arr.dictionary_decode() if pa.types.is_dictionary(arr.type) \
+        else arr
+
+
+def key_codes(col) -> np.ndarray:
+    """int64 group codes of a key column: equal keys share a code, NULL
+    is one more code (its own group), and a float key compares as
+    ``query.float_order_key`` (-0.0 with 0.0, NaN with NaN), the way
+    ``exchange.key_buckets`` routes it."""
+    from .pipeline.query import float_order_key
+
+    arr = _plain(col)
+    if pa.types.is_floating(arr.type):
+        arr = float_order_key(arr)
+    return pc.dictionary_encode(arr, null_encoding="encode").indices \
+        .to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def _ints(col) -> np.ndarray:
+    return _plain(col).cast(pa.int64()).to_numpy(zero_copy_only=False)
+
 
 def session_windows(ds, key_col: str = "user_id", ts_col: str = "ts",
-                    gap_s: float = 1800.0, n_buckets: int | None = None):
+                    gap_s: float = 1800.0):
     """Gap-based session windows over a stream-shaped table. Returns
     one row per session: (key, session_start, session_end, n_events).
+    Stages ``ds`` when called.
 
-    Scale shape (the round-2 review flagged one pandas call per KEY):
-    rows are hash-bucketed by key into ~2x-CPU coarse buckets, so the
-    groupby shuffle co-locates each key's rows while the per-group
-    Python cost is O(n_buckets), not O(keys). Inside a bucket,
+    Rows co-locate by key (``exchange.by_key``); inside a bucket
     everything is one vectorized pass: arrow sort by (key, ts),
     session breaks from a key-change/gap diff, per-session aggregates
     from run boundaries — no per-key pandas groups."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from .hashing import hash_column
-
-    if n_buckets is None:
-        import ray
-
-        avail = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        n_buckets = max(8, 2 * avail)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        b = (hash_column(batch[key_col]) % np.uint64(n_buckets)).astype(np.int64)
-        return batch.append_column("_sb", pa.array(b))
 
     def sessions(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            if {key_col, ts_col} <= set(t.column_names):
-                return pa.table({
-                    key_col: t[key_col],
-                    "session_start": t[ts_col],
-                    "session_end": t[ts_col],
-                    "n_events": pa.array([], type=pa.int64()),
-                })
-            return pa.table({})
         t = t.take(pc.sort_indices(
             t, sort_keys=[(key_col, "ascending"), (ts_col, "ascending")]))
         ts = t[ts_col].combine_chunks()
         unit = ts.type.unit if pa.types.is_timestamp(ts.type) else "us"
         per_s = {"s": 1, "ms": 10**3, "us": 10**6, "ns": 10**9}[unit]
         ts_i = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        keys = t[key_col].combine_chunks()
+        codes = key_codes(t[key_col])
         n = len(ts_i)
         new_sess = np.ones(n, dtype=bool)
-        if n > 1:
-            key_change = pc.invert(pc.equal(
-                keys.slice(1), keys.slice(0, n - 1))).to_numpy(
-                    zero_copy_only=False).astype(bool)
-            gap = (ts_i[1:] - ts_i[:-1]) > gap_s * per_s
-            new_sess[1:] = key_change | gap
+        new_sess[1:] = (codes[1:] != codes[:-1]) \
+            | ((ts_i[1:] - ts_i[:-1]) > gap_s * per_s)
         starts = np.flatnonzero(new_sess)
-        ends = np.concatenate([starts[1:], [n]])
+        ends = np.append(starts[1:], n) if n else starts
         take_starts = pa.array(starts, type=pa.int64())
         return pa.table({
-            key_col: keys.take(take_starts),
+            key_col: t[key_col].combine_chunks().take(take_starts),
             "session_start": ts.take(take_starts),
             "session_end": ts.take(pa.array(ends - 1, type=pa.int64())),
             "n_events": pa.array(ends - starts, type=pa.int64()),
         })
 
-    return (ds.map_batches(assign, batch_format="pyarrow")
-            .groupby("_sb")
-            .map_groups(sessions, batch_format="pyarrow"))
+    return by_key([ds], [key_col], sessions)
 
 
-
-
-def _tagged_union(left_ds, right_ds, on: str, by: str,
-                  left_cols: list[str] | None, right_cols: list[str] | None,
-                  suffix: str, n_buckets: int | None,
-                  right_on: str | None):
-    """Shared co-partitioning scaffold for the join-by-time operators
-    (asof_join, interval_join): rows are tagged with a side flag,
-    unified to one schema (each side fills the other's columns with
-    typed nulls), and hash-bucketed by key into ~2x-CPU coarse buckets
-    — ONE shuffle co-locates both sides. Returns
-    (unified_ds, left_cols, right_cols, r_out, out_cols, out_empty)
-    where out_empty is a typed zero-row table in the output schema."""
-    import numpy as np
-    import pyarrow as pa
-
-    from .hashing import hash_column
-
-    if n_buckets is None:
-        import ray
-
-        avail = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        n_buckets = max(8, 2 * avail)
+def _by_key_join(left_ds, right_ds, on, by, left_cols, right_cols,
+                 suffix, right_on, merge):
+    """Co-locate both sides of a join by time on ``by`` and run
+    ``merge(lt, rt, codes, cols)`` per bucket. ``rt`` holds only the
+    right rows with a non-NULL key (a NULL key never matches), its
+    order column cast to the left ``on`` type under the name ``_on``;
+    ``codes`` are the :func:`key_codes` of the left then the right
+    keys; ``cols(li, ri)`` emits the output rows for left / right row
+    indices (a NULL right index null-extends): left_cols with ``by``
+    first and ``on`` last, then right_cols, renamed with ``suffix``
+    where they collide."""
     left_cols = list(left_cols or [])
     right_cols = list(right_cols or [])
     if by not in left_cols:
@@ -109,65 +100,42 @@ def _tagged_union(left_ds, right_ds, on: str, by: str,
     if on not in left_cols:
         left_cols = left_cols + [on]
     r_out = {c: (c + suffix if c in left_cols else c) for c in right_cols}
-
-    l_sch, r_sch = left_ds.schema(), right_ds.schema()
-    if l_sch is None or r_sch is None:
-        raise ValueError("cannot join an empty dataset with no schema "
-                         "(left empty: %s, right empty: %s)"
-                         % (l_sch is None, r_sch is None))
-    l_schema = {f.name: f.type for f in l_sch.base_schema}
-    r_schema = {f.name: f.type for f in r_sch.base_schema}
-
+    out_cols = left_cols + [r_out[c] for c in right_cols]
     r_on = right_on or on
+    r_need = list(dict.fromkeys([by, r_on] + right_cols))
 
-    def _tag(batch: pa.Table, side: int) -> pa.Table:
-        n = batch.num_rows
-        b = (hash_column(batch[by]) % np.uint64(n_buckets)).astype(np.int64)
-        cols = {
-            "_ab": pa.array(b),
-            "_side": pa.array(np.full(n, side, dtype=np.int8)),
-            by: batch[by],
-            on: batch[on] if side == 1 else batch[r_on].cast(
-                l_schema[on]),
-        }
-        for c in left_cols:
-            if c not in (by, on):
-                cols[c] = batch[c] if side == 1 else pa.nulls(n, l_schema[c])
-        for c, oc in r_out.items():
-            cols[oc] = batch[c] if side == 0 else pa.nulls(n, r_schema[c])
-        return pa.table(cols)
+    def run(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        rt = rt.filter(pc.is_valid(rt[by]))
+        rt = rt.append_column("_on", rt[r_on].cast(lt[on].type))
+        lk = _plain(lt[by])
+        codes = key_codes(pa.concat_arrays(
+            [lk, _plain(rt[by]).cast(lk.type)]))
 
-    def tag_left(batch: pa.Table) -> pa.Table:
-        return _tag(batch, 1)
+        def cols(li, ri) -> pa.Table:
+            out = {c: lt[c].combine_chunks().take(li) for c in left_cols}
+            for c in right_cols:
+                out[r_out[c]] = rt[c].combine_chunks().take(ri)
+            return pa.table({c: out[c] for c in out_cols})
 
-    def tag_right(batch: pa.Table) -> pa.Table:
-        return _tag(batch, 0)
+        return merge(lt, rt, codes, cols)
 
-    unified = left_ds.map_batches(tag_left, batch_format="pyarrow").union(
-        right_ds.map_batches(tag_right, batch_format="pyarrow"))
-    out_cols = [c for c in left_cols] + [r_out[c] for c in right_cols]
-    # typed zero-row output table: merge fns return this for the
-    # schema-less empty blocks Ray's sort emits for empty key ranges —
-    # a 0-column pa.table({}) there makes the executor log
-    # "RefBundle with a different schema … new schema: ." per block
-    out_empty = pa.table(
-        {c: pa.array([], type=l_schema[c]) for c in left_cols}
-        | {r_out[c]: pa.array([], type=r_schema[c]) for c in right_cols})
-    return unified, left_cols, right_cols, r_out, out_cols, out_empty
+    return by_key([left_ds, right_ds], [by], run,
+                  maps=[lambda b: b.select(left_cols),
+                        lambda b: b.select(r_need)])
 
 
 def asof_join(left_ds, right_ds, on: str = "ts", by: str = "user_id",
               left_cols: list[str] | None = None,
               right_cols: list[str] | None = None,
-              suffix: str = "_r", n_buckets: int | None = None,
-              right_on: str | None = None,
+              suffix: str = "_r", right_on: str | None = None,
               direction: str = "backward", strict: bool = False):
     """AS-OF join: attach to each left row the NEAREST right row
     within the same ``by`` key — ``direction="backward"`` (default)
     takes the latest right with ``right.on <= left.on``,
     ``direction="forward"`` the earliest right with ``right.on >=
     left.on``; ``strict=True`` excludes equal timestamps (< / >).
-    Left rows with no match keep nulls (ASOF LEFT JOIN).
+    Left rows with no match keep nulls (ASOF LEFT JOIN); a NULL key
+    never matches. Stages both sides when called.
 
     Forward lowers onto the SAME vectorized merge by negating the
     int64 order key (nearest-following in real time = nearest-
@@ -175,88 +143,61 @@ def asof_join(left_ds, right_ds, on: str = "ts", by: str = "user_id",
     equal-timestamp right row sorts AFTER the left row and its carry
     is not yet visible — no second code path, no epsilon arithmetic.
 
-    Scale shape — ONE shuffle, both sides co-located: rows are tagged
-    with a side flag, unified to one schema, and hash-bucketed by key
-    into ~2x-CPU coarse buckets (the same co-partitioning trick the
-    exchange join uses, expressed as a single union + groupby).
-    Inside a bucket everything is one vectorized pass: lexsort by
-    (key, ts, side) with right-before-left at ties, then a
-    segment-reset running maximum carries each key's latest right row
-    index forward onto the left rows — no per-key Python.
+    Both sides co-locate by key (``exchange.by_key``, the same
+    co-partitioning the exchange join uses). Inside a bucket
+    everything is one vectorized pass: lexsort by (key, ts, side)
+    with right-before-left at ties, then a segment-reset running
+    maximum carries each key's latest right row index forward onto
+    the left rows — no per-key Python.
 
     ``right_cols`` columns are renamed with ``suffix`` when they
     collide with left columns. ``right_on`` names the right side's
     ordering column when it differs from ``on`` (e.g. an interval's
     start). Returns a Dataset of left_cols + matched right columns."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from .hashing import hash_column
-
     if direction not in ("backward", "forward"):
         raise ValueError(f"asof direction {direction!r}")
-    unified, left_cols, right_cols, r_out, out_cols, out_empty = \
-        _tagged_union(left_ds, right_ds, on, by, left_cols, right_cols,
-                      suffix, n_buckets, right_on)
 
-    def merge(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            # typed empty in the OUTPUT schema — returning the raw
-            # group block would leak _ab/_side and diverge from
-            # non-empty groups' schema
-            return out_empty
-        keys = t[by].combine_chunks()
-        kc = keys if pa.types.is_dictionary(keys.type) \
-            else pc.dictionary_encode(keys)
-        key_codes = kc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = t[on].combine_chunks()
-        ts_i = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+    def merge(lt: pa.Table, rt: pa.Table, codes, cols) -> pa.Table:
+        nl = lt.num_rows
+        ts_i = np.concatenate([_ints(lt[on]), _ints(rt["_on"])])
         if direction == "forward":
             ts_i = -ts_i  # nearest-following = nearest-preceding
             # in negated time (int64 min never appears in real data)
-        side = t["_side"].to_numpy(zero_copy_only=False)
+        side = np.zeros(len(ts_i), dtype=np.int8)  # 1 = left, 0 = right
+        side[:nl] = 1
         n = len(ts_i)
         # non-strict: right (0) first at equal ts (its carry is
         # visible to the tied left row); strict: left first, so the
         # equal-ts right row is NOT yet carried
         tie = (1 - side) if strict else side
-        order = np.lexsort((tie, ts_i, key_codes))
-        s_key = key_codes[order]
+        order = np.lexsort((tie, ts_i, codes))
+        s_key = codes[order]
         s_side = side[order]
         # running index of the latest right row, reset per key segment
-        base = s_key.astype(np.int64) * np.int64(n + 1)
+        base = s_key * np.int64(n + 1)
         carry = np.where(s_side == 0,
                          np.arange(n, dtype=np.int64) + 1, 0)
-        enc = np.maximum.accumulate(base + carry)
-        match_sorted = enc - base  # 0 = no right row yet in this key
+        match_sorted = np.maximum.accumulate(base + carry) - base
         left_pos = np.flatnonzero(s_side == 1)
         lmatch = match_sorted[left_pos] - 1  # sorted-pos of right row
-        has = lmatch >= 0
-        left_orig = order[left_pos]
-        right_orig = np.full(len(left_pos), -1, dtype=np.int64)
-        right_orig[has] = order[lmatch[has]]
-        cols = {}
-        take_l = pa.array(left_orig, type=pa.int64())
-        for c in left_cols:
-            cols[c] = t[c].combine_chunks().take(take_l)
-        ridx = pa.array(np.where(has, right_orig, -1), type=pa.int64())
-        ridx = pc.if_else(pa.array(has), ridx, pa.nulls(len(has), pa.int64()))
-        for c in right_cols:
-            cols[r_out[c]] = t[r_out[c]].combine_chunks().take(ridx)
-        return pa.table({c: cols[c] for c in out_cols})
+        has = lmatch >= 0  # else no right row yet in this key
+        right_orig = np.zeros(len(left_pos), dtype=np.int64)
+        right_orig[has] = order[lmatch[has]] - nl
+        return cols(pa.array(order[left_pos], type=pa.int64()),
+                    pa.array(right_orig, type=pa.int64(), mask=~has))
 
-    return unified.groupby("_ab").map_groups(merge, batch_format="pyarrow")
+    return _by_key_join(left_ds, right_ds, on, by, left_cols, right_cols,
+                        suffix, right_on, merge)
 
 
 def range_join(left_ds, right_ds, on: str = "ts",
                lo_col: str = "session_start", hi_col: str = "session_end",
                by: str = "user_id", left_cols: list[str] | None = None,
-               right_cols: list[str] | None = None,
-               n_buckets: int | None = None):
+               right_cols: list[str] | None = None):
     """Interval-containment join: attach to each left row the right
     interval (per ``by`` key) with ``lo <= left.on <= hi``; left rows
-    inside no interval are dropped (inner semantics).
+    inside no interval, or with a NULL key, are dropped (inner
+    semantics). Stages both sides when called.
 
     Partitioning assumption (documented per the custom-operator
     contract): intervals are NON-OVERLAPPING per key — then the
@@ -264,13 +205,11 @@ def range_join(left_ds, right_ds, on: str = "ts",
     start, post-filtered by ``hi >= on``. Session/tumbling windows
     satisfy this by construction; for OVERLAPPING intervals use
     :func:`interval_join` (one row per containing interval). One
-    co-partitioned shuffle, vectorized merge (see asof_join)."""
-    import pyarrow.compute as pc
-
+    key co-location, vectorized merge (see asof_join)."""
     rc = [lo_col, hi_col] + [c for c in (right_cols or [])
                              if c not in (lo_col, hi_col)]
     out = asof_join(left_ds, right_ds, on=on, by=by, left_cols=left_cols,
-                    right_cols=rc, n_buckets=n_buckets, right_on=lo_col)
+                    right_cols=rc, right_on=lo_col)
 
     def inside(batch: pa.Table) -> pa.Table:
         hi = batch[hi_col]
@@ -285,16 +224,16 @@ def range_join(left_ds, right_ds, on: str = "ts",
 def interval_join(left_ds, right_ds, on: str = "ts",
                   lo_col: str = "w_start", hi_col: str = "w_end",
                   by: str = "user_id", left_cols: list[str] | None = None,
-                  right_cols: list[str] | None = None, suffix: str = "_r",
-                  n_buckets: int | None = None):
+                  right_cols: list[str] | None = None, suffix: str = "_r"):
     """Interval join with OVERLAPPING intervals: one output row per
     (left row, containing interval) pair — ``lo <= left.on <= hi``
-    within the same ``by`` key (inner semantics; the general case
-    range_join's non-overlap assumption excludes).
+    within the same ``by`` key (inner semantics, a NULL key never
+    matches; the general case range_join's non-overlap assumption
+    excludes). Stages both sides when called.
 
-    Scale shape: the same single co-partitioning shuffle as asof_join,
-    then one fully vectorized stabbing pass per bucket — no per-key
-    Python and no interval tree:
+    Scale shape: the same key co-location as asof_join, then one
+    fully vectorized stabbing pass per bucket — no per-key Python and
+    no interval tree:
 
     - right rows sort by (key, lo); per key segment the max interval
       LENGTH bounds how far left of ``t`` a containing interval can
@@ -308,41 +247,21 @@ def interval_join(left_ds, right_ds, on: str = "ts",
     Cost is O(output + n log n) per bucket; a single giant interval in
     a key widens that key's candidate band (documented skew caveat).
     Returns a Dataset of left_cols + matched right columns."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     rc = [lo_col, hi_col] + [c for c in (right_cols or [])
                              if c not in (lo_col, hi_col)]
-    unified, left_cols, right_cols, r_out, out_cols, out_empty = \
-        _tagged_union(left_ds, right_ds, on, by, left_cols, rc, suffix,
-                      n_buckets, lo_col)
-    hi_out = r_out[hi_col]
 
-    def merge(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_empty
-        keys = t[by].combine_chunks()
-        kc = keys if pa.types.is_dictionary(keys.type) \
-            else pc.dictionary_encode(keys)
-        key_codes = kc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        v = t[on].combine_chunks().cast(pa.int64()) \
+    def merge(lt: pa.Table, rt: pa.Table, codes, cols) -> pa.Table:
+        nl, nr = lt.num_rows, rt.num_rows
+        if nl == 0 or nr == 0:
+            none = pa.array([], type=pa.int64())
+            return cols(none, none)
+        lk, rk = codes[:nl], codes[nl:]
+        lv, rlo = _ints(lt[on]), _ints(rt["_on"])
+        hi_r = pc.fill_null(_plain(rt[hi_col]).cast(pa.int64()), 0) \
             .to_numpy(zero_copy_only=False)
-        side = t["_side"].to_numpy(zero_copy_only=False)
-        hi_i = pc.fill_null(
-            t[hi_out].combine_chunks().cast(pa.int64()), 0,
-        ).to_numpy(zero_copy_only=False)
-        n = len(v)
-        empty = t.select(out_cols).slice(0, 0)
-
-        r_idx = np.flatnonzero(side == 0)
-        l_idx = np.flatnonzero(side == 1)
-        if len(r_idx) == 0 or len(l_idx) == 0:
-            return empty
-        rk, rlo = key_codes[r_idx], v[r_idx]
         r_ord = np.lexsort((rlo, rk))
         rk_s, rlo_s = rk[r_ord], rlo[r_ord]
-        rlen_s = hi_i[r_idx][r_ord] - rlo_s
+        rlen_s = hi_r[r_ord] - rlo_s
         seg_starts = np.concatenate(
             [[0], np.flatnonzero(np.diff(rk_s)) + 1])
         seg_keys = rk_s[seg_starts]
@@ -350,47 +269,37 @@ def interval_join(left_ds, right_ds, on: str = "ts",
 
         # rank-composite: equal values share a rank, so per-key
         # searchsorted bounds are exact across the whole bucket
-        sv = np.sort(v)
-        B = np.int64(n + 1)
+        sv = np.sort(np.concatenate([lv, rlo]))
+        B = np.int64(nl + nr + 1)
         comp_right = rk_s * B + np.searchsorted(sv, rlo_s, side="left")
 
-        lk, lt = key_codes[l_idx], v[l_idx]
         pos = np.searchsorted(seg_keys, lk)
         valid = pos < len(seg_keys)
         pos_c = np.minimum(pos, len(seg_keys) - 1)
         valid &= seg_keys[pos_c] == lk
         # upper bound: right rows with lo <= t in this key
         j_hi = np.searchsorted(
-            comp_right, lk * B + np.searchsorted(sv, lt, side="left"),
+            comp_right, lk * B + np.searchsorted(sv, lv, side="left"),
             side="right")
         # lower bound: lo >= t - maxlen(key), clamped to the segment
-        tl = lt - seg_maxlen[pos_c]
+        tl = lv - seg_maxlen[pos_c]
         j_lo = np.searchsorted(
             comp_right, lk * B + np.searchsorted(sv, tl, side="left"),
             side="left")
         j_lo = np.maximum(j_lo, seg_starts[pos_c])
         cnt = np.where(valid, np.maximum(j_hi - j_lo, 0), 0)
         total = int(cnt.sum())
-        if total == 0:
-            return empty
-        row_rep = np.repeat(np.arange(len(l_idx), dtype=np.int64), cnt)
+        lrow = np.repeat(np.arange(nl, dtype=np.int64), cnt)
         offs = np.concatenate([[0], np.cumsum(cnt[:-1])]).astype(np.int64)
         cand_pos = (np.arange(total, dtype=np.int64)
                     - np.repeat(offs, cnt) + np.repeat(j_lo, cnt))
-        cand_r = r_idx[r_ord[cand_pos]]
-        lrow = l_idx[row_rep]
-        keep = hi_i[cand_r] >= v[lrow]
-        lrow, cand_r = lrow[keep], cand_r[keep]
-        cols = {}
-        take_l = pa.array(lrow, type=pa.int64())
-        take_r = pa.array(cand_r, type=pa.int64())
-        for c in left_cols:
-            cols[c] = t[c].combine_chunks().take(take_l)
-        for c in right_cols:
-            cols[r_out[c]] = t[r_out[c]].combine_chunks().take(take_r)
-        return pa.table({c: cols[c] for c in out_cols})
+        cand_r = r_ord[cand_pos]
+        keep = hi_r[cand_r] >= lv[lrow]
+        return cols(pa.array(lrow[keep], type=pa.int64()),
+                    pa.array(cand_r[keep], type=pa.int64()))
 
-    return unified.groupby("_ab").map_groups(merge, batch_format="pyarrow")
+    return _by_key_join(left_ds, right_ds, on, by, left_cols, rc, suffix,
+                        lo_col, merge)
 
 
 def sliding_windows(ds, ts_col: str = "ts", width_s: float = 3600.0,
@@ -401,9 +310,6 @@ def sliding_windows(ds, ts_col: str = "ts", width_s: float = 3600.0,
     (row, window) — width/hop windows per row — with a ``w`` window
     start column; aggregate downstream with ``groupby([... , "w"])``.
     Stays vectorized (arrow temporal kernels + table concat)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     n_hops = int(round(width_s / hop_s))
     if abs(n_hops * hop_s - width_s) > 1e-9 or n_hops < 1:
         raise ValueError("width_s must be a positive multiple of hop_s")
@@ -411,8 +317,6 @@ def sliding_windows(ds, ts_col: str = "ts", width_s: float = 3600.0,
     hop = pa.scalar(hop_us, type=pa.duration("us"))
 
     def assign(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
         base_cols = keep or [c for c in batch.column_names if c != ts_col]
         # floor_temporal is hour-anchored: only safe when the hop
         # divides an hour (30/20/15/... min). Other hops fall through
@@ -441,135 +345,80 @@ def sliding_windows(ds, ts_col: str = "ts", width_s: float = 3600.0,
 
 
 def ranked_gaps(ds, key_col: str = "user_id", ts_col: str = "ts",
-                tie_col: str | None = None, keep: list[str] | None = None,
-                n_buckets: int | None = None):
+                tie_col: str | None = None, keep: list[str] | None = None):
     """Per-key window functions without per-key Python: ROW_NUMBER()
     OVER (PARTITION BY key ORDER BY ts[, tie]) and the LAG gap to the
     previous row's ts (null on each key's first row), the two
     primitives sessionization/feature pipelines reach for first.
+    Stages ``ds`` when called.
 
-    Scale shape (same as session_windows): one hash shuffle into
-    ~2x-CPU coarse buckets co-locates each key's rows; inside a bucket
-    one arrow sort + segment arithmetic computes every key's ranks and
-    gaps at once — Python cost is O(buckets), not O(keys). ``tie_col``
-    makes the in-key order (and thus ranks) deterministic under ts
-    ties. Returns keep + rn (int64, 1-based) + gap_us (int64 epoch
-    microseconds, null at key starts)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from .hashing import hash_column
-
+    Scale shape (same as session_windows): rows co-locate by key
+    (``exchange.by_key``); inside a bucket one arrow sort + segment
+    arithmetic computes every key's ranks and gaps at once — Python
+    cost is O(buckets), not O(keys). ``tie_col`` makes the in-key
+    order (and thus ranks) deterministic under ts ties. Returns keep
+    + rn (int64, 1-based) + gap_us (int64 epoch microseconds, null at
+    key starts)."""
     if keep is None:
         keep = [key_col, ts_col]
-    if n_buckets is None:
-        import ray
-
-        avail = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        n_buckets = max(8, 2 * avail)
     out_cols = list(keep) + ["rn", "gap_us"]
 
-    def assign(batch: pa.Table) -> pa.Table:
-        b = (hash_column(batch[key_col]) % np.uint64(n_buckets)).astype(np.int64)
-        return batch.append_column("_rb", pa.array(b))
-
     def rank(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            cols = {c: t[c] for c in keep if c in t.column_names}
-            cols["rn"] = pa.array([], type=pa.int64())
-            cols["gap_us"] = pa.array([], type=pa.int64())
-            return pa.table(cols) if len(cols) == len(out_cols) \
-                else pa.table({})
-        sort_keys = [(key_col, "ascending"), (ts_col, "ascending")]
-        if tie_col is not None:
-            sort_keys.append((tie_col, "ascending"))
-        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
-        keys = t[key_col].combine_chunks()
-        kc = keys if pa.types.is_dictionary(keys.type) \
-            else pc.dictionary_encode(keys)
-        codes = kc.indices.to_numpy(zero_copy_only=False)
-        ts = t[ts_col].combine_chunks()
-        ts_i = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        n = len(codes)
-        new_key = np.ones(n, dtype=bool)
-        new_key[1:] = codes[1:] != codes[:-1]
-        starts = np.flatnonzero(new_key)
-        lens = np.diff(np.concatenate([starts, [n]]))
+        t, new_key, starts, lens = _key_segments(t, key_col, ts_col,
+                                                 tie_col)
+        n = t.num_rows
+        ts_i = _ints(t[ts_col])
         rn = np.arange(n, dtype=np.int64) - np.repeat(starts, lens) + 1
-        gap = np.empty(n, dtype=np.int64)
+        gap = np.zeros(n, dtype=np.int64)
         gap[1:] = ts_i[1:] - ts_i[:-1]
-        gap[0] = 0
         cols = {c: t[c] for c in keep}
         cols["rn"] = pa.array(rn)
         # LAG over each key's first row is null
-        cols["gap_us"] = pc.if_else(pa.array(~new_key), pa.array(gap),
-                                    pa.scalar(None, type=pa.int64()))
+        cols["gap_us"] = pa.array(gap, mask=new_key)
         return pa.table({c: cols[c] for c in out_cols})
 
-    return (ds.map_batches(assign, batch_format="pyarrow")
-            .groupby("_rb")
-            .map_groups(rank, batch_format="pyarrow"))
+    return by_key([ds], [key_col], rank)
+
+
+def _key_segments(t: pa.Table, key_col: str, ts_col: str,
+                  tie_col: str | None):
+    """``t`` sorted by (key, ts[, tie]), the key-start mask, and each
+    key segment's start and length."""
+    sort_keys = [(key_col, "ascending"), (ts_col, "ascending")]
+    if tie_col is not None:
+        sort_keys.append((tie_col, "ascending"))
+    t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+    codes = key_codes(t[key_col])
+    n = len(codes)
+    new_key = np.ones(n, dtype=bool)
+    new_key[1:] = codes[1:] != codes[:-1]
+    starts = np.flatnonzero(new_key)
+    return t, new_key, starts, np.diff(np.append(starts, n))
 
 
 def frame_aggs(ds, key_col: str = "user_id", ts_col: str = "ts",
                val_col: str = "value", tie_col: str | None = None,
-               keep: list[str] | None = None, window: int = 4,
-               n_buckets: int | None = None):
+               keep: list[str] | None = None, window: int = 4):
     """Per-key window FRAME aggregates, vectorized: running_sum (SUM
     OVER ... ROWS UNBOUNDED PRECEDING) and moving_avg (AVG OVER the
     last ``window`` rows incl. current) for each row, ordered by
-    (ts[, tie]) within the key.
+    (ts[, tie]) within the key. Stages ``ds`` when called.
 
-    Same scale shape as ranked_gaps: one hash shuffle into coarse
-    buckets, then ONE pass per bucket — key-segment cumulative sums
-    with segment reset, and the moving window from cumsum differences
-    clamped at segment starts. Python cost O(buckets)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from .hashing import hash_column
-
+    Same scale shape as ranked_gaps: rows co-locate by key, then ONE
+    pass per bucket — key-segment cumulative sums with segment reset,
+    and the moving window from cumsum differences clamped at segment
+    starts. Python cost O(buckets)."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if keep is None:
         keep = [key_col, ts_col, val_col]
-    if n_buckets is None:
-        import ray
-
-        avail = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        n_buckets = max(8, 2 * avail)
     out_cols = list(keep) + ["running_sum", "moving_avg"]
 
-    def assign(batch: pa.Table) -> pa.Table:
-        b = (hash_column(batch[key_col]) % np.uint64(n_buckets)).astype(np.int64)
-        return batch.append_column("_fb", pa.array(b))
-
     def frames(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            cols = {c: t[c] for c in keep if c in t.column_names}
-            cols["running_sum"] = pa.array([], type=pa.float64())
-            cols["moving_avg"] = pa.array([], type=pa.float64())
-            return pa.table(cols) if len(cols) == len(out_cols) \
-                else pa.table({})
-        sort_keys = [(key_col, "ascending"), (ts_col, "ascending")]
-        if tie_col is not None:
-            sort_keys.append((tie_col, "ascending"))
-        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
-        keys = t[key_col].combine_chunks()
-        kc = keys if pa.types.is_dictionary(keys.type) \
-            else pc.dictionary_encode(keys)
-        codes = kc.indices.to_numpy(zero_copy_only=False)
+        t, _, starts, lens = _key_segments(t, key_col, ts_col, tie_col)
         v = t[val_col].combine_chunks().cast(pa.float64()) \
             .to_numpy(zero_copy_only=False)
-        n = len(codes)
-        new_key = np.ones(n, dtype=bool)
-        new_key[1:] = codes[1:] != codes[:-1]
-        starts = np.flatnonzero(new_key)
-        lens = np.diff(np.concatenate([starts, [n]]))
+        n = len(v)
         seg_start = np.repeat(starts, lens)  # each row's segment start
         # prefix[i] = sum of v[:i]; per-key running sum by subtracting
         # the prefix at the segment start
@@ -586,6 +435,4 @@ def frame_aggs(ds, key_col: str = "user_id", ts_col: str = "ts",
         cols["moving_avg"] = pa.array(moving, type=pa.float64())
         return pa.table({c: cols[c] for c in out_cols})
 
-    return (ds.map_batches(assign, batch_format="pyarrow")
-            .groupby("_fb")
-            .map_groups(frames, batch_format="pyarrow"))
+    return by_key([ds], [key_col], frames)

@@ -567,7 +567,7 @@ def test_stratified_sample_multiblock(ray_session):
     ds = rd.from_arrow(t).repartition(16)
     out = collect_arrow(stratified_sample(
         ds, key_col="source", n_per_group=7, id_col="doc_id",
-        keep=["source", "doc_id"], n_buckets=5)).to_pandas()
+        keep=["source", "doc_id"])).to_pandas()
 
     df = t.to_pandas()
     df["_mk"] = df["doc_id"].map(

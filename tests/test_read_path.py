@@ -624,6 +624,54 @@ def test_read_path_guard():
     assert not bad, "\n".join(bad)
 
 
+# the one key hash (``exchange.key_buckets``); the other
+# ``hash_column(...) % m`` sites take a modulus that is no bucket count
+KEY_HASH = ("arcade_ray/exchange.py", "key_buckets")
+HASH_MOD_ALLOWED = {
+    ("arcade_ray/transforms.py", "mix_sources"):
+        "systematic sample: id hash modulo the sampling modulus",
+    ("arcade_ray/transforms.py", "repeat_sources"):
+        "fractional upsampling slice: id hash modulo the modulus",
+}
+
+
+def test_keyed_exchange_guard():
+    """Rows co-locate by key through ``exchange.by_key`` alone: no
+    engine code calls Ray's ``map_groups``, and no function but
+    ``exchange.key_buckets`` buckets rows by ``hash_column(...) %``
+    (``HASH_MOD_ALLOWED`` names the two sampling moduli)."""
+    bad = []
+    used = set()
+    for p in sorted((REPO / "arcade_ray").rglob("*.py")):
+        tree = ast.parse(p.read_text())
+        where = str(p.relative_to(REPO))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for n in ast.walk(fn):
+                    owner.setdefault(n, fn.name)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                    and n.func.attr == "map_groups":
+                bad.append(f"{where}:{n.lineno} calls map_groups; "
+                           "co-locate rows with exchange.by_key")
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod) \
+                    and isinstance(n.left, ast.Call) \
+                    and getattr(n.left.func, "id",
+                                getattr(n.left.func, "attr", None)) \
+                    == "hash_column":
+                site = (where, owner.get(n))
+                used.add(site)
+                if site != KEY_HASH and site not in HASH_MOD_ALLOWED:
+                    bad.append(f"{where}:{n.lineno} buckets by "
+                               "hash_column(...) %; use "
+                               "exchange.key_buckets")
+    bad += [f"stale HASH_MOD_ALLOWED entry {k}"
+            for k in sorted(set(HASH_MOD_ALLOWED) - used)]
+    assert not bad, "\n".join(bad)
+    assert KEY_HASH in used, "exchange.key_buckets no longer hashes keys"
+
+
 # modules that build or query a persisted index: the marker's name and
 # the hash-version gate live in ``arcade_ray/indexes.py`` alone
 INDEX_USERS = ("arcade_ray/textops.py", "arcade_ray/ann.py",

@@ -198,8 +198,7 @@ def test_ranked_gaps_vs_pandas(ray_session):
     out = collect_arrow(ranked_gaps(
         rd.from_arrow(t), key_col="user_id", ts_col="ts",
         tie_col="event_id", keep=["event_id", "user_id", "ts"],
-        n_buckets=5)).to_pandas().sort_values("event_id",
-                                              ignore_index=True)
+    )).to_pandas().sort_values("event_id", ignore_index=True)
 
     df = t.to_pandas().sort_values(["user_id", "ts", "event_id"],
                                    ignore_index=True)
@@ -233,8 +232,7 @@ def test_frame_aggs_vs_pandas(ray_session):
         rd.from_arrow(t), key_col="user_id", ts_col="ts",
         val_col="value", tie_col="event_id",
         keep=["event_id", "user_id", "value"], window=3,
-        n_buckets=6)).to_pandas().sort_values("event_id",
-                                              ignore_index=True)
+    )).to_pandas().sort_values("event_id", ignore_index=True)
     df = t.to_pandas().sort_values(["user_id", "ts", "event_id"],
                                    ignore_index=True)
     g = df.groupby("user_id")["value"]
